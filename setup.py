@@ -1,23 +1,15 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    # No Cython: install pure-Python only; respfit.backend falls back at import.
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "respfit._stepper",
-                ["src/respfit/_stepper.pyx"],
-                # -O2 without -ffast-math: the compiled stepper must stay
-                # bit-compatible with the pure-Python twin (IEEE semantics,
-                # no FP contraction/reassociation).
-                extra_compile_args=["-O2"],
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "respfit._stepper",
+            ["src/respfit/_stepper.c"],
+            # The compiled stepper must stay bit-identical to the pure-Python
+            # twin: FP contraction (fused multiply-add) or -ffast-math would
+            # change results. x86-64 baseline GCC emits no FMA, so the tests
+            # there cannot catch a missing -ffp-contract=off.
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+        )
+    ],
+)

@@ -1,6 +1,6 @@
 """Pure-Python twin of the compiled RK4 method-of-steps stepper.
 
-Kept expression-for-expression identical to ``_stepper.pyx`` (same operation
+Kept expression-for-expression identical to ``_stepper.c`` (same operation
 order, same libm exp) so both backends produce bit-identical trajectories.
 Used when the compiled extension is unavailable or explicitly selected.
 """

@@ -1,10 +1,11 @@
 """Stepper backend selection.
 
-The integrator kernel exists twice: a Cython extension (``respfit._stepper``)
-and a pure-Python twin (``respfit._stepper_py``) with identical semantics.
+The integrator kernel exists twice: a hand-written C extension
+(``respfit._stepper``, built from ``_stepper.c``) and a pure-Python twin
+(``respfit._stepper_py``) with identical semantics.
 The compiled one is preferred when importable; set ``RESPFIT_PURE_PYTHON=1``
 to force the pure backend, or call :func:`select` at runtime. Both produce
-bit-identical output (see tests/test_backends.py and benchmarks/).
+bit-identical output (see tests/test_backends.py).
 """
 
 from __future__ import annotations

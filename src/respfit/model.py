@@ -22,20 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._stepper_py import _exp
 from .errors import NoRootError
 
 # Fixed search bracket for the equilibrium root (in x); generous on both
 # sides of any physically plausible operating point.
 EQUILIBRIUM_BRACKET = (1e-6, 1e3)
-
-
-def _exp(z: float) -> float:
-    # math.exp raises OverflowError instead of returning inf; the model is
-    # total on finite inputs, so saturate the way C's exp() does.
-    try:
-        return math.exp(z)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
