@@ -48,6 +48,7 @@ from .model import (
 from .solver import (
     ConstantHistory,
     HistoryFunction,
+    SamplePlan,
     TabulatedHistory,
     Trajectory,
     history_from_description,
@@ -72,6 +73,7 @@ __all__ = [
     "PRESETS",
     "ResidualProblem",
     "RespfitError",
+    "SamplePlan",
     "SingularNormalEquationsError",
     "SolverError",
     "SolverOptions",

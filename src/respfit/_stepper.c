@@ -68,10 +68,11 @@ integrate(PyObject *self, PyObject *args)
         return NULL;
     /* No float64 buffer holds more than PY_SSIZE_T_MAX / 8 elements, so this
      * bound also keeps the +1 lengths below from overflowing. */
-    if (n_steps < 0 || n_delay < 0 ||
+    if (n_steps < 0 || n_delay < 1 ||
         n_steps > PY_SSIZE_T_MAX / 8 || n_delay > PY_SSIZE_T_MAX / 8) {
         PyErr_SetString(PyExc_ValueError,
-                        "n_steps and n_delay must be non-negative counts");
+                        "n_steps must be a non-negative count "
+                        "and n_delay a positive one");
         return NULL;
     }
     min_len[0] = min_len[1] = n_delay + 1;
@@ -88,60 +89,55 @@ integrate(PyObject *self, PyObject *args)
     double *x = views[4].buf, *y = views[5].buf;
     double *dx = views[6].buf, *dy = views[7].buf;
 
-    Py_ssize_t k, i1, i4;
-    double xd1, yd1, xdm, ydm, xd4, yd4;
-    double u0, u1, d0, d1;
-    double v1, vm, v4;
+    Py_ssize_t k, i1;
+    double xdm, ydm, xd4, yd4;
+    double v1, vm, v4, avm, bvm;
     double xk, yk, xn, yn;
     double k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y;
     double half_h = 0.5 * h;
+    double h8 = 0.125 * h;
     double h6 = h / 6.0;
+    double nr = -vent_rate;
     Py_ssize_t status = 0;
 
+    /* Ventilation at the delayed node of step 0, node -n_delay (history).
+     * Step k leaves the one of its last stage, node k + 1 - n_delay, in v1
+     * for step k + 1. */
+    v1 = vent_gain * exp(nr * (vent_offset - hist_y[0])) * hist_x[0];
     for (k = 0; k < n_steps; k++) {
         i1 = k - n_delay;
-        if (i1 < 0) {
-            xd1 = hist_x[k];
-            yd1 = hist_y[k];
+        if (i1 >= 0) {
+            xd4 = x[i1 + 1];
+            yd4 = y[i1 + 1];
+            xdm = 0.5 * (x[i1] + xd4) + h8 * (dx[i1] - dx[i1 + 1]);
+            ydm = 0.5 * (y[i1] + yd4) + h8 * (dy[i1] - dy[i1 + 1]);
+        }
+        else {
             xdm = hist_mid_x[k];
             ydm = hist_mid_y[k];
-        }
-        else {
-            xd1 = x[i1];
-            yd1 = y[i1];
-            u0 = x[i1];
-            u1 = x[i1 + 1];
-            d0 = dx[i1];
-            d1 = dx[i1 + 1];
-            xdm = 0.5 * (u0 + u1) + 0.125 * h * (d0 - d1);
-            u0 = y[i1];
-            u1 = y[i1 + 1];
-            d0 = dy[i1];
-            d1 = dy[i1 + 1];
-            ydm = 0.5 * (u0 + u1) + 0.125 * h * (d0 - d1);
-        }
-        i4 = k + 1 - n_delay;
-        if (i4 < 0) {
-            xd4 = hist_x[k + 1];
-            yd4 = hist_y[k + 1];
-        }
-        else {
-            xd4 = x[i4];
-            yd4 = y[i4];
+            if (i1 < -1) {
+                xd4 = hist_x[k + 1];
+                yd4 = hist_y[k + 1];
+            }
+            else {
+                xd4 = x[0];
+                yd4 = y[0];
+            }
         }
 
-        v1 = vent_gain * exp(-vent_rate * (vent_offset - yd1)) * xd1;
-        vm = vent_gain * exp(-vent_rate * (vent_offset - ydm)) * xdm;
-        v4 = vent_gain * exp(-vent_rate * (vent_offset - yd4)) * xd4;
+        vm = vent_gain * exp(nr * (vent_offset - ydm)) * xdm;
+        v4 = vent_gain * exp(nr * (vent_offset - yd4)) * xd4;
 
         xk = x[k];
         yk = y[k];
+        avm = alpha * vm;
+        bvm = beta * vm;
         k1x = 1.0 - alpha * v1 * xk;
         k1y = 1.0 - beta * v1 * yk;
-        k2x = 1.0 - alpha * vm * (xk + half_h * k1x);
-        k2y = 1.0 - beta * vm * (yk + half_h * k1y);
-        k3x = 1.0 - alpha * vm * (xk + half_h * k2x);
-        k3y = 1.0 - beta * vm * (yk + half_h * k2y);
+        k2x = 1.0 - avm * (xk + half_h * k1x);
+        k2y = 1.0 - bvm * (yk + half_h * k1y);
+        k3x = 1.0 - avm * (xk + half_h * k2x);
+        k3y = 1.0 - bvm * (yk + half_h * k2y);
         k4x = 1.0 - alpha * v4 * (xk + h * k3x);
         k4y = 1.0 - beta * v4 * (yk + h * k3y);
         dx[k] = k1x;
@@ -154,19 +150,10 @@ integrate(PyObject *self, PyObject *args)
         }
         x[k + 1] = xn;
         y[k + 1] = yn;
+        v1 = v4;
     }
 
     if (status == 0) {
-        i1 = n_steps - n_delay;
-        if (i1 < 0) {
-            xd1 = hist_x[n_steps];
-            yd1 = hist_y[n_steps];
-        }
-        else {
-            xd1 = x[i1];
-            yd1 = y[i1];
-        }
-        v1 = vent_gain * exp(-vent_rate * (vent_offset - yd1)) * xd1;
         dx[n_steps] = 1.0 - alpha * v1 * x[n_steps];
         dy[n_steps] = 1.0 - beta * v1 * y[n_steps];
     }

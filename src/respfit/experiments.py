@@ -32,6 +32,9 @@ from .model import ModelParams, State, equilibrium_solve
 from .solver import ConstantHistory, HistoryFunction, solve_dde_raw
 
 ALGORITHMS = ("lm", "tr")
+# Largest RK4 step count a config may ask for. A trajectory holds five
+# float64 arrays with one entry per step: 400 MB at this cap.
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,12 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         if self.steps_per_delay < 2:
             raise ConfigError(f"steps_per_delay: must be at least 2, got {self.steps_per_delay}")
+        n_steps = (self.t_end - self.t0) * self.steps_per_delay / self.truth.tau
+        if n_steps > MAX_STEPS:
+            raise ConfigError(
+                f"t_end: [{self.t0!r}, {self.t_end!r}] takes {n_steps:.12g} RK4 steps of "
+                f"tau/steps_per_delay, more than the {MAX_STEPS} allowed"
+            )
         if len(self.p0) != 2 or not all(math.isfinite(v) for v in self.p0):
             raise ConfigError(f"p0: must be two finite numbers, got {self.p0!r}")
         if not self.algorithms:

@@ -27,21 +27,26 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
 from .errors import NonFiniteError, SingularNormalEquationsError
-from .solver import HistoryFunction, solve_dde_raw
+from .solver import HistoryFunction, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class ResidualProblem:
-    """Measurement set plus everything held fixed during the fit."""
+    """Measurement set plus everything held fixed during the fit.
+
+    Every residual call integrates on the same grid and samples the same
+    measurement times, so the sample plan (see solver.SamplePlan) is built
+    from the first trajectory and reused by every later call.
+    """
 
     dataset: Dataset
     history: HistoryFunction
@@ -52,6 +57,7 @@ class ResidualProblem:
     vent_gain: float = 0.14
     vent_rate: float = 0.05
     vent_offset: float = 100.0
+    _plan: SamplePlan | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dataset(
@@ -99,7 +105,11 @@ class ResidualProblem:
             self.t_end,
             self.steps_per_delay,
         )
-        xs, ys = traj.eval_many(self.dataset.times)
+        plan = self._plan
+        if plan is None:
+            plan = traj.sample_plan(self.dataset.times)
+            object.__setattr__(self, "_plan", plan)
+        xs, ys = traj.eval_many(plan)
         return np.concatenate([xs - self.dataset.x_obs, ys - self.dataset.y_obs])
 
     def objective(self, p) -> float:

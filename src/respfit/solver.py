@@ -11,6 +11,16 @@ accuracy of the scheme.
 A Trajectory is immutable after construction and evaluable anywhere on
 [t0 - tau, t_end]: exact history below t0, stored node values on the grid,
 cubic Hermite in between.
+
+Evaluation is split in two. A SamplePlan holds everything about a set of
+sample times that depends only on the grid and the history: the domain
+check, which times fall in the history and their history values, and for
+the others the enclosing grid interval and the four Hermite weights. Its
+gather then combines those weights with one trajectory's node values and
+derivatives. Every trajectory on the same grid (same t0, step, node count,
+delay and history) can share one plan, so a caller that samples the same
+times on many trajectories, such as a least-squares residual, builds the
+plan once.
 """
 
 from __future__ import annotations
@@ -117,6 +127,67 @@ def history_from_description(desc: dict) -> HistoryFunction:
     raise ValueError(f"unknown history kind {kind!r}")
 
 
+def _grid_of(traj: Trajectory) -> tuple:
+    """The grid a SamplePlan is bound to, apart from the history."""
+    return (traj.t0, traj.step, len(traj.times), traj.tau)
+
+
+@dataclass(frozen=True, eq=False)
+class SamplePlan:
+    """The (alpha, beta)-independent part of sampling a trajectory grid.
+
+    Built by Trajectory.sample_plan and bound to that trajectory's grid
+    (t0, step, node count, tau) and history object. hist_idx lists the
+    sample times at or before t0 and hist_x, hist_y their history values;
+    grid_idx lists the others, j and j1 the nodes of each one's grid
+    interval and w00..w11 its Hermite weights, w10 and w11 already
+    multiplied by the step.
+    """
+
+    grid: tuple
+    history: HistoryFunction = field(repr=False)
+    shape: tuple[int, ...]
+    hist_idx: np.ndarray = field(repr=False)
+    hist_x: np.ndarray = field(repr=False)
+    hist_y: np.ndarray = field(repr=False)
+    grid_idx: np.ndarray = field(repr=False)
+    j: np.ndarray = field(repr=False)
+    j1: np.ndarray = field(repr=False)
+    w00: np.ndarray = field(repr=False)
+    w10: np.ndarray = field(repr=False)
+    w01: np.ndarray = field(repr=False)
+    w11: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        """Number of sample times."""
+        return math.prod(self.shape)
+
+    def gather(self, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+        """Sample values of traj, which must lie on the grid the plan is bound to."""
+        if _grid_of(traj) != self.grid or traj.history is not self.history:
+            raise ValueError("sample plan was built for a different trajectory grid")
+        xs = np.empty(self.shape)
+        ys = np.empty(self.shape)
+        xf = xs.reshape(-1)
+        yf = ys.reshape(-1)
+        xf[self.hist_idx] = self.hist_x
+        yf[self.hist_idx] = self.hist_y
+        j, j1 = self.j, self.j1
+        xf[self.grid_idx] = (
+            self.w00 * traj.x[j]
+            + self.w10 * traj.dx[j]
+            + self.w01 * traj.x[j1]
+            + self.w11 * traj.dx[j1]
+        )
+        yf[self.grid_idx] = (
+            self.w00 * traj.y[j]
+            + self.w10 * traj.dy[j]
+            + self.w01 * traj.y[j1]
+            + self.w11 * traj.dy[j1]
+        )
+        return xs, ys
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Dense numerical solution on [t0, t_end] plus its history.
@@ -142,13 +213,14 @@ class Trajectory:
         xs, ys = self.eval_many(np.array([float(t)]))
         return State(float(xs[0]), float(ys[0]))
 
-    def eval_many(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized evaluation at arbitrary times in [t0 - tau, t_end].
+    def sample_plan(self, times: np.ndarray) -> SamplePlan:
+        """Plan for sampling every trajectory on this grid at ``times``.
 
-        History value for t <= t0, stored node value on grid nodes, cubic
-        Hermite between adjacent nodes otherwise.
+        Raises OutOfDomainError if a time lies outside [t0 - tau, t_end].
         """
         ts = np.asarray(times, dtype=float)
+        shape = ts.shape
+        ts = ts.reshape(-1)
         lo = self.t0 - self.tau
         tol = _EDGE_TOL * max(1.0, abs(lo), abs(self.t_end))
         if np.any(ts < lo - tol) or np.any(ts > self.t_end + tol):
@@ -156,39 +228,46 @@ class Trajectory:
                 f"evaluation time outside [{lo:g}, {self.t_end:g}]"
             )
 
-        xs = np.empty_like(ts)
-        ys = np.empty_like(ts)
         in_history = ts <= self.t0
-        if np.any(in_history):
-            hx, hy = self.history.sample(ts[in_history])
-            xs[in_history] = hx
-            ys[in_history] = hy
+        hist_idx = np.flatnonzero(in_history)
+        hist_x, hist_y = self.history.sample(ts[hist_idx])
+        grid_idx = np.flatnonzero(~in_history)
+        tq = np.minimum(ts[grid_idx], self.times[-1])
+        # side='right' makes an exact node time fall in the interval whose
+        # left endpoint it is (s = 0), so node values are returned bit-exact.
+        j = np.searchsorted(self.times, tq, side="right") - 1
+        j = np.clip(j, 0, len(self.times) - 2)
+        s = (tq - self.times[j]) / self.step
+        h00 = (2.0 * s - 3.0) * s * s + 1.0
+        h10 = ((s - 2.0) * s + 1.0) * s
+        h01 = (3.0 - 2.0 * s) * s * s
+        h11 = (s - 1.0) * s * s
+        return SamplePlan(
+            grid=_grid_of(self),
+            history=self.history,
+            shape=shape,
+            hist_idx=hist_idx,
+            hist_x=hist_x,
+            hist_y=hist_y,
+            grid_idx=grid_idx,
+            j=j,
+            j1=j + 1,
+            w00=h00,
+            w10=h10 * self.step,
+            w01=h01,
+            w11=h11 * self.step,
+        )
 
-        on_grid = ~in_history
-        if np.any(on_grid):
-            tq = np.minimum(ts[on_grid], self.times[-1])
-            # side='right' makes an exact node time fall in the interval whose
-            # left endpoint it is (s = 0), so node values are returned bit-exact.
-            j = np.searchsorted(self.times, tq, side="right") - 1
-            j = np.clip(j, 0, len(self.times) - 2)
-            s = (tq - self.times[j]) / self.step
-            h00 = (2.0 * s - 3.0) * s * s + 1.0
-            h10 = ((s - 2.0) * s + 1.0) * s
-            h01 = (3.0 - 2.0 * s) * s * s
-            h11 = (s - 1.0) * s * s
-            xs[on_grid] = (
-                h00 * self.x[j]
-                + h10 * self.step * self.dx[j]
-                + h01 * self.x[j + 1]
-                + h11 * self.step * self.dx[j + 1]
-            )
-            ys[on_grid] = (
-                h00 * self.y[j]
-                + h10 * self.step * self.dy[j]
-                + h01 * self.y[j + 1]
-                + h11 * self.step * self.dy[j + 1]
-            )
-        return xs, ys
+    def eval_many(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized evaluation at arbitrary times in [t0 - tau, t_end].
+
+        History value for t <= t0, stored node value on grid nodes, cubic
+        Hermite between adjacent nodes otherwise. ``times`` is an array of
+        times, or a SamplePlan built by sample_plan on any trajectory on the
+        same grid; an array is planned on the spot and the plan discarded.
+        """
+        plan = times if isinstance(times, SamplePlan) else self.sample_plan(times)
+        return plan.gather(self)
 
     def to_csv(self, path) -> None:
         """Write the node grid as CSV (t,x,y) at full double precision."""

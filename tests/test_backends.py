@@ -1,5 +1,6 @@
 """The compiled and pure-Python steppers must be interchangeable bit for bit."""
 
+import math
 import os
 import subprocess
 import sys
@@ -71,6 +72,172 @@ def test_backends_blow_up_identically():
     assert "t = 4.76 " in messages[0]
 
 
+# The stepper as it was before each delayed node's ventilation was carried
+# from one step to the next (three exp() calls per step), kept verbatim as
+# the reference both kernels must still reproduce bit for bit.
+def _reference_exp(z):
+    # C exp() saturates to inf/0.0; math.exp raises on overflow instead.
+    try:
+        return math.exp(z)
+    except OverflowError:
+        return math.inf
+
+
+def _reference_integrate(
+    alpha,
+    beta,
+    vent_gain,
+    vent_rate,
+    vent_offset,
+    h,
+    n_steps,
+    n_delay,
+    hist_x,
+    hist_y,
+    hist_mid_x,
+    hist_mid_y,
+    x,
+    y,
+    dx,
+    dy,
+):
+    """Advance the delayed two-gas system over ``n_steps`` nodes of spacing ``h``.
+
+    hist_* carry the history sampled on the delayed grid (n_delay+1 node values,
+    n_delay midpoint values); x[0], y[0] hold the initial state. Node values and
+    node derivatives are written into x, y, dx, dy. Returns 0 on success, or the
+    1-based index of the first node whose state is non-finite.
+    """
+    hx = hist_x.tolist()
+    hy = hist_y.tolist()
+    hmx = hist_mid_x.tolist()
+    hmy = hist_mid_y.tolist()
+    n = int(n_steps)
+    nd = int(n_delay)
+    X = x.tolist()
+    Y = y.tolist()
+    DX = dx.tolist()
+    DY = dy.tolist()
+
+    half_h = 0.5 * h
+    h6 = h / 6.0
+    status = 0
+
+    for k in range(n):
+        i1 = k - nd
+        if i1 < 0:
+            xd1 = hx[k]
+            yd1 = hy[k]
+            xdm = hmx[k]
+            ydm = hmy[k]
+        else:
+            xd1 = X[i1]
+            yd1 = Y[i1]
+            u0 = X[i1]
+            u1 = X[i1 + 1]
+            d0 = DX[i1]
+            d1 = DX[i1 + 1]
+            xdm = 0.5 * (u0 + u1) + 0.125 * h * (d0 - d1)
+            u0 = Y[i1]
+            u1 = Y[i1 + 1]
+            d0 = DY[i1]
+            d1 = DY[i1 + 1]
+            ydm = 0.5 * (u0 + u1) + 0.125 * h * (d0 - d1)
+        i4 = k + 1 - nd
+        if i4 < 0:
+            xd4 = hx[k + 1]
+            yd4 = hy[k + 1]
+        else:
+            xd4 = X[i4]
+            yd4 = Y[i4]
+
+        v1 = vent_gain * _reference_exp(-vent_rate * (vent_offset - yd1)) * xd1
+        vm = vent_gain * _reference_exp(-vent_rate * (vent_offset - ydm)) * xdm
+        v4 = vent_gain * _reference_exp(-vent_rate * (vent_offset - yd4)) * xd4
+
+        xk = X[k]
+        yk = Y[k]
+        k1x = 1.0 - alpha * v1 * xk
+        k1y = 1.0 - beta * v1 * yk
+        k2x = 1.0 - alpha * vm * (xk + half_h * k1x)
+        k2y = 1.0 - beta * vm * (yk + half_h * k1y)
+        k3x = 1.0 - alpha * vm * (xk + half_h * k2x)
+        k3y = 1.0 - beta * vm * (yk + half_h * k2y)
+        k4x = 1.0 - alpha * v4 * (xk + h * k3x)
+        k4y = 1.0 - beta * v4 * (yk + h * k3y)
+        DX[k] = k1x
+        DY[k] = k1y
+        xn = xk + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        yn = yk + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        if not (math.isfinite(xn) and math.isfinite(yn)):
+            status = k + 1
+            break
+        X[k + 1] = xn
+        Y[k + 1] = yn
+
+    if status == 0:
+        i1 = n - nd
+        if i1 < 0:
+            xd1 = hx[n]
+            yd1 = hy[n]
+        else:
+            xd1 = X[i1]
+            yd1 = Y[i1]
+        v1 = vent_gain * _reference_exp(-vent_rate * (vent_offset - yd1)) * xd1
+        DX[n] = 1.0 - alpha * v1 * X[n]
+        DY[n] = 1.0 - beta * v1 * Y[n]
+
+    x[:] = X
+    y[:] = Y
+    dx[:] = DX
+    dy[:] = DY
+    return status
+
+
+# Above this delayed y, exp(-0.05 * (100 - y)) overflows a double.
+_EXP_OVERFLOW_Y = 100.0 + math.log(np.finfo(float).max) / 0.05
+
+
+def _random_kernel_call(rng, overflow):
+    """Arguments of one kernel call: random gains of either sign, delay, window and history.
+
+    Windows range from no step at all to eight delays. With overflow, the
+    history's y straddles the level where exp() overflows to inf.
+    """
+    nd = int(rng.integers(1, 60))
+    n = int(rng.integers(0, 8 * nd + 2))
+    alpha, beta = (float(v) for v in rng.uniform(-4.0, 4.0, 2))
+    level = _EXP_OVERFLOW_Y if overflow else rng.uniform(1.0, 60.0)
+
+    def hist(size):
+        return rng.uniform(0.5, 1.5, size) * level
+
+    outs = [np.zeros(n + 1) for _ in range(4)]
+    outs[0][0], outs[1][0] = hist(2)
+    return [alpha, beta, 0.14, 0.05, 100.0, 1.0 / nd, n, nd,
+            hist(nd + 1), hist(nd + 1), hist(nd), hist(nd), *outs]
+
+
+@pytest.mark.parametrize("name", ["python", pytest.param("compiled", marks=needs_kernel)])
+def test_kernel_matches_reference_stepper(name):
+    integrate = backend.available()[name].integrate
+    rng = np.random.default_rng(20221)
+    blow_ups = overflows = 0
+    for i in range(240):
+        overflow = i % 8 == 0
+        args = _random_kernel_call(rng, overflow)
+        ref_args = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        status = integrate(*args)
+        assert status == _reference_integrate(*ref_args), i
+        for got, want in zip(args[12:], ref_args[12:]):
+            assert got.tobytes() == want.tobytes(), i
+        blow_ups += status != 0
+        overflows += overflow and status != 0
+    # both failure paths were exercised, not only clean runs
+    assert overflows >= 20
+    assert blow_ups - overflows >= 20
+
+
 def _kernel_args(n_steps=20, n_delay=50):
     hist = np.full(n_delay + 1, 35.0)
     mid = np.full(n_delay, 35.0)
@@ -95,8 +262,13 @@ def _strided_output(args):
     args[15] = np.full(2 * len(args[15]), 7.0)[::2]
 
 
+def _zero_delay(args):
+    # the last stage of step k would read node k + 1 before step k writes it
+    args[7] = 0
+
+
 @pytest.mark.parametrize(
-    "spoil", [_short_hist_x, _float32_hist_mid_y, _read_only_output, _strided_output]
+    "spoil", [_short_hist_x, _float32_hist_mid_y, _read_only_output, _strided_output, _zero_delay]
 )
 @needs_kernel
 def test_kernel_rejects_bad_buffers(spoil):
@@ -108,6 +280,16 @@ def test_kernel_rejects_bad_buffers(spoil):
     with pytest.raises(ValueError):
         integrate(*args)
     # validation happens before the loop, so no output was written
+    for out in args[12:]:
+        assert np.all(out == 7.0)
+
+
+def test_python_twin_rejects_zero_delay():
+    integrate = backend.available()["python"].integrate
+    args = _kernel_args()
+    _zero_delay(args)
+    with pytest.raises(ValueError):
+        integrate(*args)
     for out in args[12:]:
         assert np.all(out == 7.0)
 

@@ -52,6 +52,19 @@ def test_bad_flag_is_config_error(capsys):
     capsys.readouterr()
 
 
+def test_over_long_window_is_config_error(tmp_path, capsys, monkeypatch):
+    # rejected by validation, before anything is generated or allocated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generate_dataset called for an over-long window")
+
+    monkeypatch.setattr("respfit.experiments.generate_dataset", unreachable)
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(CONFIG_TEXT + f"t_end = 1e9\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run-config", str(cfg)]) == 1
+    assert "t_end" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_config_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "exp.cfg"

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +197,14 @@ def test_config_validation_names_the_field():
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert fieldname in str(err.value)
+
+
+def test_validate_caps_the_step_count():
+    base = PRESETS["ex1"]  # tau = 1, steps_per_delay = 50
+    replace(base, t_end=200_000.0).validate()  # exactly MAX_STEPS = 10,000,000 steps
+    for t_end in (200_000.5, 1e9, 1e308):
+        with pytest.raises(ConfigError, match="t_end"):
+            replace(base, t_end=t_end).validate()
 
 
 def test_run_summary_single_seed(tmp_path):

@@ -5,13 +5,18 @@ import pytest
 
 from respfit import (
     ConstantHistory,
+    InvalidGridError,
     ModelParams,
     NonFiniteError,
+    OutOfDomainError,
     SingularNormalEquationsError,
     State,
+    TabulatedHistory,
     solve_dde,
+    solve_dde_raw,
 )
-from respfit.data import generate_dataset
+from respfit.data import Dataset, generate_dataset
+from respfit.experiments import PRESETS, resolve_history
 from respfit.fitting import (
     FitResult,
     ResidualProblem,
@@ -47,6 +52,68 @@ def test_residual_vector_layout(noisy_problem):
     xs, ys = traj.eval_many(noisy_problem.dataset.times)
     assert np.array_equal(r[:51], xs - noisy_problem.dataset.x_obs)
     assert np.array_equal(r[51:], ys - noisy_problem.dataset.y_obs)
+
+
+def _fresh_residuals(problem, p):
+    """Residuals of problem at p from a trajectory sampled without a stored plan."""
+    traj = solve_dde_raw(
+        p[0],
+        p[1],
+        problem.tau,
+        problem.vent_gain,
+        problem.vent_rate,
+        problem.vent_offset,
+        problem.history,
+        problem.t0,
+        problem.t_end,
+        problem.steps_per_delay,
+    )
+    xs, ys = traj.eval_many(problem.dataset.times)
+    return np.concatenate([xs - problem.dataset.x_obs, ys - problem.dataset.y_obs])
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_residuals_reuse_their_plan_bit_for_bit(preset):
+    cfg = PRESETS[preset]
+    hist = resolve_history(cfg.history_spec, cfg.truth)
+    ds = generate_dataset(
+        cfg.truth, hist, cfg.t0, cfg.t_end, cfg.n_points, cfg.sigma, cfg.seed, cfg.steps_per_delay
+    )
+    problem = ResidualProblem.from_dataset(ds, hist, steps_per_delay=cfg.steps_per_delay)
+    rng = np.random.default_rng(sorted(PRESETS).index(preset))
+    # the first call builds the plan, the later ones reuse it
+    for p in rng.uniform(0.01, 2.0, (6, 2)):
+        r = problem.residuals(p)
+        assert r.tobytes() == _fresh_residuals(problem, p).tobytes()
+
+
+def test_residuals_sample_a_tabulated_history_before_t0():
+    hist = TabulatedHistory(
+        np.array([-1.0, -0.4, 0.0]), np.array([30.0, 38.0, 35.0]), np.array([36.0, 31.0, 35.0])
+    )
+    times = np.linspace(-0.9, 5.0, 60)
+    rng = np.random.default_rng(3)
+    ds = Dataset(times, rng.uniform(20.0, 40.0, 60), rng.uniform(20.0, 40.0, 60), 0.0)
+    problem = ResidualProblem.from_dataset(ds, hist, t0=0.0)
+    for p in ((0.5, 0.8), (1.3, 0.2), (0.4, 0.9)):
+        r = problem.residuals(p)
+        assert r.tobytes() == _fresh_residuals(problem, p).tobytes()
+    # times up to t0 take the history's values, whatever p is
+    x_hist, _ = hist.sample(times[times <= 0.0])
+    assert np.array_equal(r[: len(x_hist)], x_hist - ds.x_obs[: len(x_hist)])
+
+
+def test_window_errors_surface_from_residuals_not_construction():
+    ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
+    # not a whole number of steps: the grid is rejected before any sampling
+    off_grid = ResidualProblem.from_dataset(ds, HIST, t_end=5.013)
+    with pytest.raises(InvalidGridError):
+        off_grid.residuals((0.5, 0.8))
+    # a valid grid that ends before the last measurement
+    short = ResidualProblem.from_dataset(ds, HIST, t_end=4.0)
+    for _ in range(2):
+        with pytest.raises(OutOfDomainError):
+            short.residuals((0.5, 0.8))
 
 
 def test_zero_residual_at_truth_without_noise(clean_problem):

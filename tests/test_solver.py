@@ -77,6 +77,84 @@ def test_eval_many_matches_eval():
         assert s.y == y
 
 
+def _reference_eval_many(traj, times):
+    """Trajectory.eval_many as it was before sampling was split into plan and gather."""
+    ts = np.asarray(times, dtype=float)
+    xs = np.empty_like(ts)
+    ys = np.empty_like(ts)
+    in_history = ts <= traj.t0
+    if np.any(in_history):
+        hx, hy = traj.history.sample(ts[in_history])
+        xs[in_history] = hx
+        ys[in_history] = hy
+    on_grid = ~in_history
+    if np.any(on_grid):
+        tq = np.minimum(ts[on_grid], traj.times[-1])
+        j = np.searchsorted(traj.times, tq, side="right") - 1
+        j = np.clip(j, 0, len(traj.times) - 2)
+        s = (tq - traj.times[j]) / traj.step
+        h00 = (2.0 * s - 3.0) * s * s + 1.0
+        h10 = ((s - 2.0) * s + 1.0) * s
+        h01 = (3.0 - 2.0 * s) * s * s
+        h11 = (s - 1.0) * s * s
+        xs[on_grid] = (
+            h00 * traj.x[j]
+            + h10 * traj.step * traj.dx[j]
+            + h01 * traj.x[j + 1]
+            + h11 * traj.step * traj.dx[j + 1]
+        )
+        ys[on_grid] = (
+            h00 * traj.y[j]
+            + h10 * traj.step * traj.dy[j]
+            + h01 * traj.y[j + 1]
+            + h11 * traj.step * traj.dy[j + 1]
+        )
+    return xs, ys
+
+
+@pytest.mark.parametrize(
+    "hist",
+    [
+        HIST,
+        TabulatedHistory(
+            np.array([-1.0, -0.3, 0.0]), np.array([30.0, 41.0, 35.0]), np.array([33.0, 29.0, 36.0])
+        ),
+    ],
+)
+def test_planned_sampling_matches_reference_bit_for_bit(hist):
+    rng = np.random.default_rng(11)
+    first = solve_dde(ModelParams(alpha=0.5, beta=0.8), hist, 0.0, 5.0)
+    # unsorted times: history, node times, the endpoints with roundoff, between nodes
+    ts = np.concatenate(
+        [rng.uniform(-1.0, 5.0, 200), first.times[::7], [-1.0, 0.0, 5.0 - 1e-12, 5.0 + 1e-12]]
+    )
+    rng.shuffle(ts)
+    plan = first.sample_plan(ts)
+    assert len(plan) == len(ts)
+    for alpha, beta in ((0.5, 0.8), (1.7, 0.3), (0.05, 2.2)):
+        traj = solve_dde(ModelParams(alpha=alpha, beta=beta), hist, 0.0, 5.0)
+        want_x, want_y = _reference_eval_many(traj, ts)
+        for xs, ys in (traj.eval_many(ts), traj.eval_many(plan)):
+            assert xs.tobytes() == want_x.tobytes()
+            assert ys.tobytes() == want_y.tobytes()
+
+
+def test_sample_plan_is_bound_to_its_grid():
+    p = ModelParams(alpha=0.5, beta=0.8)
+    ts = np.linspace(0.0, 4.0, 21)
+    plan = solve_dde(p, HIST, 0.0, 5.0).sample_plan(ts)
+    same_grid = solve_dde(ModelParams(alpha=1.0, beta=0.4), HIST, 0.0, 5.0)
+    assert np.array_equal(same_grid.eval_many(plan)[0], same_grid.eval_many(ts)[0])
+    for other in (
+        solve_dde(p, HIST, 0.0, 6.0),  # node count
+        solve_dde(p, HIST, 0.0, 5.0, steps_per_delay=25),  # step
+        solve_dde(p, HIST, -1.0, 4.0),  # t0
+        solve_dde(p, ConstantHistory(State(35.0, 35.0)), 0.0, 5.0),  # history
+    ):
+        with pytest.raises(ValueError):
+            other.eval_many(plan)
+
+
 def test_eval_in_history_segment():
     p = ModelParams(alpha=0.5, beta=0.8)
     traj = solve_dde(p, HIST, 0.0, 5.0)
