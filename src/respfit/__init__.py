@@ -19,6 +19,7 @@ from .errors import (
 )
 from .experiments import (
     PRESETS,
+    AlgorithmSummary,
     ExperimentConfig,
     SummaryRow,
     parse_config_file,
@@ -38,6 +39,7 @@ from .fitting import (
     write_trace_csv,
 )
 from .model import (
+    Constants,
     EquilibriumPoint,
     ModelParams,
     State,
@@ -57,8 +59,10 @@ from .solver import (
 )
 
 __all__ = [
+    "AlgorithmSummary",
     "ConfigError",
     "ConstantHistory",
+    "Constants",
     "Dataset",
     "EquilibriumPoint",
     "ExperimentConfig",

@@ -38,15 +38,11 @@ class _Parser(argparse.ArgumentParser):
 def _print_row(row: SummaryRow) -> None:
     print(f"{row.example}  seed={row.seed}  sigma={row.sigma:g}")
     print(f"  truth      alpha={row.truth[0]:.4f}  beta={row.truth[1]:.4f}")
-    for algo in ("lm", "tr"):
-        fit = getattr(row, f"{algo}_fit")
-        if fit is None:
-            continue
-        err = getattr(row, f"{algo}_rel_err_pct")
-        iters = getattr(row, f"{algo}_iterations")
+    for algo, run in row.algorithms.items():
         print(
-            f"  {algo.upper():<9}  alpha={fit[0]:.4f}  beta={fit[1]:.4f}"
-            f"  err%=({err[0]:.2f}, {err[1]:.2f})  iterations={iters}"
+            f"  {algo.upper():<9}  alpha={run.fit[0]:.4f}  beta={run.fit[1]:.4f}"
+            f"  err%=({run.rel_err_pct[0]:.2f}, {run.rel_err_pct[1]:.2f})"
+            f"  iterations={run.iterations}"
         )
 
 

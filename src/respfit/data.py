@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import ModelParams
-from .solver import HistoryFunction, history_from_description, solve_dde
+from .model import Constants, ModelParams
+from .solver import HistoryFunction, fields_equal, history_from_description, solve_dde
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class Dataset:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    __eq__ = fields_equal
 
     def __len__(self) -> int:
         return len(self.times)
@@ -122,14 +124,7 @@ def save_dataset(
     truth = None
     if dataset.truth is not None:
         p = dataset.truth
-        truth = {
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "tau": p.tau,
-            "vent_gain": p.vent_gain,
-            "vent_rate": p.vent_rate,
-            "vent_offset": p.vent_offset,
-        }
+        truth = {"alpha": p.alpha, "beta": p.beta, **asdict(p.constants)}
     meta = {
         "n_points": len(dataset),
         "noise_sigma": dataset.noise_sigma,
@@ -139,7 +134,7 @@ def save_dataset(
         "solver": solver_settings,
     }
     with open(_meta_path(csv_path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -162,7 +157,8 @@ def load_dataset(csv_path) -> tuple[Dataset, dict]:
 
     truth = None
     if meta.get("truth"):
-        truth = ModelParams(**meta["truth"])
+        flat = dict(meta["truth"])
+        truth = ModelParams(flat.pop("alpha"), flat.pop("beta"), Constants(**flat))
     dataset = Dataset(
         times=raw[:, 0],
         x_obs=raw[:, 1],

@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import generate_dataset, save_dataset
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, InvalidGridError, SolverError
 from .fitting import FitResult, ResidualProblem, solve_lm, solve_trust_region, write_trace_csv
-from .model import ModelParams, State, equilibrium_solve
-from .solver import ConstantHistory, HistoryFunction, solve_dde_raw
+from .model import Constants, ModelParams, State, equilibrium_solve
+from .solver import ConstantHistory, HistoryFunction, grid_steps, solve_dde_raw
 
 ALGORITHMS = ("lm", "tr")
 # Largest RK4 step count a config may ask for. A trajectory holds five
@@ -65,12 +65,17 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         if self.steps_per_delay < 2:
             raise ConfigError(f"steps_per_delay: must be at least 2, got {self.steps_per_delay}")
-        n_steps = (self.t_end - self.t0) * self.steps_per_delay / self.truth.tau
+        tau = self.truth.constants.tau
+        n_steps = (self.t_end - self.t0) * self.steps_per_delay / tau
         if n_steps > MAX_STEPS:
             raise ConfigError(
                 f"t_end: [{self.t0!r}, {self.t_end!r}] takes {n_steps:.12g} RK4 steps of "
                 f"tau/steps_per_delay, more than the {MAX_STEPS} allowed"
             )
+        try:
+            grid_steps(self.t0, self.t_end, tau, self.steps_per_delay)
+        except InvalidGridError as exc:
+            raise ConfigError(f"t_end: {exc}") from None
         if len(self.p0) != 2 or not all(math.isfinite(v) for v in self.p0):
             raise ConfigError(f"p0: must be two finite numbers, got {self.p0!r}")
         if not self.algorithms:
@@ -148,20 +153,24 @@ PRESETS: dict[str, ExperimentConfig] = {
 
 
 @dataclass(frozen=True)
+class AlgorithmSummary:
+    """One algorithm's fit, iteration count, and relative errors in percent."""
+
+    fit: tuple[float, float]
+    iterations: int
+    rel_err_pct: tuple[float, float]
+
+
+@dataclass(frozen=True)
 class SummaryRow:
-    """Per-run digest: fits, iteration counts, and relative errors in percent."""
+    """Per-run digest: one AlgorithmSummary per algorithm that ran, in ALGORITHMS order."""
 
     example: str
     seed: int
     sigma: float
     p0: tuple[float, float]
     truth: tuple[float, float]
-    lm_fit: tuple[float, float] | None = None
-    tr_fit: tuple[float, float] | None = None
-    lm_iterations: int | None = None
-    tr_iterations: int | None = None
-    lm_rel_err_pct: tuple[float, float] | None = None
-    tr_rel_err_pct: tuple[float, float] | None = None
+    algorithms: dict[str, AlgorithmSummary]
 
 
 def _rel_err_pct(fit: tuple[float, float], truth: ModelParams) -> tuple[float, float]:
@@ -216,7 +225,7 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
         "t0": config.t0,
         "t_end": config.t_end,
         "steps_per_delay": config.steps_per_delay,
-        "tau": config.truth.tau,
+        "tau": config.truth.constants.tau,
     }
     try:
         dataset = generate_dataset(
@@ -236,17 +245,16 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
     problem = ResidualProblem.from_dataset(
         dataset,
         history,
-        tau=config.truth.tau,
+        constants=config.truth.constants,
         t0=config.t0,
         t_end=config.t_end,
         steps_per_delay=config.steps_per_delay,
-        vent_gain=config.truth.vent_gain,
-        vent_rate=config.truth.vent_rate,
-        vent_offset=config.truth.vent_offset,
     )
 
     fits: dict[str, FitResult] = {}
-    for algo in config.algorithms:
+    for algo in ALGORITHMS:
+        if algo not in config.algorithms:
+            continue
         solver = solve_lm if algo == "lm" else solve_trust_region
         try:
             fits[algo] = solver(problem, config.p0)
@@ -260,14 +268,14 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
         "n_points": config.n_points,
         "p0": list(config.p0),
         "truth": {"alpha": config.truth.alpha, "beta": config.truth.beta},
-        "tau": config.truth.tau,
+        "tau": config.truth.constants.tau,
         "history": history.describe(),
         "t0": config.t0,
         "t_end": config.t_end,
         "steps_per_delay": config.steps_per_delay,
         "algorithms": list(config.algorithms),
     }
-    row_kwargs: dict = {}
+    runs: dict[str, AlgorithmSummary] = {}
 
     for algo, result in fits.items():
         write_trace_csv(result, out / f"trace_{algo}.csv")
@@ -275,10 +283,7 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
             fitted = solve_dde_raw(
                 result.best_fit[0],
                 result.best_fit[1],
-                config.truth.tau,
-                config.truth.vent_gain,
-                config.truth.vent_rate,
-                config.truth.vent_offset,
+                config.truth.constants,
                 history,
                 config.t0,
                 config.t_end,
@@ -304,12 +309,10 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
             "termination": result.termination.value,
             "rel_err_pct": {"alpha": rel[0], "beta": rel[1]},
         }
-        row_kwargs[f"{algo}_fit"] = result.best_fit
-        row_kwargs[f"{algo}_iterations"] = iters
-        row_kwargs[f"{algo}_rel_err_pct"] = rel
+        runs[algo] = AlgorithmSummary(result.best_fit, iters, rel)
 
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     return SummaryRow(
@@ -318,7 +321,7 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
         sigma=config.sigma,
         p0=config.p0,
         truth=(config.truth.alpha, config.truth.beta),
-        **row_kwargs,
+        algorithms=runs,
     )
 
 
@@ -341,19 +344,14 @@ def run_example(
     return run_config(config, out_dir=out_dir)
 
 
+_PARAMETERS = ("alpha", "beta")
+# (algorithm, parameter, statistic) of each relative-error column, in table order.
+_ERR_COLUMNS = tuple(
+    (algo, param, stat) for algo in ALGORITHMS for param in _PARAMETERS for stat in ("mean", "max")
+)
 # Column order for the machine-readable aggregate table.
-_AGG_FIELDS = (
-    "example",
-    "n_seeds",
-    "sigma",
-    "lm_mean_alpha_pct",
-    "lm_max_alpha_pct",
-    "lm_mean_beta_pct",
-    "lm_max_beta_pct",
-    "tr_mean_alpha_pct",
-    "tr_max_alpha_pct",
-    "tr_mean_beta_pct",
-    "tr_max_beta_pct",
+_AGG_FIELDS = ("example", "n_seeds", "sigma") + tuple(
+    f"{algo}_{stat}_{param}_pct" for algo, param, stat in _ERR_COLUMNS
 )
 
 
@@ -378,25 +376,13 @@ def run_summary(seeds, out_dir) -> list[dict]:
 
     aggregates = []
     for name, runs in rows.items():
-        lm_a = [r.lm_rel_err_pct[0] for r in runs]
-        lm_b = [r.lm_rel_err_pct[1] for r in runs]
-        tr_a = [r.tr_rel_err_pct[0] for r in runs]
-        tr_b = [r.tr_rel_err_pct[1] for r in runs]
-        aggregates.append(
-            {
-                "example": name,
-                "n_seeds": len(runs),
-                "sigma": runs[0].sigma,
-                "lm_mean_alpha_pct": sum(lm_a) / len(lm_a),
-                "lm_max_alpha_pct": max(lm_a),
-                "lm_mean_beta_pct": sum(lm_b) / len(lm_b),
-                "lm_max_beta_pct": max(lm_b),
-                "tr_mean_alpha_pct": sum(tr_a) / len(tr_a),
-                "tr_max_alpha_pct": max(tr_a),
-                "tr_mean_beta_pct": sum(tr_b) / len(tr_b),
-                "tr_max_beta_pct": max(tr_b),
-            }
-        )
+        agg = {"example": name, "n_seeds": len(runs), "sigma": runs[0].sigma}
+        for algo in ALGORITHMS:
+            for i, param in enumerate(_PARAMETERS):
+                errs = [r.algorithms[algo].rel_err_pct[i] for r in runs]
+                agg[f"{algo}_mean_{param}_pct"] = sum(errs) / len(errs)
+                agg[f"{algo}_max_{param}_pct"] = max(errs)
+        aggregates.append(agg)
 
     with open(out / "summary.csv", "w", newline="") as fh:
         fh.write(",".join(_AGG_FIELDS) + "\n")
@@ -412,35 +398,14 @@ def run_summary(seeds, out_dir) -> list[dict]:
 
 
 def _write_text_table(path: Path, aggregates: list[dict]) -> None:
-    headers = (
-        "example",
-        "seeds",
-        "sigma",
-        "LM mean a%",
-        "LM max a%",
-        "LM mean b%",
-        "LM max b%",
-        "TR mean a%",
-        "TR max a%",
-        "TR mean b%",
-        "TR max b%",
+    headers = ("example", "seeds", "sigma") + tuple(
+        f"{algo.upper()} {stat} {param[0]}%" for algo, param, stat in _ERR_COLUMNS
     )
     table = [headers]
     for agg in aggregates:
         table.append(
-            (
-                agg["example"],
-                str(agg["n_seeds"]),
-                f"{agg['sigma']:.2f}",
-                f"{agg['lm_mean_alpha_pct']:.4f}",
-                f"{agg['lm_max_alpha_pct']:.4f}",
-                f"{agg['lm_mean_beta_pct']:.4f}",
-                f"{agg['lm_max_beta_pct']:.4f}",
-                f"{agg['tr_mean_alpha_pct']:.4f}",
-                f"{agg['tr_max_alpha_pct']:.4f}",
-                f"{agg['tr_mean_beta_pct']:.4f}",
-                f"{agg['tr_max_beta_pct']:.4f}",
-            )
+            (agg["example"], str(agg["n_seeds"]), f"{agg['sigma']:.2f}")
+            + tuple(f"{agg[key]:.4f}" for key in _AGG_FIELDS[3:])
         )
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
     with open(path, "w") as fh:
@@ -514,14 +479,8 @@ def parse_config_file(path) -> ExperimentConfig:
             raise ConfigError(f"{key}: cannot parse {text_value!r}") from None
 
     try:
-        truth = ModelParams(
-            alpha=values["alpha"],
-            beta=values["beta"],
-            tau=values.get("tau", 1.0),
-            vent_gain=values.get("vent_gain", 0.14),
-            vent_rate=values.get("vent_rate", 0.05),
-            vent_offset=values.get("vent_offset", 100.0),
-        )
+        given = {f.name: values[f.name] for f in fields(Constants) if f.name in values}
+        truth = ModelParams(values["alpha"], values["beta"], Constants(**given))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -17,10 +17,14 @@ Two minimizers are provided, both from scratch:
   a spherical trust region, with the standard 0.25/0.75 radius update and
   acceptance threshold 1e-4.
 
-Both record a per-iteration trace (one row per accepted step plus the start
-row) that can be exported as CSV via write_trace_csv. The search is
-unconstrained: nothing stops iterates from visiting negative alpha or beta,
-and if the model blows up there the trial is treated as a rejected step.
+Both share one skeleton (_Search) for the start point, trial evaluation,
+relinearization after an accepted step and the result, and differ only in
+how they propose, accept and stop. Both record a per-iteration trace (one
+row per accepted step plus the start row) that can be exported as CSV via
+write_trace_csv. The search is unconstrained: nothing stops iterates from
+visiting negative alpha or beta, and if the model blows up there the trial
+is treated as a rejected step. A start point whose cost is not finite is an
+error (NonFiniteError), since no step could be compared against it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NonFiniteError, SingularNormalEquationsError
+from .model import Constants
 from .solver import HistoryFunction, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -50,13 +55,10 @@ class ResidualProblem:
 
     dataset: Dataset
     history: HistoryFunction
-    tau: float = 1.0
+    constants: Constants = Constants()
     t0: float = 0.0
     t_end: float = 5.0
     steps_per_delay: int = 50
-    vent_gain: float = 0.14
-    vent_rate: float = 0.05
-    vent_offset: float = 100.0
     _plan: SamplePlan | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -65,41 +67,24 @@ class ResidualProblem:
         dataset: Dataset,
         history: HistoryFunction,
         *,
-        tau: float = 1.0,
+        constants: Constants = Constants(),
         t0: float | None = None,
         t_end: float | None = None,
         steps_per_delay: int = 50,
-        vent_gain: float = 0.14,
-        vent_rate: float = 0.05,
-        vent_offset: float = 100.0,
     ) -> "ResidualProblem":
         """Build a problem whose integration window covers the measurements."""
         if t0 is None:
             t0 = float(dataset.times[0])
         if t_end is None:
             t_end = float(dataset.times[-1])
-        return cls(
-            dataset=dataset,
-            history=history,
-            tau=tau,
-            t0=t0,
-            t_end=t_end,
-            steps_per_delay=steps_per_delay,
-            vent_gain=vent_gain,
-            vent_rate=vent_rate,
-            vent_offset=vent_offset,
-        )
+        return cls(dataset, history, constants, t0, t_end, steps_per_delay)
 
     def residuals(self, p) -> np.ndarray:
         """Stacked residual vector of length 2M at p = (alpha, beta)."""
-        alpha, beta = float(p[0]), float(p[1])
         traj = solve_dde_raw(
-            alpha,
-            beta,
-            self.tau,
-            self.vent_gain,
-            self.vent_rate,
-            self.vent_offset,
+            float(p[0]),
+            float(p[1]),
+            self.constants,
             self.history,
             self.t0,
             self.t_end,
@@ -111,10 +96,6 @@ class ResidualProblem:
             object.__setattr__(self, "_plan", plan)
         xs, ys = traj.eval_many(plan)
         return np.concatenate([xs - self.dataset.x_obs, ys - self.dataset.y_obs])
-
-    def objective(self, p) -> float:
-        r = self.residuals(p)
-        return float(r @ r)
 
 
 def fd_jacobian(problem, p, base_residual: np.ndarray | None = None):
@@ -161,6 +142,14 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Tolerances and start values of the two minimizers.
+
+    Both read step_tol (relative step), grad_tol (gradient inf-norm) and
+    max_iter (accepted iterations). Only solve_trust_region reads fun_tol
+    (relative cost decrease), radius0 and radius_max; only solve_lm reads
+    lambda0 and lambda_max.
+    """
+
     step_tol: float = 1e-6
     fun_tol: float = 1e-6
     grad_tol: float = 1e-10
@@ -184,14 +173,76 @@ class FitResult:
         return self.trace[-1].function_count
 
 
-def _grad_inf(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gradient of the squared-norm objective, 2*Jt*r, and its inf-norm."""
-    grad = 2.0 * (J.T @ r)
-    return grad, float(np.max(np.abs(grad)))
-
-
 def _rel_step(step_norm: float, p: np.ndarray) -> float:
     return step_norm / max(float(np.linalg.norm(p)), 1.0)
+
+
+class _Search:
+    """The state both minimizers carry, and the steps they share.
+
+    Holds the iterate p, its residual r, cost ||r||^2, forward-difference
+    Jacobian J and gradient inf-norm opt, the residual evaluation count and
+    the trace. Construction evaluates the start point: one residual, then a
+    Jacobian (two more evaluations), then the iteration-0 record, which gets
+    the algorithm's extra fields (lam or trust_radius) from ``start``.
+    """
+
+    def __init__(self, problem, p0, opts: SolverOptions, algorithm: str, **start):
+        self.problem = problem
+        self.opts = opts
+        self.algorithm = algorithm
+        self.p = np.array(p0, dtype=float)
+        self.r = problem.residuals(self.p)
+        self.n_evals = 1
+        with np.errstate(over="ignore"):  # reported by the error below
+            self.cost = float(self.r @ self.r)
+        if not math.isfinite(self.cost):
+            raise NonFiniteError(
+                f"cost at the start point ({self.p[0]:g}, {self.p[1]:g}) is not finite"
+            )
+        self._linearize()
+        self.trace = [IterationRecord(0, self.n_evals, self.cost, self.opt, **start)]
+
+    def _linearize(self) -> None:
+        self.J, k_evals = fd_jacobian(self.problem, self.p, base_residual=self.r)
+        self.n_evals += k_evals
+        # inf-norm of the gradient of ||r||^2, 2*Jt*r
+        self.opt = float(np.max(np.abs(2.0 * (self.J.T @ self.r))))
+
+    def trial(self, p) -> tuple[np.ndarray | None, float]:
+        """(residual, cost) at a trial point, counted once; a blow-up costs inf."""
+        self.n_evals += 1
+        try:
+            r = self.problem.residuals(p)
+        except NonFiniteError:
+            return None, math.inf
+        return r, float(r @ r)
+
+    def accept(self, p, r, cost, step_norm: float, **record) -> Termination | None:
+        """Move to an accepted trial point and relinearize there.
+
+        Appends the iteration record (extra fields in ``record``) and returns
+        the step- or gradient-tolerance termination it meets, if any.
+        """
+        self.p, self.r, self.cost = p, r, cost
+        self._linearize()
+        self.trace.append(
+            IterationRecord(
+                len(self.trace), self.n_evals, cost, self.opt, step_norm=step_norm, **record
+            )
+        )
+        if _rel_step(step_norm, p) < self.opts.step_tol:
+            return Termination.STEP_TOLERANCE
+        return self.at_critical_point()
+
+    def at_critical_point(self) -> Termination | None:
+        if self.opt < self.opts.grad_tol:
+            return Termination.GRADIENT_TOLERANCE
+        return None
+
+    def result(self, termination: Termination) -> FitResult:
+        best_fit = (float(self.p[0]), float(self.p[1]))
+        return FitResult(best_fit, self.cost, termination, tuple(self.trace), self.algorithm)
 
 
 def solve_lm(problem, p0, opts: SolverOptions | None = None) -> FitResult:
@@ -201,27 +252,17 @@ def solve_lm(problem, p0, opts: SolverOptions | None = None) -> FitResult:
     a rejected one multiplies it by 10 and retries without recording an
     iteration. Raises SingularNormalEquationsError if the damped normal
     equations stay singular all the way up to lambda_max (an unidentifiable
-    parameter direction).
+    parameter direction), and NonFiniteError if the cost at p0 is not finite.
     """
     opts = opts or SolverOptions()
-    p = np.array(p0, dtype=float)
-    r = problem.residuals(p)
-    n_evals = 1
-    J, k_evals = fd_jacobian(problem, p, base_residual=r)
-    n_evals += k_evals
-    cost = float(r @ r)
-    grad, opt = _grad_inf(J, r)
     lam = opts.lambda0
+    search = _Search(problem, p0, opts, "LM", lam=lam)
+    if termination := search.at_critical_point():
+        return search.result(termination)
 
-    trace = [IterationRecord(0, n_evals, cost, opt, lam=lam)]
-    if opt < opts.grad_tol:
-        return FitResult((float(p[0]), float(p[1])), cost, Termination.GRADIENT_TOLERANCE, tuple(trace), "LM")
-
-    termination = Termination.MAX_ITERATIONS
-    for iteration in range(1, opts.max_iter + 1):
-        A = J.T @ J
-        g = J.T @ r
-        accepted = False
+    for _ in range(opts.max_iter):
+        A = search.J.T @ search.J
+        g = search.J.T @ search.r
         while True:
             damped = A + lam * np.diag(np.diag(A))
             try:
@@ -239,44 +280,20 @@ def solve_lm(problem, p0, opts: SolverOptions | None = None) -> FitResult:
                 continue
 
             step_norm = float(np.linalg.norm(step))
-            trial = p + step
-            try:
-                r_trial = problem.residuals(trial)
-                n_evals += 1
-                cost_trial = float(r_trial @ r_trial)
-            except NonFiniteError:
-                n_evals += 1
-                cost_trial = math.inf
-
-            if cost_trial < cost:
+            trial = search.p + step
+            r_trial, cost_trial = search.trial(trial)
+            if cost_trial < search.cost:
                 lam /= 10.0
-                p, r, cost = trial, r_trial, cost_trial
-                accepted = True
                 break
             lam *= 10.0
             # ever-larger damping only shortens the step; once it is
             # negligible relative to p, no meaningful move remains
-            if _rel_step(step_norm, p) < opts.step_tol:
-                termination = Termination.STEP_TOLERANCE
-                break
+            if _rel_step(step_norm, search.p) < opts.step_tol:
+                return search.result(Termination.STEP_TOLERANCE)
 
-        if not accepted:
-            break
-
-        J, k_evals = fd_jacobian(problem, p, base_residual=r)
-        n_evals += k_evals
-        grad, opt = _grad_inf(J, r)
-        trace.append(
-            IterationRecord(iteration, n_evals, cost, opt, step_norm=step_norm, lam=lam)
-        )
-        if _rel_step(step_norm, p) < opts.step_tol:
-            termination = Termination.STEP_TOLERANCE
-            break
-        if opt < opts.grad_tol:
-            termination = Termination.GRADIENT_TOLERANCE
-            break
-
-    return FitResult((float(p[0]), float(p[1])), cost, termination, tuple(trace), "LM")
+        if termination := search.accept(trial, r_trial, cost_trial, step_norm, lam=lam):
+            return search.result(termination)
+    return search.result(Termination.MAX_ITERATIONS)
 
 
 def _dogleg(J: np.ndarray, r: np.ndarray, g: np.ndarray, radius: float):
@@ -314,43 +331,23 @@ def solve_trust_region(problem, p0, opts: SolverOptions | None = None) -> FitRes
     Acceptance ratio rho compares the actual residual decrease with the one
     the linear model promised; steps with rho > 1e-4 are taken. The radius
     shrinks by 4 when rho < 0.25 and doubles (capped at radius_max) when
-    rho > 0.75 with the step on the boundary.
+    rho > 0.75 with the step on the boundary. Raises NonFiniteError if the
+    cost at p0 is not finite.
     """
     opts = opts or SolverOptions()
-    p = np.array(p0, dtype=float)
-    r = problem.residuals(p)
-    n_evals = 1
-    J, k_evals = fd_jacobian(problem, p, base_residual=r)
-    n_evals += k_evals
-    cost = float(r @ r)
-    grad, opt = _grad_inf(J, r)
     radius = opts.radius0
+    search = _Search(problem, p0, opts, "TrustRegion", trust_radius=radius)
+    if termination := search.at_critical_point():
+        return search.result(termination)
 
-    trace = [IterationRecord(0, n_evals, cost, opt, trust_radius=radius)]
-    if opt < opts.grad_tol:
-        return FitResult(
-            (float(p[0]), float(p[1])),
-            cost,
-            Termination.GRADIENT_TOLERANCE,
-            tuple(trace),
-            "TrustRegion",
-        )
-
-    termination = Termination.MAX_ITERATIONS
-    for iteration in range(1, opts.max_iter + 1):
+    for _ in range(opts.max_iter):
+        J, r, cost = search.J, search.r, search.cost
         g = J.T @ r
-        accepted = False
         while True:
             step, hit_boundary = _dogleg(J, r, g, radius)
             step_norm = float(np.linalg.norm(step))
-            trial = p + step
-            try:
-                r_trial = problem.residuals(trial)
-                n_evals += 1
-                cost_trial = float(r_trial @ r_trial)
-            except NonFiniteError:
-                n_evals += 1
-                cost_trial = math.inf
+            trial = search.p + step
+            r_trial, cost_trial = search.trial(trial)
 
             model = r + J @ step
             predicted = cost - float(model @ model)
@@ -362,37 +359,18 @@ def solve_trust_region(problem, p0, opts: SolverOptions | None = None) -> FitRes
                 radius = min(2.0 * radius, opts.radius_max)
 
             if rho > 1e-4:
-                prev_cost = cost
-                p, r, cost = trial, r_trial, cost_trial
-                accepted = True
                 break
             # rejected; once the region forces negligible steps, stop
-            if _rel_step(step_norm, p) < opts.step_tol:
-                termination = Termination.STEP_TOLERANCE
-                break
+            if _rel_step(step_norm, search.p) < opts.step_tol:
+                return search.result(Termination.STEP_TOLERANCE)
 
-        if not accepted:
-            break
-
-        J, k_evals = fd_jacobian(problem, p, base_residual=r)
-        n_evals += k_evals
-        grad, opt = _grad_inf(J, r)
-        trace.append(
-            IterationRecord(
-                iteration, n_evals, cost, opt, step_norm=step_norm, trust_radius=radius
-            )
-        )
-        if abs(prev_cost - cost) / max(prev_cost, 1.0) < opts.fun_tol:
+        termination = search.accept(trial, r_trial, cost_trial, step_norm, trust_radius=radius)
+        # the function tolerance takes precedence over the step and gradient ones
+        if abs(cost - cost_trial) / max(cost, 1.0) < opts.fun_tol:
             termination = Termination.FUNCTION_TOLERANCE
-            break
-        if _rel_step(step_norm, p) < opts.step_tol:
-            termination = Termination.STEP_TOLERANCE
-            break
-        if opt < opts.grad_tol:
-            termination = Termination.GRADIENT_TOLERANCE
-            break
-
-    return FitResult((float(p[0]), float(p[1])), cost, termination, tuple(trace), "TrustRegion")
+        if termination:
+            return search.result(termination)
+    return search.result(Termination.MAX_ITERATIONS)
 
 
 def write_trace_csv(result: FitResult, path) -> None:

@@ -11,7 +11,8 @@ controller computes from the state one transport delay tau in the past:
     V(xd, yd) = vent_gain * exp(-vent_rate * (vent_offset - yd)) * xd
 
 alpha and beta are the clearance gains (the quantities the fitting layer
-recovers); tau and the three ventilation constants are treated as known.
+recovers); tau and the three ventilation constants are treated as known and
+travel together as one Constants object.
 
 Everything here is a pure function of immutable inputs and safe to share
 across threads.
@@ -30,25 +31,42 @@ from .errors import NoRootError
 EQUILIBRIUM_BRACKET = (1e-6, 1e3)
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Clearance gains, transport delay, and ventilation constants."""
+def _check_fields(obj, positive: tuple[str, ...], finite: tuple[str, ...] = ()) -> None:
+    """Raise ValueError unless the named fields are finite, and the first ones positive."""
+    for name in positive + finite:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    for name in positive:
+        if getattr(obj, name) <= 0.0:
+            raise ValueError(f"{name} must be positive, got {getattr(obj, name)!r}")
 
-    alpha: float
-    beta: float
+
+@dataclass(frozen=True)
+class Constants:
+    """Transport delay and ventilation constants, known and held fixed in a fit."""
+
     tau: float = 1.0
     vent_gain: float = 0.14
     vent_rate: float = 0.05
     vent_offset: float = 100.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "tau", "vent_gain", "vent_rate", "vent_offset"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("alpha", "beta", "tau", "vent_gain", "vent_rate"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        _check_fields(self, ("tau", "vent_gain", "vent_rate"), finite=("vent_offset",))
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Clearance gains plus the fixed constants of the model."""
+
+    alpha: float
+    beta: float
+    constants: Constants = Constants()
+
+    def __post_init__(self):
+        _check_fields(self, ("alpha", "beta"))
+        if not isinstance(self.constants, Constants):
+            raise TypeError(f"constants must be a Constants, got {self.constants!r}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +92,8 @@ class EquilibriumPoint:
 
 def ventilation(x_delayed: float, y_delayed: float, params: ModelParams) -> float:
     """Ventilation drive V for the given delayed state."""
-    return params.vent_gain * _exp(-params.vent_rate * (params.vent_offset - y_delayed)) * x_delayed
+    c = params.constants
+    return c.vent_gain * _exp(-c.vent_rate * (c.vent_offset - y_delayed)) * x_delayed
 
 
 def rhs(current: State, delayed: State, params: ModelParams) -> tuple[float, float]:
@@ -88,12 +107,13 @@ def _log_equilibrium_residual(x: float, params: ModelParams) -> float:
     # and  alpha * vent_gain * x*^2 * exp(-vent_rate*(vent_offset - y*)) = 1.
     # The log of the left-hand side is monotone in x and overflow-free over the
     # whole bracket, unlike the raw product.
+    c = params.constants
     ratio = params.alpha / params.beta
     return (
-        math.log(params.alpha * params.vent_gain)
+        math.log(params.alpha * c.vent_gain)
         + 2.0 * math.log(x)
-        - params.vent_rate * params.vent_offset
-        + params.vent_rate * ratio * x
+        - c.vent_rate * c.vent_offset
+        + c.vent_rate * ratio * x
     )
 
 
@@ -134,7 +154,7 @@ def equilibrium_solve(
         g = _log_equilibrium_residual(x, params)
         if abs(math.expm1(g)) <= 1e-12:
             break
-        x -= g / (2.0 / x + params.vent_rate * ratio)
+        x -= g / (2.0 / x + params.constants.vent_rate * ratio)
 
     y = ratio * x
     v = ventilation(x, y, params)

@@ -26,17 +26,31 @@ plan once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import backend
 from .errors import InvalidGridError, NonFiniteError, OutOfDomainError
-from .model import ModelParams, State
+from .model import Constants, ModelParams, State
 
 # Relative slack for time-domain boundary checks; absorbs float noise in
 # externally constructed sample times (e.g. linspace endpoints).
 _EDGE_TOL = 1e-9
+
+
+def fields_equal(a, b) -> bool:
+    """Dataclass equality that compares NumPy array fields with np.array_equal.
+
+    The generated __eq__ compares field tuples, which asks an array
+    comparison for a single truth value and raises.
+    """
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(
+        np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v
+        for u, v in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
+    )
 
 
 @dataclass(frozen=True)
@@ -83,6 +97,8 @@ class TabulatedHistory:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    __eq__ = fields_equal
 
     def __call__(self, t: float) -> State:
         xs, ys = self.sample(np.array([t]))
@@ -208,6 +224,8 @@ class Trajectory:
     dy: np.ndarray = field(repr=False)
     history: HistoryFunction = field(repr=False)
 
+    __eq__ = fields_equal
+
     def eval(self, t: float) -> State:
         """State at a single time in [t0 - tau, t_end]."""
         xs, ys = self.eval_many(np.array([float(t)]))
@@ -277,13 +295,27 @@ class Trajectory:
                 fh.write(f"{t:.17g},{x:.17g},{y:.17g}\n")
 
 
+def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int:
+    """Number of RK4 steps of tau/steps_per_delay from t0 to t_end.
+
+    Raises InvalidGridError unless the window is a positive whole number of
+    steps, up to a relative slack of 1e-9.
+    """
+    h = tau / steps_per_delay
+    n_float = (t_end - t0) / h
+    n = int(round(n_float))
+    if n < 1 or abs(n_float - n) > _EDGE_TOL * max(1.0, n_float):
+        raise InvalidGridError(
+            f"interval [{t0:g}, {t_end:g}] is not an integer number of steps "
+            f"h = tau/steps_per_delay = {h:g}"
+        )
+    return n
+
+
 def solve_dde_raw(
     alpha: float,
     beta: float,
-    tau: float,
-    vent_gain: float,
-    vent_rate: float,
-    vent_offset: float,
+    constants: Constants,
     history: HistoryFunction,
     t0: float,
     t_end: float,
@@ -299,18 +331,10 @@ def solve_dde_raw(
         raise ValueError(f"t_end must exceed t0, got [{t0!r}, {t_end!r}]")
     if steps_per_delay != int(steps_per_delay) or int(steps_per_delay) < 2:
         raise ValueError(f"steps_per_delay must be an integer >= 2, got {steps_per_delay!r}")
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     steps_per_delay = int(steps_per_delay)
-
+    tau = constants.tau
+    n = grid_steps(t0, t_end, tau, steps_per_delay)
     h = tau / steps_per_delay
-    n_float = (t_end - t0) / h
-    n = int(round(n_float))
-    if n < 1 or abs(n_float - n) > _EDGE_TOL * max(1.0, n_float):
-        raise InvalidGridError(
-            f"interval [{t0:g}, {t_end:g}] is not an integer number of steps "
-            f"h = tau/steps_per_delay = {h:g}"
-        )
 
     lo_h, hi_h = history.span()
     tol = _EDGE_TOL * max(1.0, abs(t0), tau)
@@ -336,9 +360,9 @@ def solve_dde_raw(
     status = backend.active.integrate(
         float(alpha),
         float(beta),
-        float(vent_gain),
-        float(vent_rate),
-        float(vent_offset),
+        float(constants.vent_gain),
+        float(constants.vent_rate),
+        float(constants.vent_offset),
         h,
         n,
         nd,
@@ -384,14 +408,5 @@ def solve_dde(
 ) -> Trajectory:
     """Integrate the system for validated model parameters."""
     return solve_dde_raw(
-        params.alpha,
-        params.beta,
-        params.tau,
-        params.vent_gain,
-        params.vent_rate,
-        params.vent_offset,
-        history,
-        t0,
-        t_end,
-        steps_per_delay,
+        params.alpha, params.beta, params.constants, history, t0, t_end, steps_per_delay
     )

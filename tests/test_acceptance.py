@@ -195,13 +195,13 @@ def test_criterion_3_noisy_recovery_sigma_020(noisy_matrix):
 
 
 def test_criterion_3_fits_are_the_least_squares_minimizers(noisy_matrix):
-    # Criterion 3 bounds the spread of the least-squares estimator, so the
-    # fits it measures must be that estimator: an independent solver started
-    # from the same point has to land on the same minimizer.
+    # Criteria 3 and 4 bound the spread of the least-squares estimator, so
+    # the fits they measure must be that estimator: an independent solver
+    # started from the same point has to land on the same minimizer.
     optimize = pytest.importorskip("scipy.optimize")
     fits, _ = noisy_matrix
     worst, where = 0.0, ""
-    for name in SIGMA_020_PRESETS:
+    for name in SIGMA_020_PRESETS + SIGMA_040_PRESETS:
         cfg = PRESETS[name]
         for seed in SEEDS:
             problem = _preset_problem(name, cfg.sigma, seed)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from respfit import ConstantHistory, ModelParams, State, solve_dde
+from respfit import ConstantHistory, Constants, ModelParams, State, solve_dde
 from respfit import backend
 from respfit.errors import NonFiniteError
 from respfit.solver import solve_dde_raw
@@ -66,7 +66,7 @@ def test_backends_blow_up_identically():
     for name in ("compiled", "python"):
         backend.select(name)
         with pytest.raises(NonFiniteError) as err:
-            solve_dde_raw(-1.0, -1.0, 1.0, 0.14, 0.05, 100.0, HIST, 0.0, 5.0, 50)
+            solve_dde_raw(-1.0, -1.0, Constants(), HIST, 0.0, 5.0, 50)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert "t = 4.76 " in messages[0]

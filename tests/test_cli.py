@@ -96,13 +96,53 @@ def test_missing_config_file_exit_one(tmp_path, capsys):
 
 
 def test_solver_failure_exit_two(tmp_path, capsys):
-    # an interval that is not a whole number of steps fails inside the solver
+    # a valid but stiff truth: explicit RK4 at h = 0.02 blows up while the
+    # dataset is generated
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CONFIG_TEXT + f"t_end = 5.013\nout_dir = {tmp_path / 'r'}\n")
+    text = CONFIG_TEXT.replace("alpha = 0.5", "alpha = 1e6")
+    cfg.write_text(text + f"out_dir = {tmp_path / 'r'}\n")
     assert main(["run-config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "solver failure" in err
     assert "generate_dataset" in err  # failing stage is named
+
+
+@pytest.mark.parametrize("extra", ["t_end = 5.01", "tau = 0.7"])
+def test_window_off_the_step_grid_is_config_error(tmp_path, capsys, monkeypatch, extra):
+    # [t0, t_end] must be a whole number of steps tau/steps_per_delay
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generate_dataset called for an off-grid window")
+
+    monkeypatch.setattr("respfit.experiments.generate_dataset", unreachable)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(CONFIG_TEXT + f"{extra}\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run-config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "t_end" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_start_cost_is_solver_failure(tmp_path, capsys):
+    # observations at the 1e300 scale square to an infinite cost at p0; the
+    # fit must fail instead of reporting convergence
+    out = tmp_path / "out"
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("sigma = 0.2", "sigma = 1e300") + f"out_dir = {out}\n")
+    assert main(["run-config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "fit_lm" in err
+    assert not (out / "summary.json").exists()
+    written = sorted(out.iterdir())
+    assert [p.name for p in written] == ["dataset.csv", "dataset_meta.json"]
+    for path in written:
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text, path.name
+    json.loads((out / "dataset_meta.json").read_text(), parse_constant=_reject_constant)
+    assert np.all(np.isfinite(np.loadtxt(out / "dataset.csv", delimiter=",", skiprows=1)))
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
 
 
 def test_io_failure_exit_three(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from respfit import ConstantHistory, ModelParams, State, TabulatedHistory
+from respfit import ConstantHistory, Constants, ModelParams, State, TabulatedHistory
 from respfit.data import (
     Dataset,
     generate_dataset,
@@ -114,6 +114,27 @@ def test_load_without_sidecar(tmp_path):
     assert meta == {}
     assert clone.seed is None
     assert np.array_equal(clone.x_obs, ds.x_obs)
+
+
+def test_datasets_compare_by_value(tmp_path):
+    truth = ModelParams(alpha=0.5, beta=0.8, constants=Constants(tau=0.5, vent_gain=0.15))
+    a = generate_dataset(truth, HIST, 0.0, 5.0, 11, 0.2, 5)
+    assert (a == generate_dataset(truth, HIST, 0.0, 5.0, 11, 0.2, 5)) is True
+    assert (a != generate_dataset(truth, HIST, 0.0, 5.0, 11, 0.2, 5)) is False
+    assert (a == generate_dataset(truth, HIST, 0.0, 5.0, 11, 0.2, 6)) is False
+    assert (a == generate_dataset(TRUTH, HIST, 0.0, 5.0, 11, 0.2, 5)) is False
+    # the flat truth record on disk restores the constants too
+    save_dataset(a, tmp_path / "d.csv", history=HIST)
+    clone, meta = load_dataset(tmp_path / "d.csv")
+    assert meta["truth"] == {
+        "alpha": 0.5,
+        "beta": 0.8,
+        "tau": 0.5,
+        "vent_gain": 0.15,
+        "vent_rate": 0.05,
+        "vent_offset": 100.0,
+    }
+    assert (clone == a) is True
 
 
 def test_tabulated_history_survives_meta_roundtrip(tmp_path):

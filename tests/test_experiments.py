@@ -66,10 +66,10 @@ def test_run_example_writes_all_artifacts(tmp_path):
     }
     assert {p.name for p in (tmp_path / "run").iterdir()} == expected
     assert row.example == "ex1"
-    assert row.lm_fit is not None and row.tr_fit is not None
+    assert row.algorithms["lm"].fit is not None and row.algorithms["tr"].fit is not None
     # paper-style quality for this configuration
-    assert row.lm_rel_err_pct[0] <= 2.0
-    assert row.lm_rel_err_pct[1] <= 2.0
+    assert row.algorithms["lm"].rel_err_pct[0] <= 2.0
+    assert row.algorithms["lm"].rel_err_pct[1] <= 2.0
 
 
 def test_run_example_rejects_unknown_name(tmp_path):
@@ -84,7 +84,7 @@ def test_summary_errors_are_recomputable(tmp_path):
     fit = summary["lm"]["best_fit"]
     want_a = abs(fit["alpha"] - 0.5) / 0.5 * 100.0
     assert summary["lm"]["rel_err_pct"]["alpha"] == pytest.approx(want_a, rel=1e-12)
-    assert row.lm_rel_err_pct[0] == pytest.approx(want_a, rel=1e-12)
+    assert row.algorithms["lm"].rel_err_pct[0] == pytest.approx(want_a, rel=1e-12)
 
 
 def test_histograms_count_every_measurement(tmp_path):
@@ -125,12 +125,13 @@ def test_ex5_trajectory_sits_at_equilibrium(tmp_path):
 
 def test_noiseless_override_recovers_exactly(tmp_path):
     row = run_example("ex1", sigma=0.0, out_dir=tmp_path)
-    assert abs(row.lm_fit[0] - 0.5) <= 1e-8
-    assert abs(row.lm_fit[1] - 0.8) <= 1e-8
-    assert abs(row.tr_fit[0] - 0.5) <= 1e-8
-    assert abs(row.tr_fit[1] - 0.8) <= 1e-8
-    assert f"{row.lm_fit[0]:.4f}" == f"{row.tr_fit[0]:.4f}" == "0.5000"
-    assert f"{row.lm_fit[1]:.4f}" == f"{row.tr_fit[1]:.4f}" == "0.8000"
+    lm_fit, tr_fit = row.algorithms["lm"].fit, row.algorithms["tr"].fit
+    assert abs(lm_fit[0] - 0.5) <= 1e-8
+    assert abs(lm_fit[1] - 0.8) <= 1e-8
+    assert abs(tr_fit[0] - 0.5) <= 1e-8
+    assert abs(tr_fit[1] - 0.8) <= 1e-8
+    assert f"{lm_fit[0]:.4f}" == f"{tr_fit[0]:.4f}" == "0.5000"
+    assert f"{lm_fit[1]:.4f}" == f"{tr_fit[1]:.4f}" == "0.8000"
 
 
 def test_run_config_matches_preset_outputs(tmp_path):
@@ -147,8 +148,8 @@ def test_run_config_lm_only(tmp_path):
 
     cfg = replace(PRESETS["ex1"], algorithms=("lm",))
     row = run_config(cfg, out_dir=tmp_path)
-    assert row.tr_fit is None
-    assert row.tr_iterations is None
+    assert "tr" not in row.algorithms
+    assert list(row.algorithms) == ["lm"]
     assert not (tmp_path / "trace_tr.csv").exists()
     assert (tmp_path / "trace_lm.csv").exists()
     with open(tmp_path / "summary.json") as fh:
@@ -162,8 +163,8 @@ def test_run_config_two_point_dataset(tmp_path):
 
     cfg = replace(PRESETS["ex1"], n_points=2)
     row = run_config(cfg, out_dir=tmp_path)
-    assert all(math.isfinite(v) for v in row.lm_fit)
-    assert all(math.isfinite(v) for v in row.tr_fit)
+    assert all(math.isfinite(v) for v in row.algorithms["lm"].fit)
+    assert all(math.isfinite(v) for v in row.algorithms["tr"].fit)
     # minimal configuration stays identifiable: 2x2 normal equations well posed
     from respfit.data import load_dataset as _ld
     from respfit.fitting import ResidualProblem, fd_jacobian
@@ -171,7 +172,7 @@ def test_run_config_two_point_dataset(tmp_path):
     dataset, _ = _ld(tmp_path / "dataset.csv")
     hist = resolve_history(cfg.history_spec, cfg.truth)
     prob = ResidualProblem.from_dataset(dataset, hist)
-    J, _ = fd_jacobian(prob, np.array(row.lm_fit))
+    J, _ = fd_jacobian(prob, np.array(row.algorithms["lm"].fit))
     A = J.T @ J
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     assert abs(det) > 1e-6 * max(A[0, 0], A[1, 1]) ** 2

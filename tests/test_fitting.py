@@ -59,10 +59,7 @@ def _fresh_residuals(problem, p):
     traj = solve_dde_raw(
         p[0],
         p[1],
-        problem.tau,
-        problem.vent_gain,
-        problem.vent_rate,
-        problem.vent_offset,
+        problem.constants,
         problem.history,
         problem.t0,
         problem.t_end,
@@ -130,7 +127,8 @@ def test_objective_matches_explicit_double_sum(noisy_problem):
         explicit += (xm - xo) ** 2
     for ym, yo in zip(ys, noisy_problem.dataset.y_obs):
         explicit += (ym - yo) ** 2
-    assert noisy_problem.objective(p) == pytest.approx(explicit, rel=1e-12)
+    r = noisy_problem.residuals(p)
+    assert float(r @ r) == pytest.approx(explicit, rel=1e-12)
 
 
 def test_objective_at_truth_equals_summed_noise(noisy_problem):
@@ -139,7 +137,8 @@ def test_objective_at_truth_equals_summed_noise(noisy_problem):
     nx = rng.standard_normal(51) * 0.20
     ny = rng.standard_normal(51) * 0.20
     want = float(nx @ nx + ny @ ny)
-    assert noisy_problem.objective((0.5, 0.8)) == pytest.approx(want, rel=1e-12)
+    r = noisy_problem.residuals((0.5, 0.8))
+    assert float(r @ r) == pytest.approx(want, rel=1e-12)
     # chi-squared concentration: 2M sigma^2 = 4.08 up to seed luck
     assert 0.5 * 4.08 <= want <= 1.5 * 4.08
 
@@ -333,7 +332,7 @@ def test_problem_window_defaults_to_measurement_span():
     prob = ResidualProblem.from_dataset(ds, HIST)
     assert prob.t0 == 0.0
     assert prob.t_end == 5.0
-    assert prob.tau == 1.0
+    assert prob.constants.tau == 1.0
 
 
 def test_fit_result_is_frozen(noisy_problem):

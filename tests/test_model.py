@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from respfit import ModelParams, NoRootError, State, equilibrium_solve, rhs, ventilation
+from respfit import Constants, ModelParams, NoRootError, State, equilibrium_solve, rhs, ventilation
 
 
 def _vent(xd, yd, gain=0.14, rate=0.05, offset=100.0):
@@ -50,7 +50,8 @@ def test_ventilation_formula():
 
 
 def test_ventilation_honors_custom_constants():
-    p = ModelParams(alpha=1.0, beta=1.0, vent_gain=0.2, vent_rate=0.07, vent_offset=90.0)
+    constants = Constants(vent_gain=0.2, vent_rate=0.07, vent_offset=90.0)
+    p = ModelParams(alpha=1.0, beta=1.0, constants=constants)
     got = ventilation(20.0, 30.0, p)
     assert got == pytest.approx(_vent(20.0, 30.0, 0.2, 0.07, 90.0), rel=1e-15)
 
@@ -128,16 +129,23 @@ def test_equilibrium_property(alpha, beta):
         {"alpha": 0.0, "beta": 1.0},
         {"alpha": -0.5, "beta": 1.0},
         {"alpha": 1.0, "beta": 0.0},
-        {"alpha": 1.0, "beta": 1.0, "tau": -1.0},
+        {"alpha": 1.0, "beta": 1.0, "constants": {"tau": -1.0}},
         {"alpha": math.nan, "beta": 1.0},
         {"alpha": 1.0, "beta": math.inf},
-        {"alpha": 1.0, "beta": 1.0, "vent_gain": 0.0},
-        {"alpha": 1.0, "beta": 1.0, "vent_rate": -0.05},
+        {"alpha": 1.0, "beta": 1.0, "constants": {"vent_gain": 0.0}},
+        {"alpha": 1.0, "beta": 1.0, "constants": {"vent_rate": -0.05}},
+        {"alpha": 1.0, "beta": 1.0, "constants": {"vent_offset": math.inf}},
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
-        ModelParams(**kwargs)
+        ModelParams(kwargs["alpha"], kwargs["beta"], Constants(**kwargs.get("constants", {})))
+
+
+def test_params_take_the_constants_as_one_object():
+    # a bare number where the Constants belong is rejected, not taken as tau
+    with pytest.raises(TypeError):
+        ModelParams(0.5, 0.8, 1.0)
 
 
 def test_state_must_be_finite():

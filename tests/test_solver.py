@@ -5,6 +5,7 @@ import pytest
 
 from respfit import (
     ConstantHistory,
+    Constants,
     InvalidGridError,
     ModelParams,
     NonFiniteError,
@@ -202,11 +203,11 @@ def test_interval_validation():
 
 def test_negative_gain_blowup_is_reported():
     with pytest.raises(NonFiniteError):
-        solve_dde_raw(-2.0, -2.0, 1.0, 0.14, 0.05, 100.0, HIST, 0.0, 40.0)
+        solve_dde_raw(-2.0, -2.0, Constants(), HIST, 0.0, 40.0)
 
 
 def test_raw_entry_point_accepts_negative_gains_short_horizon():
-    traj = solve_dde_raw(-0.01, 0.5, 1.0, 0.14, 0.05, 100.0, HIST, 0.0, 1.0)
+    traj = solve_dde_raw(-0.01, 0.5, Constants(), HIST, 0.0, 1.0)
     assert np.all(np.isfinite(traj.x))
 
 
@@ -247,6 +248,25 @@ def test_tabulated_history_validation():
         TabulatedHistory(t, np.array([1.0, math.nan]), np.zeros(2))
     with pytest.raises(ValueError):
         TabulatedHistory(np.array([0.0]), np.zeros(1), np.zeros(1))
+
+
+def test_tabulated_histories_compare_by_value():
+    def make(y_last, t=(-1.0, 0.0)):
+        return TabulatedHistory(np.array(t), np.array([30.0, 31.0]), np.array([20.0, y_last]))
+
+    a = make(21.0)
+    assert (a == make(21.0)) is True
+    assert (a != make(21.0)) is False
+    assert (a == make(21.5)) is False
+    assert (a == make(21.0, t=(-2.0, 0.0))) is False
+    assert (a == HIST) is False
+
+
+def test_trajectories_compare_by_value():
+    a = solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0)
+    assert (a == solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0)) is True
+    assert (a == solve_dde(ModelParams(alpha=0.5, beta=0.9), HIST, 0.0, 5.0)) is False
+    assert (a == solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 4.0)) is False
 
 
 def test_tabulated_history_must_cover_delay_window():
