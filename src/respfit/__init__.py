@@ -49,6 +49,7 @@ from .model import (
 )
 from .solver import (
     ConstantHistory,
+    Grid,
     HistoryFunction,
     SamplePlan,
     TabulatedHistory,
@@ -67,6 +68,7 @@ __all__ = [
     "EquilibriumPoint",
     "ExperimentConfig",
     "FitResult",
+    "Grid",
     "HistoryFunction",
     "InvalidGridError",
     "IterationRecord",

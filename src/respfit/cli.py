@@ -53,9 +53,7 @@ def _cmd_run_example(args) -> int:
 
 
 def _cmd_run_config(args) -> int:
-    config = parse_config_file(args.config)
-    out_dir = config.out_dir or f"out_{config.name}"
-    row = run_config(config, out_dir=out_dir)
+    row = run_config(parse_config_file(args.config))
     _print_row(row)
     return 0
 

@@ -30,4 +30,4 @@ class OutOfDomainError(SolverError):
 
 
 class SingularNormalEquationsError(SolverError):
-    """The damped normal equations stayed singular at maximum damping."""
+    """A parameter direction leaves the residual unchanged, so the fit cannot resolve it."""

@@ -66,16 +66,15 @@ class ExperimentConfig:
         if self.steps_per_delay < 2:
             raise ConfigError(f"steps_per_delay: must be at least 2, got {self.steps_per_delay}")
         tau = self.truth.constants.tau
-        n_steps = (self.t_end - self.t0) * self.steps_per_delay / tau
-        if n_steps > MAX_STEPS:
-            raise ConfigError(
-                f"t_end: [{self.t0!r}, {self.t_end!r}] takes {n_steps:.12g} RK4 steps of "
-                f"tau/steps_per_delay, more than the {MAX_STEPS} allowed"
-            )
         try:
-            grid_steps(self.t0, self.t_end, tau, self.steps_per_delay)
+            n_steps = grid_steps(self.t0, self.t_end, tau, self.steps_per_delay)
         except InvalidGridError as exc:
             raise ConfigError(f"t_end: {exc}") from None
+        if n_steps > MAX_STEPS:
+            raise ConfigError(
+                f"t_end: [{self.t0!r}, {self.t_end!r}] takes {n_steps} RK4 steps of "
+                f"tau/steps_per_delay, more than the {MAX_STEPS} allowed"
+            )
         if len(self.p0) != 2 or not all(math.isfinite(v) for v in self.p0):
             raise ConfigError(f"p0: must be two finite numbers, got {self.p0!r}")
         if not self.algorithms:
@@ -209,16 +208,15 @@ def _staged(stage: str, exc: SolverError) -> SolverError:
 def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
     """Run one experiment end to end and write its artifacts.
 
-    out_dir overrides config.out_dir; one of the two must be set. Returns the
-    SummaryRow that also lands in summary.json.
+    out_dir overrides config.out_dir, which defaults to out_<name>. The
+    directory is created once the dataset has been generated, so a run that
+    fails before that leaves nothing behind. Returns the SummaryRow that
+    also lands in summary.json.
     """
     config.validate()
     if out_dir is None:
-        out_dir = config.out_dir
-    if out_dir is None:
-        raise ConfigError("out_dir: no output directory given")
+        out_dir = config.out_dir or f"out_{config.name}"
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     history = resolve_history(config.history_spec, config.truth)
     solver_settings = {
@@ -240,6 +238,7 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
         )
     except SolverError as exc:
         raise _staged("generate_dataset", exc) from exc
+    out.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out / "dataset.csv", history=history, solver_settings=solver_settings)
 
     problem = ResidualProblem.from_dataset(
@@ -280,20 +279,12 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
     for algo, result in fits.items():
         write_trace_csv(result, out / f"trace_{algo}.csv")
         try:
-            fitted = solve_dde_raw(
-                result.best_fit[0],
-                result.best_fit[1],
-                config.truth.constants,
-                history,
-                config.t0,
-                config.t_end,
-                config.steps_per_delay,
-            )
+            fitted = solve_dde_raw(result.best_fit[0], result.best_fit[1], problem.grid)
         except SolverError as exc:
             raise _staged(f"refit_trajectory_{algo}", exc) from exc
         fitted.to_csv(out / f"fit_{algo}.csv")
 
-        fx, fy = fitted.eval_many(dataset.times)
+        fx, fy = fitted.eval_many(problem.plan)
         edges_x, counts_x = _histogram(dataset.x_obs - fx, config.sigma)
         edges_y, counts_y = _histogram(dataset.y_obs - fy, config.sigma)
         _write_histogram(out / f"hist_{algo}_x.csv", edges_x, counts_x)
@@ -339,8 +330,6 @@ def run_example(
         config = replace(config, seed=int(seed))
     if sigma is not None:
         config = replace(config, sigma=float(sigma))
-    if out_dir is None:
-        out_dir = config.out_dir or f"out_{name}"
     return run_config(config, out_dir=out_dir)
 
 

@@ -30,8 +30,9 @@ error (NonFiniteError), since no step could be compared against it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NonFiniteError, SingularNormalEquationsError
 from .model import Constants
-from .solver import HistoryFunction, SamplePlan, solve_dde_raw
+from .solver import Grid, HistoryFunction, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -49,8 +50,8 @@ class ResidualProblem:
     """Measurement set plus everything held fixed during the fit.
 
     Every residual call integrates on the same grid and samples the same
-    measurement times, so the sample plan (see solver.SamplePlan) is built
-    from the first trajectory and reused by every later call.
+    measurement times, so the grid and its sample plan (see solver.Grid) are
+    built on the first call, which raises any error they find, and reused.
     """
 
     dataset: Dataset
@@ -59,7 +60,6 @@ class ResidualProblem:
     t0: float = 0.0
     t_end: float = 5.0
     steps_per_delay: int = 50
-    _plan: SamplePlan | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dataset(
@@ -79,22 +79,20 @@ class ResidualProblem:
             t_end = float(dataset.times[-1])
         return cls(dataset, history, constants, t0, t_end, steps_per_delay)
 
+    @functools.cached_property
+    def grid(self) -> Grid:
+        """The integration grid, built on first use."""
+        return Grid(self.constants, self.history, self.t0, self.t_end, self.steps_per_delay)
+
+    @functools.cached_property
+    def plan(self) -> SamplePlan:
+        """The sample plan of the measurement times on grid, built on first use."""
+        return self.grid.plan(self.dataset.times)
+
     def residuals(self, p) -> np.ndarray:
         """Stacked residual vector of length 2M at p = (alpha, beta)."""
-        traj = solve_dde_raw(
-            float(p[0]),
-            float(p[1]),
-            self.constants,
-            self.history,
-            self.t0,
-            self.t_end,
-            self.steps_per_delay,
-        )
-        plan = self._plan
-        if plan is None:
-            plan = traj.sample_plan(self.dataset.times)
-            object.__setattr__(self, "_plan", plan)
-        xs, ys = traj.eval_many(plan)
+        traj = solve_dde_raw(float(p[0]), float(p[1]), self.grid)
+        xs, ys = traj.eval_many(self.plan)
         return np.concatenate([xs - self.dataset.x_obs, ys - self.dataset.y_obs])
 
 
@@ -206,6 +204,13 @@ class _Search:
     def _linearize(self) -> None:
         self.J, k_evals = fd_jacobian(self.problem, self.p, base_residual=self.r)
         self.n_evals += k_evals
+        # a dead column would read as a zero gradient, i.e. as convergence
+        dead = ~(np.any(self.J, axis=0) & np.all(np.isfinite(self.J), axis=0))
+        if np.any(dead) and np.any(self.r):
+            raise SingularNormalEquationsError(
+                f"Jacobian column {np.argmax(dead)} is zero or non-finite at ({self.p[0]:g}, "
+                f"{self.p[1]:g}); a parameter direction leaves the residual unchanged"
+            )
         # inf-norm of the gradient of ||r||^2, 2*Jt*r
         self.opt = float(np.max(np.abs(2.0 * (self.J.T @ self.r))))
 
@@ -250,9 +255,10 @@ def solve_lm(problem, p0, opts: SolverOptions | None = None) -> FitResult:
 
     Starts at lambda = opts.lambda0; an accepted step divides lambda by 10,
     a rejected one multiplies it by 10 and retries without recording an
-    iteration. Raises SingularNormalEquationsError if the damped normal
-    equations stay singular all the way up to lambda_max (an unidentifiable
-    parameter direction), and NonFiniteError if the cost at p0 is not finite.
+    iteration. Raises SingularNormalEquationsError if a Jacobian column
+    vanishes or the damped normal equations stay singular all the way up to
+    lambda_max (an unidentifiable parameter direction), and NonFiniteError
+    if the cost at p0 is not finite.
     """
     opts = opts or SolverOptions()
     lam = opts.lambda0
@@ -331,8 +337,9 @@ def solve_trust_region(problem, p0, opts: SolverOptions | None = None) -> FitRes
     Acceptance ratio rho compares the actual residual decrease with the one
     the linear model promised; steps with rho > 1e-4 are taken. The radius
     shrinks by 4 when rho < 0.25 and doubles (capped at radius_max) when
-    rho > 0.75 with the step on the boundary. Raises NonFiniteError if the
-    cost at p0 is not finite.
+    rho > 0.75 with the step on the boundary. Raises
+    SingularNormalEquationsError if a Jacobian column vanishes, and
+    NonFiniteError if the cost at p0 is not finite.
     """
     opts = opts or SolverOptions()
     radius = opts.radius0

@@ -8,19 +8,21 @@ half-step stage times need interpolation, done with cubic Hermite using the
 stored node derivatives. That combination keeps the classical 4th-order
 accuracy of the scheme.
 
-A Trajectory is immutable after construction and evaluable anywhere on
-[t0 - tau, t_end]: exact history below t0, stored node values on the grid,
-cubic Hermite in between.
+A Grid holds what a solve keeps fixed while (alpha, beta) vary: the
+constants, the history and the window, validated once, with the step
+count, the node times and the history sampled on the delayed grid. A
+Trajectory is a grid plus its node values and derivatives, immutable and
+evaluable anywhere on [t0 - tau, t_end]: exact history below t0, stored
+node values on the grid, cubic Hermite in between.
 
-Evaluation is split in two. A SamplePlan holds everything about a set of
-sample times that depends only on the grid and the history: the domain
-check, which times fall in the history and their history values, and for
-the others the enclosing grid interval and the four Hermite weights. Its
-gather then combines those weights with one trajectory's node values and
-derivatives. Every trajectory on the same grid (same t0, step, node count,
-delay and history) can share one plan, so a caller that samples the same
-times on many trajectories, such as a least-squares residual, builds the
-plan once.
+Evaluation is split in two. Grid.plan builds a SamplePlan holding
+everything about a set of sample times that depends only on the grid: the
+domain check, which times fall in the history and their history values,
+and for the others the enclosing grid interval and the four Hermite
+weights. Its gather then combines those weights with the node values and
+derivatives of any trajectory solved on that Grid object, so a caller that
+samples the same times on many trajectories, such as a least-squares
+residual, builds the grid and the plan once.
 """
 
 from __future__ import annotations
@@ -143,25 +145,18 @@ def history_from_description(desc: dict) -> HistoryFunction:
     raise ValueError(f"unknown history kind {kind!r}")
 
 
-def _grid_of(traj: Trajectory) -> tuple:
-    """The grid a SamplePlan is bound to, apart from the history."""
-    return (traj.t0, traj.step, len(traj.times), traj.tau)
-
-
 @dataclass(frozen=True, eq=False)
 class SamplePlan:
-    """The (alpha, beta)-independent part of sampling a trajectory grid.
+    """The (alpha, beta)-independent part of sampling trajectories on one grid.
 
-    Built by Trajectory.sample_plan and bound to that trajectory's grid
-    (t0, step, node count, tau) and history object. hist_idx lists the
+    Built by Grid.plan and bound to that Grid object. hist_idx lists the
     sample times at or before t0 and hist_x, hist_y their history values;
     grid_idx lists the others, j and j1 the nodes of each one's grid
     interval and w00..w11 its Hermite weights, w10 and w11 already
     multiplied by the step.
     """
 
-    grid: tuple
-    history: HistoryFunction = field(repr=False)
+    grid: Grid = field(repr=False)
     shape: tuple[int, ...]
     hist_idx: np.ndarray = field(repr=False)
     hist_x: np.ndarray = field(repr=False)
@@ -179,8 +174,8 @@ class SamplePlan:
         return math.prod(self.shape)
 
     def gather(self, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-        """Sample values of traj, which must lie on the grid the plan is bound to."""
-        if _grid_of(traj) != self.grid or traj.history is not self.history:
+        """Sample values of traj, which must lie on the Grid object the plan is bound to."""
+        if traj.grid is not self.grid:
             raise ValueError("sample plan was built for a different trajectory grid")
         xs = np.empty(self.shape)
         ys = np.empty(self.shape)
@@ -206,23 +201,17 @@ class SamplePlan:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense numerical solution on [t0, t_end] plus its history.
+    """Dense numerical solution on a grid, plus the grid's history.
 
-    Node arrays (times, x, y) live on the arithmetic grid t0 + k*h; dx, dy
-    hold the exact node derivatives used for Hermite interpolation.
+    x, y hold the node values at grid.times; dx, dy the exact node
+    derivatives used for Hermite interpolation.
     """
 
-    t0: float
-    t_end: float
-    step: float
-    tau: float
-    steps_per_delay: int
-    times: np.ndarray
+    grid: Grid
     x: np.ndarray
     y: np.ndarray
     dx: np.ndarray = field(repr=False)
     dy: np.ndarray = field(repr=False)
-    history: HistoryFunction = field(repr=False)
 
     __eq__ = fields_equal
 
@@ -231,7 +220,99 @@ class Trajectory:
         xs, ys = self.eval_many(np.array([float(t)]))
         return State(float(xs[0]), float(ys[0]))
 
-    def sample_plan(self, times: np.ndarray) -> SamplePlan:
+    def eval_many(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized evaluation at arbitrary times in [t0 - tau, t_end].
+
+        History value for t <= t0, stored node value on grid nodes, cubic
+        Hermite between adjacent nodes otherwise. ``times`` is an array of
+        times, or a SamplePlan built by this trajectory's grid.plan; an
+        array is planned on the spot and the plan discarded.
+        """
+        plan = times if isinstance(times, SamplePlan) else self.grid.plan(times)
+        return plan.gather(self)
+
+    def to_csv(self, path) -> None:
+        """Write the node grid as CSV (t,x,y) at full double precision."""
+        with open(path, "w", newline="") as fh:
+            fh.write("t,x,y\n")
+            for t, x, y in zip(self.grid.times, self.x, self.y):
+                fh.write(f"{t:.17g},{x:.17g},{y:.17g}\n")
+
+
+def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int:
+    """Number of RK4 steps of tau/steps_per_delay from t0 to t_end.
+
+    Raises InvalidGridError unless the window is a positive, finite, whole
+    number of steps, up to a relative slack of 1e-9.
+    """
+    h = tau / steps_per_delay
+    n_float = (t_end - t0) / h
+    n = int(round(n_float)) if math.isfinite(n_float) else 0
+    if n < 1 or abs(n_float - n) > _EDGE_TOL * max(1.0, n_float):
+        raise InvalidGridError(
+            f"interval [{t0:g}, {t_end:g}] is not a positive, finite, whole number of steps "
+            f"h = tau/steps_per_delay = {h:g}"
+        )
+    return n
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Everything a solve holds fixed while (alpha, beta) vary.
+
+    The one place that validates the window and the history, and computes
+    from them the step count n, the step h = tau / steps_per_delay, the
+    read-only node times t0 + k*h (t_end snaps to the last one) and the
+    history at the steps_per_delay + 1 nodes (hist_x, hist_y) and the
+    midpoints (hist_mid_x, hist_mid_y) of the delayed grid on [t0 - tau, t0].
+    """
+
+    constants: Constants
+    history: HistoryFunction = field(repr=False)
+    t0: float
+    t_end: float
+    steps_per_delay: int
+    n: int = field(init=False, compare=False)
+    step: float = field(init=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    hist_x: np.ndarray = field(init=False, repr=False, compare=False)
+    hist_y: np.ndarray = field(init=False, repr=False, compare=False)
+    hist_mid_x: np.ndarray = field(init=False, repr=False, compare=False)
+    hist_mid_y: np.ndarray = field(init=False, repr=False, compare=False)
+
+    __eq__ = fields_equal
+
+    def __post_init__(self):
+        t0, t_end, spd = self.t0, self.t_end, self.steps_per_delay
+        if not (t_end > t0):
+            raise ValueError(f"t_end must exceed t0, got [{t0!r}, {t_end!r}]")
+        if spd != int(spd) or int(spd) < 2:
+            raise ValueError(f"steps_per_delay must be an integer >= 2, got {spd!r}")
+        spd = int(spd)
+        tau = self.constants.tau
+        n = grid_steps(t0, t_end, tau, spd)
+        h = tau / spd
+
+        lo_h, hi_h = self.history.span()
+        tol = _EDGE_TOL * max(1.0, abs(t0), tau)
+        if lo_h > t0 - tau + tol or hi_h < t0 - tol:
+            raise ValueError(
+                f"history covers [{lo_h:g}, {hi_h:g}] but must cover [{t0 - tau:g}, {t0:g}]"
+            )
+
+        start = t0 - tau
+        hist = self.history.sample(start + h * np.arange(spd + 1))
+        mid = self.history.sample(start + h * (np.arange(spd) + 0.5))
+        times = t0 + h * np.arange(n + 1)
+        names = ("steps_per_delay", "t_end", "n", "step", "times")
+        names += ("hist_x", "hist_y", "hist_mid_x", "hist_mid_y")
+        for name, value in zip(names, (spd, float(times[-1]), n, h, times, *hist, *mid)):
+            if isinstance(value, np.ndarray):
+                value = np.ascontiguousarray(value, dtype=float)
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def plan(self, times) -> SamplePlan:
         """Plan for sampling every trajectory on this grid at ``times``.
 
         Raises OutOfDomainError if a time lies outside [t0 - tau, t_end].
@@ -239,7 +320,7 @@ class Trajectory:
         ts = np.asarray(times, dtype=float)
         shape = ts.shape
         ts = ts.reshape(-1)
-        lo = self.t0 - self.tau
+        lo = self.t0 - self.constants.tau
         tol = _EDGE_TOL * max(1.0, abs(lo), abs(self.t_end))
         if np.any(ts < lo - tol) or np.any(ts > self.t_end + tol):
             raise OutOfDomainError(
@@ -261,8 +342,7 @@ class Trajectory:
         h01 = (3.0 - 2.0 * s) * s * s
         h11 = (s - 1.0) * s * s
         return SamplePlan(
-            grid=_grid_of(self),
-            history=self.history,
+            grid=self,
             shape=shape,
             hist_idx=hist_idx,
             hist_x=hist_x,
@@ -276,100 +356,35 @@ class Trajectory:
             w11=h11 * self.step,
         )
 
-    def eval_many(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized evaluation at arbitrary times in [t0 - tau, t_end].
 
-        History value for t <= t0, stored node value on grid nodes, cubic
-        Hermite between adjacent nodes otherwise. ``times`` is an array of
-        times, or a SamplePlan built by sample_plan on any trajectory on the
-        same grid; an array is planned on the spot and the plan discarded.
-        """
-        plan = times if isinstance(times, SamplePlan) else self.sample_plan(times)
-        return plan.gather(self)
-
-    def to_csv(self, path) -> None:
-        """Write the node grid as CSV (t,x,y) at full double precision."""
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,y\n")
-            for t, x, y in zip(self.times, self.x, self.y):
-                fh.write(f"{t:.17g},{x:.17g},{y:.17g}\n")
-
-
-def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int:
-    """Number of RK4 steps of tau/steps_per_delay from t0 to t_end.
-
-    Raises InvalidGridError unless the window is a positive whole number of
-    steps, up to a relative slack of 1e-9.
-    """
-    h = tau / steps_per_delay
-    n_float = (t_end - t0) / h
-    n = int(round(n_float))
-    if n < 1 or abs(n_float - n) > _EDGE_TOL * max(1.0, n_float):
-        raise InvalidGridError(
-            f"interval [{t0:g}, {t_end:g}] is not an integer number of steps "
-            f"h = tau/steps_per_delay = {h:g}"
-        )
-    return n
-
-
-def solve_dde_raw(
-    alpha: float,
-    beta: float,
-    constants: Constants,
-    history: HistoryFunction,
-    t0: float,
-    t_end: float,
-    steps_per_delay: int = 50,
-) -> Trajectory:
-    """Integrate with raw coefficients, without sign validation on alpha/beta.
+def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
+    """Integrate on grid with raw coefficients, without sign validation on alpha/beta.
 
     The fitting layer explores the unconstrained (alpha, beta) plane, so this
     entry point accepts any finite gains; blow-ups surface as NonFiniteError.
     Use solve_dde for validated ModelParams.
     """
-    if not (t_end > t0):
-        raise ValueError(f"t_end must exceed t0, got [{t0!r}, {t_end!r}]")
-    if steps_per_delay != int(steps_per_delay) or int(steps_per_delay) < 2:
-        raise ValueError(f"steps_per_delay must be an integer >= 2, got {steps_per_delay!r}")
-    steps_per_delay = int(steps_per_delay)
-    tau = constants.tau
-    n = grid_steps(t0, t_end, tau, steps_per_delay)
-    h = tau / steps_per_delay
-
-    lo_h, hi_h = history.span()
-    tol = _EDGE_TOL * max(1.0, abs(t0), tau)
-    if lo_h > t0 - tau + tol or hi_h < t0 - tol:
-        raise ValueError(
-            f"history covers [{lo_h:g}, {hi_h:g}] but must cover [{t0 - tau:g}, {t0:g}]"
-        )
-
-    nd = steps_per_delay
-    hist_start = t0 - tau
-    node_times = hist_start + h * np.arange(nd + 1)
-    mid_times = hist_start + h * (np.arange(nd) + 0.5)
-    hist_x, hist_y = history.sample(node_times)
-    hist_mid_x, hist_mid_y = history.sample(mid_times)
-
+    n, h, c = grid.n, grid.step, grid.constants
     x = np.empty(n + 1)
     y = np.empty(n + 1)
     dx = np.empty(n + 1)
     dy = np.empty(n + 1)
-    x[0] = hist_x[nd]
-    y[0] = hist_y[nd]
+    x[0] = grid.hist_x[-1]
+    y[0] = grid.hist_y[-1]
 
     status = backend.active.integrate(
         float(alpha),
         float(beta),
-        float(constants.vent_gain),
-        float(constants.vent_rate),
-        float(constants.vent_offset),
+        float(c.vent_gain),
+        float(c.vent_rate),
+        float(c.vent_offset),
         h,
         n,
-        nd,
-        np.ascontiguousarray(hist_x),
-        np.ascontiguousarray(hist_y),
-        np.ascontiguousarray(hist_mid_x),
-        np.ascontiguousarray(hist_mid_y),
+        grid.steps_per_delay,
+        grid.hist_x,
+        grid.hist_y,
+        grid.hist_mid_x,
+        grid.hist_mid_y,
         x,
         y,
         dx,
@@ -377,26 +392,13 @@ def solve_dde_raw(
     )
     if status:
         raise NonFiniteError(
-            f"state became non-finite at t = {t0 + status * h:.6g} "
+            f"state became non-finite at t = {grid.t0 + status * h:.6g} "
             f"(alpha={alpha:g}, beta={beta:g})"
         )
 
-    times = t0 + h * np.arange(n + 1)
-    for arr in (times, x, y, dx, dy):
+    for arr in (x, y, dx, dy):
         arr.flags.writeable = False
-    return Trajectory(
-        t0=t0,
-        t_end=float(times[-1]),
-        step=h,
-        tau=tau,
-        steps_per_delay=steps_per_delay,
-        times=times,
-        x=x,
-        y=y,
-        dx=dx,
-        dy=dy,
-        history=history,
-    )
+    return Trajectory(grid, x, y, dx, dy)
 
 
 def solve_dde(
@@ -407,6 +409,5 @@ def solve_dde(
     steps_per_delay: int = 50,
 ) -> Trajectory:
     """Integrate the system for validated model parameters."""
-    return solve_dde_raw(
-        params.alpha, params.beta, params.constants, history, t0, t_end, steps_per_delay
-    )
+    grid = Grid(params.constants, history, t0, t_end, steps_per_delay)
+    return solve_dde_raw(params.alpha, params.beta, grid)

@@ -11,7 +11,7 @@ import pytest
 from respfit import ConstantHistory, Constants, ModelParams, State, solve_dde
 from respfit import backend
 from respfit.errors import NonFiniteError
-from respfit.solver import solve_dde_raw
+from respfit.solver import Grid, solve_dde_raw
 
 HIST = ConstantHistory(State(35.0, 35.0))
 
@@ -66,7 +66,7 @@ def test_backends_blow_up_identically():
     for name in ("compiled", "python"):
         backend.select(name)
         with pytest.raises(NonFiniteError) as err:
-            solve_dde_raw(-1.0, -1.0, Constants(), HIST, 0.0, 5.0, 50)
+            solve_dde_raw(-1.0, -1.0, Grid(Constants(), HIST, 0.0, 5.0, 50))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert "t = 4.76 " in messages[0]

@@ -105,6 +105,7 @@ def test_solver_failure_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver failure" in err
     assert "generate_dataset" in err  # failing stage is named
+    assert not (tmp_path / "r").exists()  # no empty run directory is left
 
 
 @pytest.mark.parametrize("extra", ["t_end = 5.01", "tau = 0.7"])
@@ -139,6 +140,17 @@ def test_non_finite_start_cost_is_solver_failure(tmp_path, capsys):
         assert "Infinity" not in text and "NaN" not in text, path.name
     json.loads((out / "dataset_meta.json").read_text(), parse_constant=_reject_constant)
     assert np.all(np.isfinite(np.loadtxt(out / "dataset.csv", delimiter=",", skiprows=1)))
+
+
+def test_vanishing_jacobian_is_solver_failure(tmp_path, capsys):
+    # at the 1e150 scale r(p + delta) - r(p) cancels to exactly zero: a zero
+    # Jacobian at a nonzero residual must fail, not read as convergence at p0
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("sigma = 0.2", "sigma = 1e150") + f"out_dir = {tmp_path}\n")
+    assert main(["run-config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "fit_lm" in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def _reject_constant(name):

@@ -5,6 +5,7 @@ import pytest
 
 from respfit import (
     ConstantHistory,
+    Grid,
     InvalidGridError,
     ModelParams,
     NonFiniteError,
@@ -56,15 +57,10 @@ def test_residual_vector_layout(noisy_problem):
 
 def _fresh_residuals(problem, p):
     """Residuals of problem at p from a trajectory sampled without a stored plan."""
-    traj = solve_dde_raw(
-        p[0],
-        p[1],
-        problem.constants,
-        problem.history,
-        problem.t0,
-        problem.t_end,
-        problem.steps_per_delay,
+    grid = Grid(
+        problem.constants, problem.history, problem.t0, problem.t_end, problem.steps_per_delay
     )
+    traj = solve_dde_raw(p[0], p[1], grid)
     xs, ys = traj.eval_many(problem.dataset.times)
     return np.concatenate([xs - problem.dataset.x_obs, ys - problem.dataset.y_obs])
 
@@ -111,6 +107,36 @@ def test_window_errors_surface_from_residuals_not_construction():
     for _ in range(2):
         with pytest.raises(OutOfDomainError):
             short.residuals((0.5, 0.8))
+
+
+def test_non_finite_step_count_is_a_grid_error():
+    # (t_end - t0) / h overflows to inf: no finite whole number of steps
+    with pytest.raises(InvalidGridError):
+        solve_dde(TRUTH, HIST, 0.0, 1e308)
+    ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
+    with pytest.raises(InvalidGridError):
+        ResidualProblem.from_dataset(ds, HIST, t_end=1e308).residuals((0.5, 0.8))
+
+
+def test_history_is_sampled_once_per_problem(monkeypatch):
+    hist = TabulatedHistory(
+        np.array([-1.0, -0.4, 0.0]), np.array([30.0, 38.0, 35.0]), np.array([36.0, 31.0, 35.0])
+    )
+    ds = generate_dataset(TRUTH, hist, 0.0, 5.0, 51, 0.0, 1)
+    calls = []
+    sample = TabulatedHistory.sample
+
+    def counted(self, times):
+        calls.append(len(times))
+        return sample(self, times)
+
+    monkeypatch.setattr(TabulatedHistory, "sample", counted)
+    problem = ResidualProblem.from_dataset(ds, hist)
+    problem.residuals((0.5, 0.8))
+    after_one = len(calls)
+    for p in ((0.6, 0.7), (0.4, 0.9), (1.0, 1.0), (0.5, 0.8), (0.2, 0.3)):
+        problem.residuals(p)
+    assert len(calls) == after_one
 
 
 def test_zero_residual_at_truth_without_noise(clean_problem):
@@ -277,6 +303,14 @@ class _NoSensitivity:
 def test_lm_flags_unidentifiable_direction():
     with pytest.raises(SingularNormalEquationsError):
         solve_lm(_NoSensitivity(), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("solver", [solve_lm, solve_trust_region])
+def test_vanishing_jacobian_column_is_an_error(solver):
+    # a zero column at a nonzero residual gives a zero gradient, which must
+    # not be reported as GradientTolerance
+    with pytest.raises(SingularNormalEquationsError, match="column 0"):
+        solver(_NoSensitivity(), (1.0, 1.0))
 
 
 class _Walled:

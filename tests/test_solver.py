@@ -6,6 +6,7 @@ import pytest
 from respfit import (
     ConstantHistory,
     Constants,
+    Grid,
     InvalidGridError,
     ModelParams,
     NonFiniteError,
@@ -52,7 +53,7 @@ def test_grid_refinement_is_fourth_order():
     errs = []
     for spd in (10, 20, 40):
         t = solve_dde(p, HIST, 0.0, 5.0, steps_per_delay=spd)
-        rx, ry = ref.eval_many(t.times)
+        rx, ry = ref.eval_many(t.grid.times)
         errs.append(max(np.max(np.abs(t.x - rx)), np.max(np.abs(t.y - ry))))
     assert math.log2(errs[0] / errs[1]) > 3.5
     assert math.log2(errs[1] / errs[2]) > 3.5
@@ -62,7 +63,7 @@ def test_eval_is_exact_on_grid_nodes():
     p = ModelParams(alpha=0.5, beta=0.8)
     traj = solve_dde(p, HIST, 0.0, 5.0)
     for k in (0, 1, 37, 125, 250):
-        got = traj.eval(traj.times[k])
+        got = traj.eval(traj.grid.times[k])
         assert got.x == traj.x[k]
         assert got.y == traj.y[k]
 
@@ -83,32 +84,33 @@ def _reference_eval_many(traj, times):
     ts = np.asarray(times, dtype=float)
     xs = np.empty_like(ts)
     ys = np.empty_like(ts)
-    in_history = ts <= traj.t0
+    grid = traj.grid
+    in_history = ts <= grid.t0
     if np.any(in_history):
-        hx, hy = traj.history.sample(ts[in_history])
+        hx, hy = grid.history.sample(ts[in_history])
         xs[in_history] = hx
         ys[in_history] = hy
     on_grid = ~in_history
     if np.any(on_grid):
-        tq = np.minimum(ts[on_grid], traj.times[-1])
-        j = np.searchsorted(traj.times, tq, side="right") - 1
-        j = np.clip(j, 0, len(traj.times) - 2)
-        s = (tq - traj.times[j]) / traj.step
+        tq = np.minimum(ts[on_grid], grid.times[-1])
+        j = np.searchsorted(grid.times, tq, side="right") - 1
+        j = np.clip(j, 0, len(grid.times) - 2)
+        s = (tq - grid.times[j]) / grid.step
         h00 = (2.0 * s - 3.0) * s * s + 1.0
         h10 = ((s - 2.0) * s + 1.0) * s
         h01 = (3.0 - 2.0 * s) * s * s
         h11 = (s - 1.0) * s * s
         xs[on_grid] = (
             h00 * traj.x[j]
-            + h10 * traj.step * traj.dx[j]
+            + h10 * grid.step * traj.dx[j]
             + h01 * traj.x[j + 1]
-            + h11 * traj.step * traj.dx[j + 1]
+            + h11 * grid.step * traj.dx[j + 1]
         )
         ys[on_grid] = (
             h00 * traj.y[j]
-            + h10 * traj.step * traj.dy[j]
+            + h10 * grid.step * traj.dy[j]
             + h01 * traj.y[j + 1]
-            + h11 * traj.step * traj.dy[j + 1]
+            + h11 * grid.step * traj.dy[j + 1]
         )
     return xs, ys
 
@@ -127,13 +129,13 @@ def test_planned_sampling_matches_reference_bit_for_bit(hist):
     first = solve_dde(ModelParams(alpha=0.5, beta=0.8), hist, 0.0, 5.0)
     # unsorted times: history, node times, the endpoints with roundoff, between nodes
     ts = np.concatenate(
-        [rng.uniform(-1.0, 5.0, 200), first.times[::7], [-1.0, 0.0, 5.0 - 1e-12, 5.0 + 1e-12]]
+        [rng.uniform(-1.0, 5.0, 200), first.grid.times[::7], [-1.0, 0.0, 5.0 - 1e-12, 5.0 + 1e-12]]
     )
     rng.shuffle(ts)
-    plan = first.sample_plan(ts)
+    plan = first.grid.plan(ts)
     assert len(plan) == len(ts)
     for alpha, beta in ((0.5, 0.8), (1.7, 0.3), (0.05, 2.2)):
-        traj = solve_dde(ModelParams(alpha=alpha, beta=beta), hist, 0.0, 5.0)
+        traj = solve_dde_raw(alpha, beta, first.grid)
         want_x, want_y = _reference_eval_many(traj, ts)
         for xs, ys in (traj.eval_many(ts), traj.eval_many(plan)):
             assert xs.tobytes() == want_x.tobytes()
@@ -143,8 +145,9 @@ def test_planned_sampling_matches_reference_bit_for_bit(hist):
 def test_sample_plan_is_bound_to_its_grid():
     p = ModelParams(alpha=0.5, beta=0.8)
     ts = np.linspace(0.0, 4.0, 21)
-    plan = solve_dde(p, HIST, 0.0, 5.0).sample_plan(ts)
-    same_grid = solve_dde(ModelParams(alpha=1.0, beta=0.4), HIST, 0.0, 5.0)
+    grid = Grid(Constants(), HIST, 0.0, 5.0, 50)
+    plan = grid.plan(ts)
+    same_grid = solve_dde_raw(1.0, 0.4, grid)
     assert np.array_equal(same_grid.eval_many(plan)[0], same_grid.eval_many(ts)[0])
     for other in (
         solve_dde(p, HIST, 0.0, 6.0),  # node count
@@ -203,11 +206,11 @@ def test_interval_validation():
 
 def test_negative_gain_blowup_is_reported():
     with pytest.raises(NonFiniteError):
-        solve_dde_raw(-2.0, -2.0, Constants(), HIST, 0.0, 40.0)
+        solve_dde_raw(-2.0, -2.0, Grid(Constants(), HIST, 0.0, 40.0, 50))
 
 
 def test_raw_entry_point_accepts_negative_gains_short_horizon():
-    traj = solve_dde_raw(-0.01, 0.5, Constants(), HIST, 0.0, 1.0)
+    traj = solve_dde_raw(-0.01, 0.5, Grid(Constants(), HIST, 0.0, 1.0, 50))
     assert np.all(np.isfinite(traj.x))
 
 
@@ -222,7 +225,7 @@ def test_to_csv_roundtrip(tmp_path):
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], traj.times)
+    assert np.array_equal(data[:, 0], traj.grid.times)
     assert np.array_equal(data[:, 1], traj.x)
     assert np.array_equal(data[:, 2], traj.y)
 
@@ -303,8 +306,8 @@ def test_history_description_roundtrip():
 
 def test_trajectory_reports_grid_metadata():
     traj = solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0, steps_per_delay=25)
-    assert traj.step == pytest.approx(0.04)
-    assert traj.steps_per_delay == 25
-    assert len(traj.times) == 126
-    assert traj.t_end == traj.times[-1]
+    assert traj.grid.step == pytest.approx(0.04)
+    assert traj.grid.steps_per_delay == 25
+    assert len(traj.grid.times) == 126
+    assert traj.grid.t_end == traj.grid.times[-1]
     assert isinstance(traj, Trajectory)
