@@ -8,12 +8,20 @@
  * Arrays arrive through the buffer protocol. Every buffer is checked for
  * dtype, contiguity and length before the loop touches it, so a bad argument
  * raises ValueError instead of reading or writing out of bounds.
+ *
+ * setup.py defines STEPPER_SOURCE_SHA256, the SHA-256 of this file, and the
+ * module exposes it as SOURCE_SHA256, so a build can be checked against the
+ * source it is meant to run.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <string.h>
+
+#ifndef STEPPER_SOURCE_SHA256
+#error "STEPPER_SOURCE_SHA256 is undefined; build with setup.py"
+#endif
 
 #define N_ARRAYS 8
 #define N_INPUTS 4 /* hist_x, hist_y, hist_mid_x, hist_mid_y; the rest are outputs */
@@ -68,11 +76,11 @@ integrate(PyObject *self, PyObject *args)
         return NULL;
     /* No float64 buffer holds more than PY_SSIZE_T_MAX / 8 elements, so this
      * bound also keeps the +1 lengths below from overflowing. */
-    if (n_steps < 0 || n_delay < 1 ||
+    if (n_steps < 0 || n_delay < 2 ||
         n_steps > PY_SSIZE_T_MAX / 8 || n_delay > PY_SSIZE_T_MAX / 8) {
         PyErr_SetString(PyExc_ValueError,
                         "n_steps must be a non-negative count "
-                        "and n_delay a positive one");
+                        "and n_delay at least 2");
         return NULL;
     }
     min_len[0] = min_len[1] = n_delay + 1;
@@ -91,7 +99,7 @@ integrate(PyObject *self, PyObject *args)
 
     Py_ssize_t k, i1;
     double xdm, ydm, xd4, yd4;
-    double v1, vm, v4, avm, bvm;
+    double v1, vm, v4, av1, bv1, avm, bvm;
     double xk, yk, xn, yn;
     double k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y;
     double half_h = 0.5 * h;
@@ -100,10 +108,13 @@ integrate(PyObject *self, PyObject *args)
     double nr = -vent_rate;
     Py_ssize_t status = 0;
 
-    /* Ventilation at the delayed node of step 0, node -n_delay (history).
-     * Step k leaves the one of its last stage, node k + 1 - n_delay, in v1
-     * for step k + 1. */
+    /* alpha and beta times the ventilation at the delayed node of step 0,
+     * node -n_delay (history). Step k leaves those of its last stage, node
+     * k + 1 - n_delay, in av1, bv1 for step k + 1. The midpoint of step k
+     * reads dx[k + 1 - n_delay], which n_delay >= 2 puts before step k. */
     v1 = vent_gain * exp(nr * (vent_offset - hist_y[0])) * hist_x[0];
+    av1 = alpha * v1;
+    bv1 = beta * v1;
     for (k = 0; k < n_steps; k++) {
         i1 = k - n_delay;
         if (i1 >= 0) {
@@ -132,14 +143,16 @@ integrate(PyObject *self, PyObject *args)
         yk = y[k];
         avm = alpha * vm;
         bvm = beta * vm;
-        k1x = 1.0 - alpha * v1 * xk;
-        k1y = 1.0 - beta * v1 * yk;
+        k1x = 1.0 - av1 * xk;
+        k1y = 1.0 - bv1 * yk;
         k2x = 1.0 - avm * (xk + half_h * k1x);
         k2y = 1.0 - bvm * (yk + half_h * k1y);
         k3x = 1.0 - avm * (xk + half_h * k2x);
         k3y = 1.0 - bvm * (yk + half_h * k2y);
-        k4x = 1.0 - alpha * v4 * (xk + h * k3x);
-        k4y = 1.0 - beta * v4 * (yk + h * k3y);
+        av1 = alpha * v4;
+        bv1 = beta * v4;
+        k4x = 1.0 - av1 * (xk + h * k3x);
+        k4y = 1.0 - bv1 * (yk + h * k3y);
         dx[k] = k1x;
         dy[k] = k1y;
         xn = xk + h6 * (k1x + 2.0 * (k2x + k3x) + k4x);
@@ -150,12 +163,11 @@ integrate(PyObject *self, PyObject *args)
         }
         x[k + 1] = xn;
         y[k + 1] = yn;
-        v1 = v4;
     }
 
     if (status == 0) {
-        dx[n_steps] = 1.0 - alpha * v1 * x[n_steps];
-        dy[n_steps] = 1.0 - beta * v1 * y[n_steps];
+        dx[n_steps] = 1.0 - av1 * x[n_steps];
+        dy[n_steps] = 1.0 - bv1 * y[n_steps];
     }
 
     result = PyLong_FromSsize_t(status);
@@ -183,5 +195,12 @@ static struct PyModuleDef stepper_module = {
 PyMODINIT_FUNC
 PyInit__stepper(void)
 {
-    return PyModule_Create(&stepper_module);
+    PyObject *m = PyModule_Create(&stepper_module);
+
+    if (m != NULL &&
+        PyModule_AddStringConstant(m, "SOURCE_SHA256", STEPPER_SOURCE_SHA256) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
 }

@@ -1,13 +1,24 @@
 """Pure-Python twin of the compiled RK4 method-of-steps stepper.
 
-Kept expression-for-expression identical to ``_stepper.c`` (same operation
-order, same libm exp) so both backends produce bit-identical trajectories.
-Used when the compiled extension is unavailable or explicitly selected.
+Kept expression-for-expression identical to ``_stepper.c`` (same arithmetic
+in the same order, same libm exp) so both backends produce bit-identical
+trajectories. Used when the compiled extension is unavailable or explicitly
+selected.
+
+The two differ only in when they look for a blow-up. The C kernel checks the
+state after every step; the twin checks it once per delay interval (n_delay
+steps) and then finds the interval's first non-finite node. Both stop at the
+same node and write the same outputs, because a non-finite state stays
+non-finite: every step computes x[k+1] = x[k] + ...
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
+
+_ARRAY_NAMES = ("hist_x", "hist_y", "hist_mid_x", "hist_mid_y", "x", "y", "dx", "dy")
 
 
 def _exp(z):
@@ -16,6 +27,23 @@ def _exp(z):
         return math.exp(z)
     except OverflowError:
         return math.inf
+
+
+def _float64_view(obj, name, min_len, writable):
+    """A memoryview of obj, checked the way get_array in _stepper.c checks it.
+
+    The outputs are written as raw doubles, so anything other than a 1-d
+    C-contiguous float64 buffer of at least min_len elements is refused
+    before a byte is written.
+    """
+    view = memoryview(obj)
+    if view.ndim != 1 or view.format != "d" or not view.c_contiguous:
+        raise ValueError(f"{name} must be a 1-d C-contiguous float64 array")
+    if writable and view.readonly:
+        raise ValueError(f"{name} must be writable")
+    if view.shape[0] < min_len:
+        raise ValueError(f"{name} has {view.shape[0]} elements, needs at least {min_len}")
+    return view
 
 
 def integrate(
@@ -41,99 +69,125 @@ def integrate(
     hist_* carry the history sampled on the delayed grid (n_delay+1 node values,
     n_delay midpoint values); x[0], y[0] hold the initial state. Node values and
     node derivatives are written into x, y, dx, dy. Returns 0 on success, or the
-    1-based index of the first node whose state is non-finite.
+    1-based index s of the first node whose state is non-finite; then only
+    x[1:s], y[1:s], dx[:s] and dy[:s] are written.
 
-    n_delay must be at least 1: the delayed node of the last stage of step k,
-    k + 1 - n_delay, is then already known, and its ventilation is carried to
-    the first stage of step k + 1 instead of being computed twice.
+    n_delay must be at least 2. The midpoint of step k reads the derivative at
+    node k + 1 - n_delay, which step k + 1 - n_delay writes; with n_delay = 1
+    that is step k itself, so the value would be read before it is written.
     """
-    n = int(n_steps)
-    nd = int(n_delay)
-    if n < 0 or nd < 1:
-        raise ValueError("n_steps must be a non-negative count and n_delay a positive one")
+    # integers only, as the C kernel's "n" format takes them (TypeError otherwise)
+    n = operator.index(n_steps)
+    nd = operator.index(n_delay)
+    if n < 0 or nd < 2:
+        raise ValueError("n_steps must be a non-negative count and n_delay at least 2")
+    arrays = (hist_x, hist_y, hist_mid_x, hist_mid_y, x, y, dx, dy)
+    min_lens = (nd + 1, nd + 1, nd, nd) + (n + 1,) * 4
+    hx, hy, hmx, hmy, vx, vy, vdx, vdy = [
+        _float64_view(a, name, size, i >= 4)
+        for i, (a, name, size) in enumerate(zip(arrays, _ARRAY_NAMES, min_lens))
+    ]
     exp = math.exp
     isfinite = math.isfinite
     inf = math.inf
-    hx = hist_x.tolist()
-    hy = hist_y.tolist()
-    hmx = hist_mid_x.tolist()
-    hmy = hist_mid_y.tolist()
-    X = x.tolist()
-    Y = y.tolist()
-    DX = dx.tolist()
-    DY = dy.tolist()
 
     half_h = 0.5 * h
     h8 = 0.125 * h
     h6 = h / 6.0
     nr = -vent_rate
-    status = 0
 
-    # Ventilation at the delayed node of step 0, node -n_delay (history).
-    # Step k leaves the one of its last stage, node k + 1 - n_delay, in v1
-    # for step k + 1. exp() overflows to inf as in C (see _exp).
+    xk = vx[0]
+    yk = vy[0]
+    X = [xk]
+    Y = [yk]
+    DX = []
+    DY = []
+    # Nodes -n_delay .. 0 of the first interval's last stages: the history,
+    # except that node 0 is the initial state x[0], y[0].
+    HX = hx[:nd].tolist() + [xk]
+    HY = hy[:nd].tolist() + [yk]
+    HMX = hmx[:nd].tolist()
+    HMY = hmy[:nd].tolist()
+
+    # alpha and beta times the ventilation at the delayed node of step 0,
+    # node -n_delay. Step k leaves those of its last stage, node
+    # k + 1 - n_delay, in av1, bv1 for step k + 1. exp() overflows to inf as
+    # in C (see _exp).
     try:
-        e = exp(nr * (vent_offset - hy[0]))
+        e = exp(nr * (vent_offset - HY[0]))
     except OverflowError:
         e = inf
-    v1 = vent_gain * e * hx[0]
-    for k in range(n):
-        i1 = k - nd
-        if i1 >= 0:
-            xd4 = X[i1 + 1]
-            yd4 = Y[i1 + 1]
-            xdm = 0.5 * (X[i1] + xd4) + h8 * (DX[i1] - DX[i1 + 1])
-            ydm = 0.5 * (Y[i1] + yd4) + h8 * (DY[i1] - DY[i1 + 1])
-        else:
-            xdm = hmx[k]
-            ydm = hmy[k]
-            if i1 < -1:
-                xd4 = hx[k + 1]
-                yd4 = hy[k + 1]
+    v1 = vent_gain * e * HX[0]
+    av1 = alpha * v1
+    bv1 = beta * v1
+    lo = 0
+    while lo < n:
+        hi = min(lo + nd, n)
+        for k in range(lo, hi):
+            i1 = k - nd
+            if i1 >= 0:
+                j = i1 + 1
+                xd4 = X[j]
+                yd4 = Y[j]
+                xdm = 0.5 * (X[i1] + xd4) + h8 * (DX[i1] - DX[j])
+                ydm = 0.5 * (Y[i1] + yd4) + h8 * (DY[i1] - DY[j])
             else:
-                xd4 = X[0]
-                yd4 = Y[0]
+                xd4 = HX[k + 1]
+                yd4 = HY[k + 1]
+                xdm = HMX[k]
+                ydm = HMY[k]
 
-        try:
-            e = exp(nr * (vent_offset - ydm))
-        except OverflowError:
-            e = inf
-        vm = vent_gain * e * xdm
-        try:
-            e = exp(nr * (vent_offset - yd4))
-        except OverflowError:
-            e = inf
-        v4 = vent_gain * e * xd4
+            try:
+                e = exp(nr * (vent_offset - ydm))
+            except OverflowError:
+                e = inf
+            vm = vent_gain * e * xdm
+            try:
+                e = exp(nr * (vent_offset - yd4))
+            except OverflowError:
+                e = inf
+            v4 = vent_gain * e * xd4
 
-        xk = X[k]
-        yk = Y[k]
-        avm = alpha * vm
-        bvm = beta * vm
-        k1x = 1.0 - alpha * v1 * xk
-        k1y = 1.0 - beta * v1 * yk
-        k2x = 1.0 - avm * (xk + half_h * k1x)
-        k2y = 1.0 - bvm * (yk + half_h * k1y)
-        k3x = 1.0 - avm * (xk + half_h * k2x)
-        k3y = 1.0 - bvm * (yk + half_h * k2y)
-        k4x = 1.0 - alpha * v4 * (xk + h * k3x)
-        k4y = 1.0 - beta * v4 * (yk + h * k3y)
-        DX[k] = k1x
-        DY[k] = k1y
-        xn = xk + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        yn = yk + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if not (isfinite(xn) and isfinite(yn)):
-            status = k + 1
+            avm = alpha * vm
+            bvm = beta * vm
+            k1x = 1.0 - av1 * xk
+            k1y = 1.0 - bv1 * yk
+            k2x = 1.0 - avm * (xk + half_h * k1x)
+            k2y = 1.0 - bvm * (yk + half_h * k1y)
+            k3x = 1.0 - avm * (xk + half_h * k2x)
+            k3y = 1.0 - bvm * (yk + half_h * k2y)
+            av1 = alpha * v4
+            bv1 = beta * v4
+            k4x = 1.0 - av1 * (xk + h * k3x)
+            k4y = 1.0 - bv1 * (yk + h * k3y)
+            DX.append(k1x)
+            DY.append(k1y)
+            xk = xk + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+            yk = yk + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+            X.append(xk)
+            Y.append(yk)
+        if not (isfinite(xk) and isfinite(yk)):
             break
-        X[k + 1] = xn
-        Y[k + 1] = yn
-        v1 = v4
+        lo = hi
 
-    if status == 0:
-        DX[n] = 1.0 - alpha * v1 * X[n]
-        DY[n] = 1.0 - beta * v1 * Y[n]
+    if lo < n:
+        # the interval [lo, hi) blew up: find its first non-finite node
+        status = lo + 1
+        while isfinite(X[status]) and isfinite(Y[status]):
+            status += 1
+        end = status
+    else:
+        status = 0
+        DX.append(1.0 - av1 * xk)
+        DY.append(1.0 - bv1 * yk)
+        end = n + 1
 
-    x[:] = X
-    y[:] = Y
-    dx[:] = DX
-    dy[:] = DY
+    # x[0], y[0] are inputs; steps 1 .. end - 1 and derivatives 0 .. end - 1
+    # are written as raw doubles, which struct packs faster than NumPy assigns.
+    fmt = f"{end - 1}d"
+    struct.pack_into(fmt, vx, 8, *X[1:end])
+    struct.pack_into(fmt, vy, 8, *Y[1:end])
+    fmt = f"{end}d"
+    struct.pack_into(fmt, vdx, 0, *DX[:end])
+    struct.pack_into(fmt, vdy, 0, *DY[:end])
     return status

@@ -24,7 +24,9 @@ row per accepted step plus the start row) that can be exported as CSV via
 write_trace_csv. The search is unconstrained: nothing stops iterates from
 visiting negative alpha or beta, and if the model blows up there the trial
 is treated as a rejected step. A start point whose cost is not finite is an
-error (NonFiniteError), since no step could be compared against it.
+error (NonFiniteError), since no step could be compared against it, and so is
+a forward-difference probe that blows up, since the Jacobian it belongs to
+cannot be formed.
 """
 
 from __future__ import annotations
@@ -258,7 +260,8 @@ def solve_lm(problem, p0, opts: SolverOptions | None = None) -> FitResult:
     iteration. Raises SingularNormalEquationsError if a Jacobian column
     vanishes or the damped normal equations stay singular all the way up to
     lambda_max (an unidentifiable parameter direction), and NonFiniteError
-    if the cost at p0 is not finite.
+    if the cost at p0 is not finite or a forward-difference probe blows up,
+    at p0 or after an accepted step.
     """
     opts = opts or SolverOptions()
     lam = opts.lambda0
@@ -339,7 +342,8 @@ def solve_trust_region(problem, p0, opts: SolverOptions | None = None) -> FitRes
     shrinks by 4 when rho < 0.25 and doubles (capped at radius_max) when
     rho > 0.75 with the step on the boundary. Raises
     SingularNormalEquationsError if a Jacobian column vanishes, and
-    NonFiniteError if the cost at p0 is not finite.
+    NonFiniteError if the cost at p0 is not finite or a forward-difference
+    probe blows up, at p0 or after an accepted step.
     """
     opts = opts or SolverOptions()
     radius = opts.radius0

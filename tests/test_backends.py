@@ -1,9 +1,12 @@
 """The compiled and pure-Python steppers must be interchangeable bit for bit."""
 
+import collections
+import hashlib
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,14 @@ def test_python_backend_always_available():
 def test_compiled_backend_built():
     # the build is expected to produce the extension in this repo
     assert "compiled" in backend.available()
+
+
+@needs_kernel
+def test_compiled_kernel_was_built_from_the_source_on_disk():
+    # a stale in-place build would otherwise run an old kernel silently
+    source = Path(backend.__file__).with_name("_stepper.c")
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()
+    assert backend.available()["compiled"].SOURCE_SHA256 == digest
 
 
 @pytest.mark.parametrize(
@@ -198,13 +209,14 @@ def _reference_integrate(
 _EXP_OVERFLOW_Y = 100.0 + math.log(np.finfo(float).max) / 0.05
 
 
-def _random_kernel_call(rng, overflow):
+def _random_kernel_call(rng, overflow, delays=(1, 60)):
     """Arguments of one kernel call: random gains of either sign, delay, window and history.
 
-    Windows range from no step at all to eight delays. With overflow, the
-    history's y straddles the level where exp() overflows to inf.
+    The steps per delay are drawn from range(*delays). Windows range from no
+    step at all to eight delays. With overflow, the history's y straddles the
+    level where exp() overflows to inf.
     """
-    nd = int(rng.integers(1, 60))
+    nd = int(rng.integers(*delays))
     n = int(rng.integers(0, 8 * nd + 2))
     alpha, beta = (float(v) for v in rng.uniform(-4.0, 4.0, 2))
     level = _EXP_OVERFLOW_Y if overflow else rng.uniform(1.0, 60.0)
@@ -218,24 +230,76 @@ def _random_kernel_call(rng, overflow):
             hist(nd + 1), hist(nd + 1), hist(nd), hist(nd), *outs]
 
 
-@pytest.mark.parametrize("name", ["python", pytest.param("compiled", marks=needs_kernel)])
+def _copy_args(args):
+    return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+
+
+def _assert_matches_reference(integrate, args, label):
+    """Run integrate and the reference on copies of args; return the common status."""
+    got_args = _copy_args(args)
+    ref_args = _copy_args(args)
+    status = integrate(*got_args)
+    assert status == _reference_integrate(*ref_args), label
+    for got, want in zip(got_args[12:], ref_args[12:]):
+        assert got.tobytes() == want.tobytes(), label
+    return status
+
+
+BACKENDS = ["python", pytest.param("compiled", marks=needs_kernel)]
+
+
+@pytest.mark.parametrize("name", BACKENDS)
 def test_kernel_matches_reference_stepper(name):
     integrate = backend.available()[name].integrate
     rng = np.random.default_rng(20221)
-    blow_ups = overflows = 0
+    blow_ups = overflows = one_delay = 0
     for i in range(240):
         overflow = i % 8 == 0
         args = _random_kernel_call(rng, overflow)
-        ref_args = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
-        status = integrate(*args)
-        assert status == _reference_integrate(*ref_args), i
-        for got, want in zip(args[12:], ref_args[12:]):
-            assert got.tobytes() == want.tobytes(), i
+        if args[7] == 1:
+            # the midpoint of step k would read dx[k] before step k writes it
+            untouched = _copy_args(args)
+            with pytest.raises(ValueError):
+                integrate(*args)
+            for got, want in zip(args[12:], untouched[12:]):
+                assert got.tobytes() == want.tobytes(), i
+            one_delay += 1
+            continue
+        status = _assert_matches_reference(integrate, args, i)
         blow_ups += status != 0
         overflows += overflow and status != 0
     # both failure paths were exercised, not only clean runs
     assert overflows >= 20
     assert blow_ups - overflows >= 20
+    assert one_delay >= 1
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_blow_ups_at_delay_interval_edges_match_reference_stepper(name):
+    # The twin looks for a blow-up once per delay interval of n_delay steps;
+    # wherever the first non-finite step falls, status and outputs must be
+    # those of the per-step reference. Short delays put many blow-ups on
+    # interval edges.
+    integrate = backend.available()[name].integrate
+    rng = np.random.default_rng(70)
+    seen = collections.Counter()
+    for i in range(400):
+        args = _random_kernel_call(rng, i % 2 == 0, delays=(2, 9))
+        status = _assert_matches_reference(integrate, args, i)
+        if status == 0:
+            continue
+        step, nd = status - 1, args[7]
+        seen["first interval"] += step < nd
+        seen["first step of a later interval"] += step >= nd and step % nd == 0
+        seen["last step of an interval"] += step % nd == nd - 1
+        # again with the window ending on the step that blows up
+        args[6] = status
+        args[12:] = [out[: status + 1] for out in args[12:]]
+        assert _assert_matches_reference(integrate, args, i) == status
+        seen["step n"] += 1
+    for edge in ("first interval", "first step of a later interval",
+                 "last step of an interval", "step n"):
+        assert seen[edge] >= 5, (edge, seen)
 
 
 def _kernel_args(n_steps=20, n_delay=50):
@@ -262,17 +326,29 @@ def _strided_output(args):
     args[15] = np.full(2 * len(args[15]), 7.0)[::2]
 
 
+def _int64_output(args):
+    # the twin writes raw doubles, which would land in an int64 buffer unnoticed
+    args[13] = np.full(len(args[13]), 7, dtype=np.int64)
+
+
 def _zero_delay(args):
     # the last stage of step k would read node k + 1 before step k writes it
     args[7] = 0
 
 
+def _one_delay(args):
+    # the midpoint of step k would read dx[k] before step k writes it
+    args[7] = 1
+
+
 @pytest.mark.parametrize(
-    "spoil", [_short_hist_x, _float32_hist_mid_y, _read_only_output, _strided_output, _zero_delay]
+    "spoil",
+    [_short_hist_x, _float32_hist_mid_y, _read_only_output, _strided_output, _int64_output,
+     _zero_delay, _one_delay],
 )
-@needs_kernel
-def test_kernel_rejects_bad_buffers(spoil):
-    integrate = backend.available()["compiled"].integrate
+@pytest.mark.parametrize("name", BACKENDS)
+def test_kernel_rejects_bad_buffers(name, spoil):
+    integrate = backend.available()[name].integrate
     args = _kernel_args()
     integrate(*args)  # the unspoiled arguments are accepted
     args = _kernel_args()
@@ -284,14 +360,27 @@ def test_kernel_rejects_bad_buffers(spoil):
         assert np.all(out == 7.0)
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_kernel_rejects_fractional_step_counts(name):
+    integrate = backend.available()[name].integrate
+    for i in (6, 7):  # n_steps, n_delay
+        args = _kernel_args()
+        args[i] += 0.5
+        with pytest.raises(TypeError):
+            integrate(*args)
+        for out in args[12:]:
+            assert np.all(out == 7.0)
+
+
 def test_python_twin_rejects_zero_delay():
     integrate = backend.available()["python"].integrate
-    args = _kernel_args()
-    _zero_delay(args)
-    with pytest.raises(ValueError):
-        integrate(*args)
-    for out in args[12:]:
-        assert np.all(out == 7.0)
+    for spoil in (_zero_delay, _one_delay):
+        args = _kernel_args()
+        spoil(args)
+        with pytest.raises(ValueError):
+            integrate(*args)
+        for out in args[12:]:
+            assert np.all(out == 7.0)
 
 
 def test_select_unknown_backend():

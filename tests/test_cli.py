@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from respfit import fitting
 from respfit.cli import main
+from respfit.errors import NonFiniteError
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -151,6 +153,27 @@ def test_vanishing_jacobian_is_solver_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver failure" in err and "fit_lm" in err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_probe_blow_up_after_an_accepted_step_is_solver_failure(tmp_path, capsys, monkeypatch):
+    # the first Jacobian, at p0, is formed; every later one has a probe that blows up
+    real_fd_jacobian = fitting.fd_jacobian
+    calls = []
+
+    def failing_after_the_start(problem, p, base_residual=None):
+        calls.append(p)
+        if len(calls) > 1:
+            raise NonFiniteError("state became non-finite at a forward-difference probe")
+        return real_fd_jacobian(problem, p, base_residual)
+
+    monkeypatch.setattr(fitting, "fd_jacobian", failing_after_the_start)
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(CONFIG_TEXT + f"out_dir = {tmp_path / 'r'}\n")
+    assert main(["run-config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "fit_lm" in err and "forward-difference probe" in err
+    assert len(calls) == 2
+    assert not (tmp_path / "r" / "summary.json").exists()
 
 
 def _reject_constant(name):

@@ -339,6 +339,38 @@ def test_blowup_trials_are_treated_as_rejections(solver):
     assert all(b < a for a, b in zip(costs, costs[1:]))
 
 
+class _ProbeWall:
+    """Quadratic bowl whose first forward-difference probe after an accepted step blows up.
+
+    Evaluations 1-3 are the start point and its two probes, 4 the first trial
+    step, which a linear residual always accepts, and 5 the first probe at the
+    accepted point.
+    """
+
+    def __init__(self):
+        self.points = []
+
+    def residuals(self, p):
+        p = np.asarray(p, dtype=float)
+        self.points.append(p.copy())
+        if len(self.points) == 5:
+            raise NonFiniteError("model exploded")
+        return np.array([p[0] - 3.0, 10.0 * (p[1] - 1.0)])
+
+
+@pytest.mark.parametrize("solver", [solve_lm, solve_trust_region])
+def test_probe_blow_up_after_an_accepted_step_is_an_error(solver):
+    # a trial that blows up is a rejected step; a probe that does leaves no
+    # Jacobian to continue with
+    problem = _ProbeWall()
+    with pytest.raises(NonFiniteError):
+        solver(problem, (0.0, 0.0))
+    assert len(problem.points) == 5
+    probe_step = problem.points[4] - problem.points[3]
+    assert np.count_nonzero(probe_step) == 1
+    assert 0.0 < np.max(np.abs(probe_step)) < 1e-6
+
+
 def test_trace_csv_layouts(tmp_path, noisy_problem):
     lm = solve_lm(noisy_problem, (0.3, 0.5))
     tr = solve_trust_region(noisy_problem, (0.3, 0.5))
