@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._artifacts import write_csv, write_json
 from .model import Constants, ModelParams
 from .solver import HistoryFunction, fields_equal, history_from_description, solve_dde
 
@@ -116,10 +117,8 @@ def save_dataset(
     recorded when given so the file pair is self-describing.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("t,x_obs,y_obs\n")
-        for t, x, y in zip(dataset.times, dataset.x_obs, dataset.y_obs):
-            fh.write(f"{t:.17g},{x:.17g},{y:.17g}\n")
+    rows = zip(dataset.times.tolist(), dataset.x_obs.tolist(), dataset.y_obs.tolist())
+    write_csv(csv_path, ("t", "x_obs", "y_obs"), rows)
 
     truth = None
     if dataset.truth is not None:
@@ -133,9 +132,7 @@ def save_dataset(
         "history": history.describe() if history is not None else None,
         "solver": solver_settings,
     }
-    with open(_meta_path(csv_path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(_meta_path(csv_path), meta)
 
 
 def load_dataset(csv_path) -> tuple[Dataset, dict]:

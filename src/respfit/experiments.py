@@ -11,20 +11,19 @@ point, noise level, and history that the toolkit is built to study:
 
 Each run writes, into its output directory: the dataset CSV and its JSON
 sidecar, one iteration-trace CSV per algorithm, the fitted trajectory at the
-best fit, residual histograms for x and y, and a summary.json record. All
-files are written deterministically (fixed key order, 17-significant-digit
-floats, no timestamps), so identical invocations produce identical bytes.
+best fit, residual histograms for x and y, and a summary.json record, all in
+the byte format of ``_artifacts``, so identical invocations write identical bytes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._artifacts import write_csv, write_json
 from .data import generate_dataset, save_dataset
 from .errors import ConfigError, InvalidGridError, SolverError
 from .fitting import FitResult, ResidualProblem, solve_lm, solve_trust_region, write_trace_csv
@@ -35,6 +34,10 @@ ALGORITHMS = ("lm", "tr")
 # Largest RK4 step count a config may ask for. A trajectory holds five
 # float64 arrays with one entry per step: 400 MB at this cap.
 MAX_STEPS = 10_000_000
+# Largest sample count a config may ask for. At its peak a run holds about 30
+# float64 values per sample point (dataset, sample plan, residuals, Jacobian
+# and temporaries; 240 B under tracemalloc): 400 MB / (30 * 8 B) points.
+MAX_POINTS = 400_000_000 // (30 * 8)
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not (math.isfinite(self.t0) and math.isfinite(self.t_end) and self.t_end > self.t0):
             raise ConfigError(f"t_end: must exceed t0, got [{self.t0!r}, {self.t_end!r}]")
-        if self.n_points < 2:
-            raise ConfigError(f"n_points: must be at least 2, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_POINTS:
+            raise ConfigError(f"n_points: must be from 2 to {MAX_POINTS}, got {self.n_points}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ConfigError(f"sigma: must be nonnegative, got {self.sigma!r}")
         if not (0 <= self.seed < 2**64):
@@ -87,15 +90,25 @@ class ExperimentConfig:
         resolve_history(self.history_spec, self.truth)  # raises ConfigError if malformed
 
 
+def _staged(stage: str, exc: SolverError) -> SolverError:
+    wrapped = type(exc)(f"{stage}: {exc}")
+    wrapped.__cause__ = exc
+    return wrapped
+
+
 def resolve_history(spec: str, truth: ModelParams) -> HistoryFunction:
     """Turn a history spec string into a history function.
 
     ``constant:X,Y`` holds the state (X, Y) before t0; ``equilibrium`` holds
-    the equilibrium point of the truth parameters, computed on the spot.
+    the equilibrium point of the truth parameters, computed on the spot. A
+    failure to find it is a SolverError naming the stage resolve_history.
     """
     spec = spec.strip()
     if spec == "equilibrium":
-        eq = equilibrium_solve(truth)
+        try:
+            eq = equilibrium_solve(truth)
+        except SolverError as exc:
+            raise _staged("resolve_history", exc) from exc
         return ConstantHistory(State(eq.x_star, eq.y_star))
     if spec.startswith("constant:"):
         parts = spec[len("constant:") :].split(",")
@@ -180,29 +193,17 @@ def _rel_err_pct(fit: tuple[float, float], truth: ModelParams) -> tuple[float, f
 
 
 def _histogram(errors: np.ndarray, sigma: float, n_bins: int = 10):
-    """Equal-width bins on [-4 sigma, 4 sigma]; outliers land in the edge bins.
+    """Rows (bin_lo, bin_hi, count) of equal-width bins on [-4 sigma, 4 sigma].
 
-    With sigma = 0 the span degenerates, so it falls back to the error range
-    itself (floored at 1e-12 so the edges stay distinct).
+    Outliers land in the edge bins. With sigma = 0 the span degenerates, so it
+    falls back to the error range itself (floored at 1e-12 so the edges stay
+    distinct).
     """
     half = 4.0 * sigma if sigma > 0.0 else max(float(np.max(np.abs(errors))), 1e-12)
     edges = np.linspace(-half, half, n_bins + 1)
     idx = np.clip(np.searchsorted(edges, errors, side="right") - 1, 0, n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
-    return edges, counts
-
-
-def _write_histogram(path: Path, edges: np.ndarray, counts: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_lo,bin_hi,count\n")
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            fh.write(f"{lo:.17g},{hi:.17g},{int(c)}\n")
-
-
-def _staged(stage: str, exc: SolverError) -> SolverError:
-    wrapped = type(exc)(f"{stage}: {exc}")
-    wrapped.__cause__ = exc
-    return wrapped
+    return zip(edges[:-1], edges[1:], counts)
 
 
 def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
@@ -285,10 +286,9 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
         fitted.to_csv(out / f"fit_{algo}.csv")
 
         fx, fy = fitted.eval_many(problem.plan)
-        edges_x, counts_x = _histogram(dataset.x_obs - fx, config.sigma)
-        edges_y, counts_y = _histogram(dataset.y_obs - fy, config.sigma)
-        _write_histogram(out / f"hist_{algo}_x.csv", edges_x, counts_x)
-        _write_histogram(out / f"hist_{algo}_y.csv", edges_y, counts_y)
+        for axis, errors in (("x", dataset.x_obs - fx), ("y", dataset.y_obs - fy)):
+            rows = _histogram(errors, config.sigma)
+            write_csv(out / f"hist_{algo}_{axis}.csv", ("bin_lo", "bin_hi", "count"), rows)
 
         rel = _rel_err_pct(result.best_fit, config.truth)
         iters = result.trace[-1].iteration
@@ -302,9 +302,7 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
         }
         runs[algo] = AlgorithmSummary(result.best_fit, iters, rel)
 
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
 
     return SummaryRow(
         example=config.name,
@@ -373,14 +371,8 @@ def run_summary(seeds, out_dir) -> list[dict]:
                 agg[f"{algo}_max_{param}_pct"] = max(errs)
         aggregates.append(agg)
 
-    with open(out / "summary.csv", "w", newline="") as fh:
-        fh.write(",".join(_AGG_FIELDS) + "\n")
-        for agg in aggregates:
-            cells = []
-            for key in _AGG_FIELDS:
-                v = agg[key]
-                cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-            fh.write(",".join(cells) + "\n")
+    rows = ([agg[key] for key in _AGG_FIELDS] for agg in aggregates)
+    write_csv(out / "summary.csv", _AGG_FIELDS, rows)
 
     _write_text_table(out / "summary.txt", aggregates)
     return aggregates
@@ -422,7 +414,7 @@ _CONFIG_COERCIONS = {
     "t0": float,
     "t_end": float,
     "steps_per_delay": int,
-    "algorithms": str,
+    "algorithms": lambda text: tuple(a.strip().lower() for a in text.split(",") if a.strip()),
     "out_dir": str,
 }
 
@@ -473,23 +465,11 @@ def parse_config_file(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    algorithms = ALGORITHMS
-    if "algorithms" in values:
-        algorithms = tuple(a.strip().lower() for a in values["algorithms"].split(",") if a.strip())
+    # keys named after a field set it; absent ones leave the field's default
+    optional = {f.name: values[f.name] for f in fields(ExperimentConfig) if f.name in values}
+    if "history" in values:
+        optional["history_spec"] = values["history"]
 
-    config = ExperimentConfig(
-        truth=truth,
-        p0=(values["p0_alpha"], values["p0_beta"]),
-        sigma=values["sigma"],
-        seed=values["seed"],
-        n_points=values.get("n_points", 51),
-        history_spec=values.get("history", "constant:35,35"),
-        t0=values.get("t0", 0.0),
-        t_end=values.get("t_end", 5.0),
-        steps_per_delay=values.get("steps_per_delay", 50),
-        algorithms=algorithms,
-        name=values.get("name", "custom"),
-        out_dir=values.get("out_dir"),
-    )
+    config = ExperimentConfig(truth=truth, p0=(values["p0_alpha"], values["p0_beta"]), **optional)
     config.validate()
     return config

@@ -34,11 +34,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._artifacts import write_csv
 from .data import Dataset
 from .errors import NonFiniteError, SingularNormalEquationsError
 from .model import Constants
@@ -384,6 +385,16 @@ def solve_trust_region(problem, p0, opts: SolverOptions | None = None) -> FitRes
     return search.result(Termination.MAX_ITERATIONS)
 
 
+# Trace layouts: the (header, IterationRecord attribute) of each column.
+_TRACE_COLUMNS = {
+    "LM": (("iter", "iteration"), ("fcount", "function_count"), ("residual", "residual"),
+           ("first_order_opt", "first_order_opt"), ("lambda", "lam"), ("step_norm", "step_norm")),
+    "TrustRegion": (("iter", "iteration"), ("fcount", "function_count"),
+                    ("residual", "residual"), ("step_norm", "step_norm"),
+                    ("first_order_opt", "first_order_opt"), ("trust_radius", "trust_radius")),
+}
+
+
 def write_trace_csv(result: FitResult, path) -> None:
     """Export the iteration trace with the table layout of its algorithm.
 
@@ -391,23 +402,6 @@ def write_trace_csv(result: FitResult, path) -> None:
     TR:  iter,fcount,residual,step_norm,first_order_opt,trust_radius
     step_norm is empty on the iteration-0 row.
     """
-
-    def fmt(v: float | None) -> str:
-        return "" if v is None else f"{v:.17g}"
-
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        if result.algorithm == "LM":
-            fh.write("iter,fcount,residual,first_order_opt,lambda,step_norm\n")
-            for rec in result.trace:
-                fh.write(
-                    f"{rec.iteration},{rec.function_count},{fmt(rec.residual)},"
-                    f"{fmt(rec.first_order_opt)},{fmt(rec.lam)},{fmt(rec.step_norm)}\n"
-                )
-        else:
-            fh.write("iter,fcount,residual,step_norm,first_order_opt,trust_radius\n")
-            for rec in result.trace:
-                fh.write(
-                    f"{rec.iteration},{rec.function_count},{fmt(rec.residual)},"
-                    f"{fmt(rec.step_norm)},{fmt(rec.first_order_opt)},{fmt(rec.trust_radius)}\n"
-                )
+    columns = _TRACE_COLUMNS[result.algorithm]
+    row_of = operator.attrgetter(*(attr for _, attr in columns))
+    write_csv(path, [name for name, _ in columns], map(row_of, result.trace))

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import backend
+from ._artifacts import write_csv
 from .errors import InvalidGridError, NonFiniteError, OutOfDomainError
 from .model import Constants, ModelParams, State
 
@@ -233,10 +234,8 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write the node grid as CSV (t,x,y) at full double precision."""
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x,y\n")
-            for t, x, y in zip(self.grid.times, self.x, self.y):
-                fh.write(f"{t:.17g},{x:.17g},{y:.17g}\n")
+        rows = zip(self.grid.times.tolist(), self.x.tolist(), self.y.tolist())
+        write_csv(path, ("t", "x", "y"), rows)
 
 
 def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int:

@@ -67,6 +67,19 @@ def test_over_long_window_is_config_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_over_large_sample_count_is_config_error(tmp_path, capsys, monkeypatch):
+    # rejected by validation, before the sample times are allocated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generate_dataset called for an over-large sample count")
+
+    monkeypatch.setattr("respfit.experiments.generate_dataset", unreachable)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(CONFIG_TEXT + f"n_points = 10000000000000\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run-config", str(cfg)]) == 1
+    assert "n_points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_config_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "exp.cfg"
@@ -108,6 +121,17 @@ def test_solver_failure_exit_two(tmp_path, capsys):
     assert "solver failure" in err
     assert "generate_dataset" in err  # failing stage is named
     assert not (tmp_path / "r").exists()  # no empty run directory is left
+
+
+def test_missing_equilibrium_names_its_stage(tmp_path, capsys):
+    # with a vanishing alpha the equilibrium leaves the search bracket
+    cfg = tmp_path / "exp.cfg"
+    text = CONFIG_TEXT.replace("alpha = 0.5", "alpha = 1e-12")
+    cfg.write_text(text + f"history = equilibrium\nout_dir = {tmp_path / 'r'}\n")
+    assert main(["run-config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure: resolve_history: no equilibrium" in err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("extra", ["t_end = 5.01", "tau = 0.7"])

@@ -8,6 +8,7 @@ import pytest
 from respfit import ConfigError, ModelParams, equilibrium_solve
 from respfit.data import load_dataset
 from respfit.experiments import (
+    MAX_POINTS,
     PRESETS,
     ExperimentConfig,
     parse_config_file,
@@ -208,6 +209,14 @@ def test_validate_caps_the_step_count():
             replace(base, t_end=t_end).validate()
 
 
+def test_validate_caps_the_sample_count():
+    base = PRESETS["ex1"]
+    replace(base, n_points=MAX_POINTS).validate()
+    for n_points in (MAX_POINTS + 1, 10**13):
+        with pytest.raises(ConfigError, match="n_points"):
+            replace(base, n_points=n_points).validate()
+
+
 def test_run_summary_single_seed(tmp_path):
     rows = run_summary([1], tmp_path)
     assert len(rows) == 5
@@ -259,6 +268,13 @@ def test_parse_config_file_round_trips_preset(tmp_path):
     path.write_text(CONFIG_TEXT)
     cfg = parse_config_file(path)
     assert cfg == PRESETS["ex1"]
+
+
+def test_parse_config_file_defaults_are_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("alpha = 0.6\nbeta = 0.7\np0_alpha = 0.2\np0_beta = 0.4\nsigma = 0.1\nseed = 9")
+    expected = ExperimentConfig(ModelParams(alpha=0.6, beta=0.7), (0.2, 0.4), 0.1, 9)
+    assert parse_config_file(path) == expected
 
 
 def test_parse_config_file_errors(tmp_path):

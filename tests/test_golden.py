@@ -25,6 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from respfit import backend
 from respfit.cli import main as cli_main
 
 MANIFEST = Path(__file__).with_name("golden") / "run_summary_seeds_1_2_3.sha256"
@@ -48,17 +49,24 @@ def _read_manifest() -> dict[str, str]:
 
 
 def test_run_summary_artifacts_match_golden_digest(tmp_path):
+    # once per importable stepper backend: neither may move a byte
     pinned = _read_manifest()
-    got = _digests(tmp_path / "out")
-    missing = sorted(set(pinned) - set(got))
-    extra = sorted(set(got) - set(pinned))
-    changed = sorted(name for name in set(pinned) & set(got) if pinned[name] != got[name])
-    assert not (missing or extra or changed), (
-        f"{len(changed)} changed, {len(missing)} missing, {len(extra)} extra of "
-        f"{len(pinned)} pinned files; changed: {changed[:5]} missing: {missing[:5]} "
-        f"extra: {extra[:5]}"
-    )
-    assert len(got) == 167
+    chosen = backend.selected()
+    try:
+        for kernel in backend.available():
+            backend.select(kernel)
+            got = _digests(tmp_path / kernel)
+            missing = sorted(set(pinned) - set(got))
+            extra = sorted(set(got) - set(pinned))
+            changed = sorted(n for n in set(pinned) & set(got) if pinned[n] != got[n])
+            assert not (missing or extra or changed), (
+                f"{kernel} backend: {len(changed)} changed, {len(missing)} missing, "
+                f"{len(extra)} extra of {len(pinned)} pinned files; changed: {changed[:5]} "
+                f"missing: {missing[:5]} extra: {extra[:5]}"
+            )
+            assert len(got) == 167
+    finally:
+        backend.select(chosen)
 
 
 if __name__ == "__main__":
