@@ -3,7 +3,9 @@
  * integrate() is expression-for-expression identical to
  * _stepper_py.integrate (same operation order, same libm exp) so the two
  * backends produce bit-identical trajectories; see that module for the
- * contract. Build without FP contraction or -ffast-math (see setup.py).
+ * contract. The history enters the kernel as its ventilation, so the first
+ * delay interval evaluates no exp. Build without FP contraction or
+ * -ffast-math (see setup.py).
  *
  * Arrays arrive through the buffer protocol. Every buffer is checked for
  * dtype, contiguity and length before the loop touches it, so a bad argument
@@ -23,11 +25,11 @@
 #error "STEPPER_SOURCE_SHA256 is undefined; build with setup.py"
 #endif
 
-#define N_ARRAYS 8
-#define N_INPUTS 4 /* hist_x, hist_y, hist_mid_x, hist_mid_y; the rest are outputs */
+#define N_ARRAYS 6
+#define N_INPUTS 2 /* hist_v, hist_mid_v; the rest are outputs */
 
 static const char *const array_names[N_ARRAYS] = {
-    "hist_x", "hist_y", "hist_mid_x", "hist_mid_y", "x", "y", "dx", "dy",
+    "hist_v", "hist_mid_v", "x", "y", "dx", "dy",
 };
 
 /* Acquire a 1-d C-contiguous float64 buffer of at least min_len elements. */
@@ -69,10 +71,10 @@ integrate(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     int held = 0;
 
-    if (!PyArg_ParseTuple(args, "ddddddnnOOOOOOOO:integrate",
+    if (!PyArg_ParseTuple(args, "ddddddnnOOOOOO:integrate",
                           &alpha, &beta, &vent_gain, &vent_rate, &vent_offset,
                           &h, &n_steps, &n_delay, &objs[0], &objs[1], &objs[2],
-                          &objs[3], &objs[4], &objs[5], &objs[6], &objs[7]))
+                          &objs[3], &objs[4], &objs[5]))
         return NULL;
     /* No float64 buffer holds more than PY_SSIZE_T_MAX / 8 elements, so this
      * bound also keeps the +1 lengths below from overflowing. */
@@ -83,23 +85,21 @@ integrate(PyObject *self, PyObject *args)
                         "and n_delay at least 2");
         return NULL;
     }
-    min_len[0] = min_len[1] = n_delay + 1;
-    min_len[2] = min_len[3] = n_delay;
-    min_len[4] = min_len[5] = min_len[6] = min_len[7] = n_steps + 1;
+    min_len[0] = min_len[1] = n_delay;
+    min_len[2] = min_len[3] = min_len[4] = min_len[5] = n_steps + 1;
     for (; held < N_ARRAYS; held++) {
         if (get_array(objs[held], array_names[held], min_len[held],
                       held >= N_INPUTS, &views[held]) < 0)
             goto done;
     }
 
-    const double *hist_x = views[0].buf, *hist_y = views[1].buf;
-    const double *hist_mid_x = views[2].buf, *hist_mid_y = views[3].buf;
-    double *x = views[4].buf, *y = views[5].buf;
-    double *dx = views[6].buf, *dy = views[7].buf;
+    const double *hist_v = views[0].buf, *hist_mid_v = views[1].buf;
+    double *x = views[2].buf, *y = views[3].buf;
+    double *dx = views[4].buf, *dy = views[5].buf;
 
     Py_ssize_t k, i1;
     double xdm, ydm, xd4, yd4;
-    double v1, vm, v4, av1, bv1, avm, bvm;
+    double v0, vm, v4, av1, bv1, avm, bvm;
     double xk, yk, xn, yn;
     double k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y;
     double half_h = 0.5 * h;
@@ -108,13 +108,16 @@ integrate(PyObject *self, PyObject *args)
     double nr = -vent_rate;
     Py_ssize_t status = 0;
 
+    /* The history enters as its ventilation; node 0's is that of the
+     * initial state x[0], y[0], which may differ from the history. */
+    v0 = vent_gain * exp(nr * (vent_offset - y[0])) * x[0];
+
     /* alpha and beta times the ventilation at the delayed node of step 0,
      * node -n_delay (history). Step k leaves those of its last stage, node
      * k + 1 - n_delay, in av1, bv1 for step k + 1. The midpoint of step k
      * reads dx[k + 1 - n_delay], which n_delay >= 2 puts before step k. */
-    v1 = vent_gain * exp(nr * (vent_offset - hist_y[0])) * hist_x[0];
-    av1 = alpha * v1;
-    bv1 = beta * v1;
+    av1 = alpha * hist_v[0];
+    bv1 = beta * hist_v[0];
     for (k = 0; k < n_steps; k++) {
         i1 = k - n_delay;
         if (i1 >= 0) {
@@ -122,22 +125,14 @@ integrate(PyObject *self, PyObject *args)
             yd4 = y[i1 + 1];
             xdm = 0.5 * (x[i1] + xd4) + h8 * (dx[i1] - dx[i1 + 1]);
             ydm = 0.5 * (y[i1] + yd4) + h8 * (dy[i1] - dy[i1 + 1]);
+            vm = vent_gain * exp(nr * (vent_offset - ydm)) * xdm;
+            v4 = vent_gain * exp(nr * (vent_offset - yd4)) * xd4;
         }
         else {
-            xdm = hist_mid_x[k];
-            ydm = hist_mid_y[k];
-            if (i1 < -1) {
-                xd4 = hist_x[k + 1];
-                yd4 = hist_y[k + 1];
-            }
-            else {
-                xd4 = x[0];
-                yd4 = y[0];
-            }
+            /* first delay interval: the delayed state is the history */
+            vm = hist_mid_v[k];
+            v4 = i1 < -1 ? hist_v[k + 1] : v0;
         }
-
-        vm = vent_gain * exp(nr * (vent_offset - ydm)) * xdm;
-        v4 = vent_gain * exp(nr * (vent_offset - yd4)) * xd4;
 
         xk = x[k];
         yk = y[k];
@@ -180,9 +175,11 @@ done:
 static PyMethodDef stepper_methods[] = {
     {"integrate", integrate, METH_VARARGS,
      "integrate(alpha, beta, vent_gain, vent_rate, vent_offset, h, n_steps,\n"
-     "          n_delay, hist_x, hist_y, hist_mid_x, hist_mid_y, x, y, dx, dy, /)\n"
+     "          n_delay, hist_v, hist_mid_v, x, y, dx, dy, /)\n"
      "--\n\n"
      "Advance the delayed two-gas system over n_steps RK4 nodes of spacing h.\n"
+     "The history enters as its ventilation at the n_delay delayed nodes before\n"
+     "t0 (hist_v) and midpoints (hist_mid_v); x[0], y[0] hold the initial state.\n"
      "Returns 0 on success, or the 1-based index of the first non-finite node."},
     {NULL, NULL, 0, NULL},
 };

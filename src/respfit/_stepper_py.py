@@ -18,7 +18,7 @@ import math
 import operator
 import struct
 
-_ARRAY_NAMES = ("hist_x", "hist_y", "hist_mid_x", "hist_mid_y", "x", "y", "dx", "dy")
+_ARRAY_NAMES = ("hist_v", "hist_mid_v", "x", "y", "dx", "dy")
 
 
 def _exp(z):
@@ -55,10 +55,8 @@ def integrate(
     h,
     n_steps,
     n_delay,
-    hist_x,
-    hist_y,
-    hist_mid_x,
-    hist_mid_y,
+    hist_v,
+    hist_mid_v,
     x,
     y,
     dx,
@@ -66,11 +64,14 @@ def integrate(
 ):
     """Advance the delayed two-gas system over ``n_steps`` nodes of spacing ``h``.
 
-    hist_* carry the history sampled on the delayed grid (n_delay+1 node values,
-    n_delay midpoint values); x[0], y[0] hold the initial state. Node values and
-    node derivatives are written into x, y, dx, dy. Returns 0 on success, or the
-    1-based index s of the first node whose state is non-finite; then only
-    x[1:s], y[1:s], dx[:s] and dy[:s] are written.
+    The history enters the kernel as its ventilation: hist_v holds V at the
+    n_delay delayed nodes before t0 and hist_mid_v at the n_delay midpoints,
+    so the first delay interval evaluates no exp. x[0], y[0] hold the initial
+    state, which may differ from the history; the ventilation at node 0 is
+    computed from it once per call. Node values and node derivatives are
+    written into x, y, dx, dy. Returns 0 on success, or the 1-based index s
+    of the first node whose state is non-finite; then only x[1:s], y[1:s],
+    dx[:s] and dy[:s] are written.
 
     n_delay must be at least 2. The midpoint of step k reads the derivative at
     node k + 1 - n_delay, which step k + 1 - n_delay writes; with n_delay = 1
@@ -81,10 +82,10 @@ def integrate(
     nd = operator.index(n_delay)
     if n < 0 or nd < 2:
         raise ValueError("n_steps must be a non-negative count and n_delay at least 2")
-    arrays = (hist_x, hist_y, hist_mid_x, hist_mid_y, x, y, dx, dy)
-    min_lens = (nd + 1, nd + 1, nd, nd) + (n + 1,) * 4
-    hx, hy, hmx, hmy, vx, vy, vdx, vdy = [
-        _float64_view(a, name, size, i >= 4)
+    arrays = (hist_v, hist_mid_v, x, y, dx, dy)
+    min_lens = (nd, nd) + (n + 1,) * 4
+    hv, hmv, vx, vy, vdx, vdy = [
+        _float64_view(a, name, size, i >= 2)
         for i, (a, name, size) in enumerate(zip(arrays, _ARRAY_NAMES, min_lens))
     ]
     exp = math.exp
@@ -102,40 +103,54 @@ def integrate(
     Y = [yk]
     DX = []
     DY = []
-    # Nodes -n_delay .. 0 of the first interval's last stages: the history,
-    # except that node 0 is the initial state x[0], y[0].
-    HX = hx[:nd].tolist() + [xk]
-    HY = hy[:nd].tolist() + [yk]
-    HMX = hmx[:nd].tolist()
-    HMY = hmy[:nd].tolist()
+    # The ventilation at nodes -n_delay .. 0: the history's, then that of the
+    # initial state. exp() overflows to inf as in C (see _exp).
+    try:
+        e = exp(nr * (vent_offset - yk))
+    except OverflowError:
+        e = inf
+    HV = hv[:nd].tolist() + [vent_gain * e * xk]
 
     # alpha and beta times the ventilation at the delayed node of step 0,
     # node -n_delay. Step k leaves those of its last stage, node
-    # k + 1 - n_delay, in av1, bv1 for step k + 1. exp() overflows to inf as
-    # in C (see _exp).
-    try:
-        e = exp(nr * (vent_offset - HY[0]))
-    except OverflowError:
-        e = inf
-    v1 = vent_gain * e * HX[0]
-    av1 = alpha * v1
-    bv1 = beta * v1
+    # k + 1 - n_delay, in av1, bv1 for step k + 1.
+    av1 = alpha * HV[0]
+    bv1 = beta * HV[0]
+
+    # First delay interval: the delayed state is the history.
     lo = 0
-    while lo < n:
+    hi = min(nd, n)
+    for vm, v4 in zip(hmv[:hi].tolist(), HV[1 : hi + 1]):
+        avm = alpha * vm
+        bvm = beta * vm
+        k1x = 1.0 - av1 * xk
+        k1y = 1.0 - bv1 * yk
+        k2x = 1.0 - avm * (xk + half_h * k1x)
+        k2y = 1.0 - bvm * (yk + half_h * k1y)
+        k3x = 1.0 - avm * (xk + half_h * k2x)
+        k3y = 1.0 - bvm * (yk + half_h * k2y)
+        av1 = alpha * v4
+        bv1 = beta * v4
+        k4x = 1.0 - av1 * (xk + h * k3x)
+        k4y = 1.0 - bv1 * (yk + h * k3y)
+        DX.append(k1x)
+        DY.append(k1y)
+        xk = xk + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        yk = yk + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        X.append(xk)
+        Y.append(yk)
+
+    # Later intervals: step k's delayed nodes are i1 = k - n_delay and i1 + 1,
+    # its midpoint the Hermite interpolant between them.
+    while hi < n and isfinite(xk) and isfinite(yk):
+        lo = hi
         hi = min(lo + nd, n)
-        for k in range(lo, hi):
-            i1 = k - nd
-            if i1 >= 0:
-                j = i1 + 1
-                xd4 = X[j]
-                yd4 = Y[j]
-                xdm = 0.5 * (X[i1] + xd4) + h8 * (DX[i1] - DX[j])
-                ydm = 0.5 * (Y[i1] + yd4) + h8 * (DY[i1] - DY[j])
-            else:
-                xd4 = HX[k + 1]
-                yd4 = HY[k + 1]
-                xdm = HMX[k]
-                ydm = HMY[k]
+        for i1 in range(lo - nd, hi - nd):
+            j = i1 + 1
+            xd4 = X[j]
+            yd4 = Y[j]
+            xdm = 0.5 * (X[i1] + xd4) + h8 * (DX[i1] - DX[j])
+            ydm = 0.5 * (Y[i1] + yd4) + h8 * (DY[i1] - DY[j])
 
             try:
                 e = exp(nr * (vent_offset - ydm))
@@ -166,11 +181,8 @@ def integrate(
             yk = yk + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
             X.append(xk)
             Y.append(yk)
-        if not (isfinite(xk) and isfinite(yk)):
-            break
-        lo = hi
 
-    if lo < n:
+    if hi and not (isfinite(xk) and isfinite(yk)):
         # the interval [lo, hi) blew up: find its first non-finite node
         status = lo + 1
         while isfinite(X[status]) and isfinite(Y[status]):

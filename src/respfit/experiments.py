@@ -66,8 +66,12 @@ class ExperimentConfig:
             raise ConfigError(f"sigma: must be nonnegative, got {self.sigma!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
-        if self.steps_per_delay < 2:
-            raise ConfigError(f"steps_per_delay: must be at least 2, got {self.steps_per_delay}")
+        # The delayed grid has steps_per_delay nodes whatever the window, and
+        # the Grid computes the history's ventilation at each of them.
+        if not 2 <= self.steps_per_delay <= MAX_STEPS:
+            raise ConfigError(
+                f"steps_per_delay: must be from 2 to {MAX_STEPS}, got {self.steps_per_delay}"
+            )
         tau = self.truth.constants.tau
         try:
             n_steps = grid_steps(self.t0, self.t_end, tau, self.steps_per_delay)
@@ -87,7 +91,7 @@ class ExperimentConfig:
                 raise ConfigError(f"algorithms: unknown algorithm {a!r}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError(f"algorithms: duplicate entries in {self.algorithms!r}")
-        resolve_history(self.history_spec, self.truth)  # raises ConfigError if malformed
+        _constant_history(self.history_spec)  # raises ConfigError if malformed
 
 
 def _staged(stage: str, exc: SolverError) -> SolverError:
@@ -103,13 +107,25 @@ def resolve_history(spec: str, truth: ModelParams) -> HistoryFunction:
     the equilibrium point of the truth parameters, computed on the spot. A
     failure to find it is a SolverError naming the stage resolve_history.
     """
+    history = _constant_history(spec)
+    if history is not None:
+        return history
+    try:
+        eq = equilibrium_solve(truth)
+    except SolverError as exc:
+        raise _staged("resolve_history", exc) from exc
+    return ConstantHistory(State(eq.x_star, eq.y_star))
+
+
+def _constant_history(spec: str) -> ConstantHistory | None:
+    """The history of a ``constant:X,Y`` spec, or None for ``equilibrium``.
+
+    Checks the spec's syntax without solving anything; raises ConfigError
+    if it is malformed.
+    """
     spec = spec.strip()
     if spec == "equilibrium":
-        try:
-            eq = equilibrium_solve(truth)
-        except SolverError as exc:
-            raise _staged("resolve_history", exc) from exc
-        return ConstantHistory(State(eq.x_star, eq.y_star))
+        return None
     if spec.startswith("constant:"):
         parts = spec[len("constant:") :].split(",")
         if len(parts) != 2:

@@ -54,6 +54,15 @@ class Constants:
     def __post_init__(self):
         _check_fields(self, ("tau", "vent_gain", "vent_rate"), finite=("vent_offset",))
 
+    def ventilation(self, x_delayed: float, y_delayed: float) -> float:
+        """Ventilation drive V for the given delayed state.
+
+        The stepper kernels' expression, operation for operation, with the
+        libm exp saturating to inf as in C, so a value computed here equals
+        the one a kernel would compute from the same state bit for bit.
+        """
+        return self.vent_gain * _exp(-self.vent_rate * (self.vent_offset - y_delayed)) * x_delayed
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -92,8 +101,7 @@ class EquilibriumPoint:
 
 def ventilation(x_delayed: float, y_delayed: float, params: ModelParams) -> float:
     """Ventilation drive V for the given delayed state."""
-    c = params.constants
-    return c.vent_gain * _exp(-c.vent_rate * (c.vent_offset - y_delayed)) * x_delayed
+    return params.constants.ventilation(x_delayed, y_delayed)
 
 
 def rhs(current: State, delayed: State, params: ModelParams) -> tuple[float, float]:

@@ -10,7 +10,7 @@ accuracy of the scheme.
 
 A Grid holds what a solve keeps fixed while (alpha, beta) vary: the
 constants, the history and the window, validated once, with the step
-count, the node times and the history sampled on the delayed grid. A
+count, the node times and the history's ventilation on the delayed grid. A
 Trajectory is a grid plus its node values and derivatives, immutable and
 evaluable anywhere on [t0 - tau, t_end]: exact history below t0, stored
 node values on the grid, cubic Hermite in between.
@@ -255,15 +255,34 @@ def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int
     return n
 
 
+def _ventilation(constants: Constants, history: HistoryFunction, times: np.ndarray) -> np.ndarray:
+    """Constants.ventilation of the history's state at each of times.
+
+    Evaluated on Python floats with the libm exp, never np.exp, so every
+    value equals the kernels' bit for bit. A constant history has one state,
+    so it takes one evaluation.
+    """
+    if isinstance(history, ConstantHistory):
+        v = constants.ventilation(float(history.state.x), float(history.state.y))
+        return np.full(len(times), v)
+    xs, ys = history.sample(times)
+    return np.array([constants.ventilation(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+
+
 @dataclass(frozen=True)
 class Grid:
     """Everything a solve holds fixed while (alpha, beta) vary.
 
     The one place that validates the window and the history, and computes
     from them the step count n, the step h = tau / steps_per_delay, the
-    read-only node times t0 + k*h (t_end snaps to the last one) and the
-    history at the steps_per_delay + 1 nodes (hist_x, hist_y) and the
-    midpoints (hist_mid_x, hist_mid_y) of the delayed grid on [t0 - tau, t0].
+    read-only node times t0 + k*h (t_end snaps to the last one), the start
+    state (x0, y0) and the history's ventilation on the delayed grid on
+    [t0 - tau, t0]: at the steps_per_delay nodes before t0 (hist_v) and at
+    the steps_per_delay midpoints (hist_mid_v). Over the first delay
+    interval the delayed state is the history, so the kernel reads its
+    ventilation from here instead of computing it on every solve; each
+    value is Constants.ventilation of the history's state, bit for bit
+    what the kernel would compute.
     """
 
     constants: Constants
@@ -274,10 +293,10 @@ class Grid:
     n: int = field(init=False, compare=False)
     step: float = field(init=False, compare=False)
     times: np.ndarray = field(init=False, repr=False, compare=False)
-    hist_x: np.ndarray = field(init=False, repr=False, compare=False)
-    hist_y: np.ndarray = field(init=False, repr=False, compare=False)
-    hist_mid_x: np.ndarray = field(init=False, repr=False, compare=False)
-    hist_mid_y: np.ndarray = field(init=False, repr=False, compare=False)
+    x0: float = field(init=False, repr=False, compare=False)
+    y0: float = field(init=False, repr=False, compare=False)
+    hist_v: np.ndarray = field(init=False, repr=False, compare=False)
+    hist_mid_v: np.ndarray = field(init=False, repr=False, compare=False)
 
     __eq__ = fields_equal
 
@@ -300,12 +319,16 @@ class Grid:
             )
 
         start = t0 - tau
-        hist = self.history.sample(start + h * np.arange(spd + 1))
-        mid = self.history.sample(start + h * (np.arange(spd) + 0.5))
+        nodes = start + h * np.arange(spd + 1)
+        x0, y0 = (float(a[0]) for a in self.history.sample(nodes[spd:]))
+        hist_v = _ventilation(self.constants, self.history, nodes[:spd])
+        mids = start + h * (np.arange(spd) + 0.5)
+        hist_mid_v = _ventilation(self.constants, self.history, mids)
         times = t0 + h * np.arange(n + 1)
         names = ("steps_per_delay", "t_end", "n", "step", "times")
-        names += ("hist_x", "hist_y", "hist_mid_x", "hist_mid_y")
-        for name, value in zip(names, (spd, float(times[-1]), n, h, times, *hist, *mid)):
+        names += ("x0", "y0", "hist_v", "hist_mid_v")
+        values = (spd, float(times[-1]), n, h, times, x0, y0, hist_v, hist_mid_v)
+        for name, value in zip(names, values):
             if isinstance(value, np.ndarray):
                 value = np.ascontiguousarray(value, dtype=float)
                 value.flags.writeable = False
@@ -368,8 +391,8 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
     y = np.empty(n + 1)
     dx = np.empty(n + 1)
     dy = np.empty(n + 1)
-    x[0] = grid.hist_x[-1]
-    y[0] = grid.hist_y[-1]
+    x[0] = grid.x0
+    y[0] = grid.y0
 
     status = backend.active.integrate(
         float(alpha),
@@ -380,10 +403,8 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
         h,
         n,
         grid.steps_per_delay,
-        grid.hist_x,
-        grid.hist_y,
-        grid.hist_mid_x,
-        grid.hist_mid_y,
+        grid.hist_v,
+        grid.hist_mid_v,
         x,
         y,
         dx,

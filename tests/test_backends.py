@@ -14,7 +14,7 @@ import pytest
 from respfit import ConstantHistory, Constants, ModelParams, State, solve_dde
 from respfit import backend
 from respfit.errors import NonFiniteError
-from respfit.solver import Grid, solve_dde_raw
+from respfit.solver import Grid, TabulatedHistory, solve_dde_raw
 
 HIST = ConstantHistory(State(35.0, 35.0))
 
@@ -85,7 +85,8 @@ def test_backends_blow_up_identically():
 
 # The stepper as it was before each delayed node's ventilation was carried
 # from one step to the next (three exp() calls per step), kept verbatim as
-# the reference both kernels must still reproduce bit for bit.
+# the reference both kernels must still reproduce bit for bit. It takes the
+# history's state on the delayed grid; the kernels take its ventilation.
 def _reference_exp(z):
     # C exp() saturates to inf/0.0; math.exp raises on overflow instead.
     try:
@@ -234,13 +235,32 @@ def _copy_args(args):
     return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
 
 
+def _kernel_call(args):
+    """The reference's arguments in the kernels' contract, outputs copied.
+
+    The history enters the kernels as its ventilation, computed here with the
+    reference's expression: at the n_delay nodes before t0 and at the
+    n_delay midpoints. The reference never reads the history's node 0.
+    """
+    gain, rate, offset = args[2:5]
+    nd = args[7]
+
+    def vent(xs, ys):
+        pairs = zip(xs.tolist(), ys.tolist())
+        return np.array([gain * _reference_exp(-rate * (offset - yd)) * xd for xd, yd in pairs])
+
+    hist_v = vent(args[8][:nd], args[9][:nd])
+    hist_mid_v = vent(args[10], args[11])
+    return _copy_args(args[:8] + [hist_v, hist_mid_v] + args[12:])
+
+
 def _assert_matches_reference(integrate, args, label):
     """Run integrate and the reference on copies of args; return the common status."""
-    got_args = _copy_args(args)
+    got_args = _kernel_call(args)
     ref_args = _copy_args(args)
     status = integrate(*got_args)
     assert status == _reference_integrate(*ref_args), label
-    for got, want in zip(got_args[12:], ref_args[12:]):
+    for got, want in zip(got_args[10:], ref_args[12:]):
         assert got.tobytes() == want.tobytes(), label
     return status
 
@@ -258,10 +278,11 @@ def test_kernel_matches_reference_stepper(name):
         args = _random_kernel_call(rng, overflow)
         if args[7] == 1:
             # the midpoint of step k would read dx[k] before step k writes it
+            args = _kernel_call(args)
             untouched = _copy_args(args)
             with pytest.raises(ValueError):
                 integrate(*args)
-            for got, want in zip(args[12:], untouched[12:]):
+            for got, want in zip(args[10:], untouched[10:]):
                 assert got.tobytes() == want.tobytes(), i
             one_delay += 1
             continue
@@ -302,33 +323,85 @@ def test_blow_ups_at_delay_interval_edges_match_reference_stepper(name):
         assert seen[edge] >= 5, (edge, seen)
 
 
+@pytest.mark.parametrize("y_peak", [60.0, 1.2 * _EXP_OVERFLOW_Y])
+@pytest.mark.parametrize("name", BACKENDS)
+def test_grid_solve_matches_reference_stepper(name, y_peak):
+    # the Grid's ventilation of a tabulated history, fed through
+    # solve_dde_raw, against the reference fed the history's states; with a
+    # y peak above the exp overflow level the first interval blows up
+    backend.select(name)
+    nd = 20
+    hist = TabulatedHistory(
+        np.array([-1.0, -0.5, 0.0]), np.array([30.0, 0.5, 35.0]), np.array([33.0, y_peak, 36.0])
+    )
+    grid = Grid(Constants(), hist, 0.0, 3.0, nd)
+    nodes = hist.sample(-1.0 + grid.step * np.arange(nd + 1))
+    mids = hist.sample(-1.0 + grid.step * (np.arange(nd) + 0.5))
+    statuses = []
+    for alpha, beta in ((0.5, 0.8), (-2.0, 0.3)):
+        outs = [np.zeros(grid.n + 1) for _ in range(4)]
+        outs[0][0], outs[1][0] = nodes[0][nd], nodes[1][nd]
+        status = _reference_integrate(
+            alpha, beta, 0.14, 0.05, 100.0, grid.step, grid.n, nd, *nodes, *mids, *outs
+        )
+        statuses.append(status)
+        if status:
+            with pytest.raises(NonFiniteError, match=f"t = {status * grid.step:.6g} "):
+                solve_dde_raw(alpha, beta, grid)
+            continue
+        traj = solve_dde_raw(alpha, beta, grid)
+        for got, want in zip((traj.x, traj.y, traj.dx, traj.dy), outs):
+            assert got.tobytes() == want.tobytes()
+    if y_peak > _EXP_OVERFLOW_Y:
+        assert all(0 < s <= nd for s in statuses)
+    else:
+        assert statuses[0] == 0
+
+
+def test_twin_evaluates_no_exp_over_the_first_delay_interval(monkeypatch):
+    # one exp for the ventilation at node 0, then two per later step
+    twin = backend.available()["python"]
+    calls = []
+    real_exp = math.exp
+
+    def counting_exp(z):
+        calls.append(z)
+        return real_exp(z)
+
+    monkeypatch.setattr(math, "exp", counting_exp)
+    for n_steps, n_delay in ((50, 50), (51, 50), (250, 50), (9, 2)):
+        args = _kernel_args(n_steps, n_delay)
+        calls.clear()
+        assert twin.integrate(*args) == 0
+        assert len(calls) == 1 + 2 * (n_steps - n_delay), (n_steps, n_delay)
+
+
 def _kernel_args(n_steps=20, n_delay=50):
-    hist = np.full(n_delay + 1, 35.0)
-    mid = np.full(n_delay, 35.0)
+    hist_v = np.full(n_delay, Constants().ventilation(35.0, 35.0))
     outs = [np.full(n_steps + 1, 7.0) for _ in range(4)]
     return [0.5, 0.8, 0.14, 0.05, 100.0, 0.02, n_steps, n_delay,
-            hist, hist.copy(), mid, mid.copy(), *outs]
+            hist_v, hist_v.copy(), *outs]
 
 
-def _short_hist_x(args):
+def _short_hist_v(args):
     args[8] = args[8][:10].copy()
 
 
-def _float32_hist_mid_y(args):
-    args[11] = args[11].astype(np.float32)
+def _float32_hist_mid_v(args):
+    args[9] = args[9].astype(np.float32)
 
 
 def _read_only_output(args):
-    args[14].flags.writeable = False
+    args[12].flags.writeable = False
 
 
 def _strided_output(args):
-    args[15] = np.full(2 * len(args[15]), 7.0)[::2]
+    args[13] = np.full(2 * len(args[13]), 7.0)[::2]
 
 
 def _int64_output(args):
     # the twin writes raw doubles, which would land in an int64 buffer unnoticed
-    args[13] = np.full(len(args[13]), 7, dtype=np.int64)
+    args[11] = np.full(len(args[11]), 7, dtype=np.int64)
 
 
 def _zero_delay(args):
@@ -343,7 +416,7 @@ def _one_delay(args):
 
 @pytest.mark.parametrize(
     "spoil",
-    [_short_hist_x, _float32_hist_mid_y, _read_only_output, _strided_output, _int64_output,
+    [_short_hist_v, _float32_hist_mid_v, _read_only_output, _strided_output, _int64_output,
      _zero_delay, _one_delay],
 )
 @pytest.mark.parametrize("name", BACKENDS)
@@ -356,7 +429,7 @@ def test_kernel_rejects_bad_buffers(name, spoil):
     with pytest.raises(ValueError):
         integrate(*args)
     # validation happens before the loop, so no output was written
-    for out in args[12:]:
+    for out in args[10:]:
         assert np.all(out == 7.0)
 
 
@@ -368,7 +441,7 @@ def test_kernel_rejects_fractional_step_counts(name):
         args[i] += 0.5
         with pytest.raises(TypeError):
             integrate(*args)
-        for out in args[12:]:
+        for out in args[10:]:
             assert np.all(out == 7.0)
 
 
@@ -379,7 +452,7 @@ def test_python_twin_rejects_zero_delay():
         spoil(args)
         with pytest.raises(ValueError):
             integrate(*args)
-        for out in args[12:]:
+        for out in args[10:]:
             assert np.all(out == 7.0)
 
 

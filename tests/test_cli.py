@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from respfit import fitting
+from respfit import experiments, fitting
 from respfit.cli import main
 from respfit.errors import NonFiniteError
 
@@ -132,6 +132,37 @@ def test_missing_equilibrium_names_its_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver failure: resolve_history: no equilibrium" in err
     assert not (tmp_path / "r").exists()
+
+
+def test_huge_steps_per_delay_is_config_error(tmp_path, capsys, monkeypatch):
+    # ten steps, but a delayed grid of 10**9 nodes
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generate_dataset called for an oversized delayed grid")
+
+    monkeypatch.setattr("respfit.experiments.generate_dataset", unreachable)
+    cfg = tmp_path / "spd.cfg"
+    extra = f"steps_per_delay = 1000000000\nt_end = 1e-8\nout_dir = {tmp_path / 'out'}\n"
+    cfg.write_text(CONFIG_TEXT + extra)
+    assert main(["run-config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "steps_per_delay" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_config_solves_the_equilibrium_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = experiments.equilibrium_solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "equilibrium_solve", counting_solve)
+    cfg = tmp_path / "eq.cfg"
+    cfg.write_text(CONFIG_TEXT + f"history = equilibrium\nout_dir = {tmp_path / 'r'}\n")
+    assert main(["run-config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("extra", ["t_end = 5.01", "tau = 0.7"])

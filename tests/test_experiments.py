@@ -9,6 +9,7 @@ from respfit import ConfigError, ModelParams, equilibrium_solve
 from respfit.data import load_dataset
 from respfit.experiments import (
     MAX_POINTS,
+    MAX_STEPS,
     PRESETS,
     ExperimentConfig,
     parse_config_file,
@@ -207,6 +208,15 @@ def test_validate_caps_the_step_count():
     for t_end in (200_000.5, 1e9, 1e308):
         with pytest.raises(ConfigError, match="t_end"):
             replace(base, t_end=t_end).validate()
+
+
+def test_validate_caps_steps_per_delay():
+    # the delayed grid's size does not depend on the window, so a tiny
+    # window does not bound it
+    base = PRESETS["ex1"]  # tau = 1
+    replace(base, steps_per_delay=MAX_STEPS, t_end=1e-6).validate()
+    with pytest.raises(ConfigError, match="steps_per_delay"):
+        replace(base, steps_per_delay=MAX_STEPS + 1, t_end=1e-6).validate()
 
 
 def test_validate_caps_the_sample_count():

@@ -17,6 +17,7 @@ from respfit import (
     history_from_description,
     solve_dde,
     solve_dde_raw,
+    ventilation,
 )
 
 HIST = ConstantHistory(State(35.0, 35.0))
@@ -140,6 +141,38 @@ def test_planned_sampling_matches_reference_bit_for_bit(hist):
         for xs, ys in (traj.eval_many(ts), traj.eval_many(plan)):
             assert xs.tobytes() == want_x.tobytes()
             assert ys.tobytes() == want_y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "hist,overflows",
+    [
+        (HIST, "none"),
+        # every delayed y above the level where exp overflows to inf
+        (ConstantHistory(State(1.0, 1e5)), "all"),
+        (
+            TabulatedHistory(
+                np.array([-1.0, -0.4, 0.0]),
+                np.array([30.0, 0.5, 35.0]),
+                np.array([33.0, 3e4, 36.0]),
+            ),
+            "some",
+        ),
+    ],
+)
+def test_grid_holds_the_ventilation_of_its_history(hist, overflows):
+    p = ModelParams(alpha=0.5, beta=0.8)
+    grid = Grid(p.constants, hist, 0.0, 5.0, 50)
+    nodes = -1.0 + grid.step * np.arange(51)
+    mids = -1.0 + grid.step * (np.arange(50) + 0.5)
+    x0, y0 = (float(a[-1]) for a in hist.sample(nodes))
+    assert (grid.x0, grid.y0) == (x0, y0)
+    for got, times in ((grid.hist_v, nodes[:50]), (grid.hist_mid_v, mids)):
+        assert got.dtype == np.float64 and not got.flags.writeable
+        xs, ys = hist.sample(times)
+        want = [ventilation(x, y, p) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert got.tolist() == want
+    inf = {v == math.inf for v in grid.hist_v.tolist() + grid.hist_mid_v.tolist()}
+    assert inf == {"none": {False}, "all": {True}, "some": {False, True}}[overflows]
 
 
 def test_sample_plan_is_bound_to_its_grid():
