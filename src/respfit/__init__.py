@@ -19,9 +19,7 @@ from .errors import (
 )
 from .experiments import (
     PRESETS,
-    AlgorithmSummary,
     ExperimentConfig,
-    SummaryRow,
     parse_config_file,
     run_config,
     run_example,
@@ -60,7 +58,6 @@ from .solver import (
 )
 
 __all__ = [
-    "AlgorithmSummary",
     "ConfigError",
     "ConstantHistory",
     "Constants",
@@ -84,7 +81,6 @@ __all__ = [
     "SolverError",
     "SolverOptions",
     "State",
-    "SummaryRow",
     "TabulatedHistory",
     "Termination",
     "Trajectory",

@@ -15,8 +15,8 @@ import sys
 
 from .errors import ConfigError, SolverError
 from .experiments import (
+    ALGORITHMS,
     PRESETS,
-    SummaryRow,
     parse_config_file,
     run_config,
     run_example,
@@ -35,26 +35,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _print_row(row: SummaryRow) -> None:
-    print(f"{row.example}  seed={row.seed}  sigma={row.sigma:g}")
-    print(f"  truth      alpha={row.truth[0]:.4f}  beta={row.truth[1]:.4f}")
-    for algo, run in row.algorithms.items():
+def _print_record(record: dict) -> None:
+    """Print a run's summary.json record, its algorithms in ALGORITHMS order."""
+    truth = record["truth"]
+    print(f"{record['example']}  seed={record['seed']}  sigma={record['sigma']:g}")
+    print(f"  truth      alpha={truth['alpha']:.4f}  beta={truth['beta']:.4f}")
+    for algo in ALGORITHMS:
+        if algo not in record:
+            continue
+        fit, err = record[algo]["best_fit"], record[algo]["rel_err_pct"]
         print(
-            f"  {algo.upper():<9}  alpha={run.fit[0]:.4f}  beta={run.fit[1]:.4f}"
-            f"  err%=({run.rel_err_pct[0]:.2f}, {run.rel_err_pct[1]:.2f})"
-            f"  iterations={run.iterations}"
+            f"  {algo.upper():<9}  alpha={fit['alpha']:.4f}  beta={fit['beta']:.4f}"
+            f"  err%=({err['alpha']:.2f}, {err['beta']:.2f})"
+            f"  iterations={record[algo]['iterations']}"
         )
 
 
 def _cmd_run_example(args) -> int:
-    row = run_example(args.example, seed=args.seed, sigma=args.sigma, out_dir=args.out)
-    _print_row(row)
+    _print_record(run_example(args.example, seed=args.seed, sigma=args.sigma, out_dir=args.out))
     return 0
 
 
 def _cmd_run_config(args) -> int:
-    row = run_config(parse_config_file(args.config))
-    _print_row(row)
+    _print_record(run_config(parse_config_file(args.config)))
     return 0
 
 

@@ -180,32 +180,11 @@ PRESETS: dict[str, ExperimentConfig] = {
 }
 
 
-@dataclass(frozen=True)
-class AlgorithmSummary:
-    """One algorithm's fit, iteration count, and relative errors in percent."""
-
-    fit: tuple[float, float]
-    iterations: int
-    rel_err_pct: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    """Per-run digest: one AlgorithmSummary per algorithm that ran, in ALGORITHMS order."""
-
-    example: str
-    seed: int
-    sigma: float
-    p0: tuple[float, float]
-    truth: tuple[float, float]
-    algorithms: dict[str, AlgorithmSummary]
-
-
-def _rel_err_pct(fit: tuple[float, float], truth: ModelParams) -> tuple[float, float]:
-    return (
-        abs(fit[0] - truth.alpha) / truth.alpha * 100.0,
-        abs(fit[1] - truth.beta) / truth.beta * 100.0,
-    )
+def _rel_err_pct(fit: tuple[float, float], truth: ModelParams) -> dict[str, float]:
+    return {
+        "alpha": abs(fit[0] - truth.alpha) / truth.alpha * 100.0,
+        "beta": abs(fit[1] - truth.beta) / truth.beta * 100.0,
+    }
 
 
 def _histogram(errors: np.ndarray, sigma: float, n_bins: int = 10):
@@ -222,13 +201,14 @@ def _histogram(errors: np.ndarray, sigma: float, n_bins: int = 10):
     return zip(edges[:-1], edges[1:], counts)
 
 
-def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
+def run_config(config: ExperimentConfig, out_dir=None) -> dict:
     """Run one experiment end to end and write its artifacts.
 
     out_dir overrides config.out_dir, which defaults to out_<name>. The
     directory is created once the dataset has been generated, so a run that
-    fails before that leaves nothing behind. Returns the SummaryRow that
-    also lands in summary.json.
+    fails before that leaves nothing behind. Returns the run's record, the
+    dict written as summary.json: the configuration, then one entry per
+    algorithm that ran, keyed by its name.
     """
     config.validate()
     if out_dir is None:
@@ -291,7 +271,6 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
         "steps_per_delay": config.steps_per_delay,
         "algorithms": list(config.algorithms),
     }
-    runs: dict[str, AlgorithmSummary] = {}
 
     for algo, result in fits.items():
         write_trace_csv(result, out / f"trace_{algo}.csv")
@@ -306,28 +285,17 @@ def run_config(config: ExperimentConfig, out_dir=None) -> SummaryRow:
             rows = _histogram(errors, config.sigma)
             write_csv(out / f"hist_{algo}_{axis}.csv", ("bin_lo", "bin_hi", "count"), rows)
 
-        rel = _rel_err_pct(result.best_fit, config.truth)
-        iters = result.trace[-1].iteration
         summary[algo] = {
             "best_fit": {"alpha": result.best_fit[0], "beta": result.best_fit[1]},
             "final_residual": result.final_residual,
-            "iterations": iters,
+            "iterations": result.trace[-1].iteration,
             "function_count": result.function_count,
             "termination": result.termination.value,
-            "rel_err_pct": {"alpha": rel[0], "beta": rel[1]},
+            "rel_err_pct": _rel_err_pct(result.best_fit, config.truth),
         }
-        runs[algo] = AlgorithmSummary(result.best_fit, iters, rel)
 
     write_json(out / "summary.json", summary)
-
-    return SummaryRow(
-        example=config.name,
-        seed=config.seed,
-        sigma=config.sigma,
-        p0=config.p0,
-        truth=(config.truth.alpha, config.truth.beta),
-        algorithms=runs,
-    )
+    return summary
 
 
 def run_example(
@@ -335,8 +303,11 @@ def run_example(
     seed: int | None = None,
     sigma: float | None = None,
     out_dir=None,
-) -> SummaryRow:
-    """Run a preset, optionally overriding its seed, noise level, and out_dir."""
+) -> dict:
+    """Run a preset, optionally overriding its seed, noise level, and out_dir.
+
+    Returns its summary.json record, as run_config does.
+    """
     if name not in PRESETS:
         raise ConfigError(f"example: unknown name {name!r} (choose from {sorted(PRESETS)})")
     config = PRESETS[name]
@@ -371,18 +342,18 @@ def run_summary(seeds, out_dir) -> list[dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows: dict[str, list[SummaryRow]] = {name: [] for name in PRESETS}
+    records: dict[str, list[dict]] = {name: [] for name in PRESETS}
     for seed in seeds:
         for name in PRESETS:
-            row = run_example(name, seed=seed, out_dir=out / f"seed_{seed}" / name)
-            rows[name].append(row)
+            record = run_example(name, seed=seed, out_dir=out / f"seed_{seed}" / name)
+            records[name].append(record)
 
     aggregates = []
-    for name, runs in rows.items():
-        agg = {"example": name, "n_seeds": len(runs), "sigma": runs[0].sigma}
+    for name, runs in records.items():
+        agg = {"example": name, "n_seeds": len(runs), "sigma": runs[0]["sigma"]}
         for algo in ALGORITHMS:
-            for i, param in enumerate(_PARAMETERS):
-                errs = [r.algorithms[algo].rel_err_pct[i] for r in runs]
+            for param in _PARAMETERS:
+                errs = [r[algo]["rel_err_pct"][param] for r in runs]
                 agg[f"{algo}_mean_{param}_pct"] = sum(errs) / len(errs)
                 agg[f"{algo}_max_{param}_pct"] = max(errs)
         aggregates.append(agg)

@@ -22,8 +22,6 @@ from respfit.data import Dataset, _meta_path, save_dataset
 from respfit.experiments import (
     _AGG_FIELDS,
     PRESETS,
-    AlgorithmSummary,
-    SummaryRow,
     resolve_history,
     run_summary,
 )
@@ -213,9 +211,10 @@ def test_summary_csv_matches_reference(tmp_path, monkeypatch):
     errors = iter(EXTREMES * 3)
 
     def stub_run_example(name, seed=None, sigma=None, out_dir=None):
-        rel = {algo: (next(errors), next(errors)) for algo in ("lm", "tr")}
-        runs = {algo: AlgorithmSummary((0.5, 0.8), 4, rel[algo]) for algo in rel}
-        return SummaryRow(name, seed, -0.0, (0.3, 0.5), (0.5, 0.8), runs)
+        record = {"example": name, "seed": seed, "sigma": -0.0}
+        for algo in ("lm", "tr"):
+            record[algo] = {"rel_err_pct": {"alpha": next(errors), "beta": next(errors)}}
+        return record
 
     monkeypatch.setattr(experiments, "run_example", stub_run_example)
     aggregates = run_summary([1], tmp_path)

@@ -29,6 +29,24 @@ def test_run_example_exit_zero(tmp_path, capsys):
     assert "ex1" in out
     assert "LM" in out and "TR" in out
     assert (tmp_path / "run" / "summary.json").exists()
+    assert out == (
+        "ex1  seed=1  sigma=0.2\n"
+        "  truth      alpha=0.5000  beta=0.8000\n"
+        "  LM         alpha=0.5013  beta=0.8022  err%=(0.26, 0.28)  iterations=4\n"
+        "  TR         alpha=0.5013  beta=0.8022  err%=(0.26, 0.28)  iterations=4\n"
+    )
+
+
+def test_run_config_prints_algorithms_in_a_fixed_order(tmp_path, capsys):
+    # the record lists them as configured; the printout keeps LM before TR
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG_TEXT + f"algorithms = tr,lm\nout_dir = {tmp_path / 'r'}\n")
+    assert main(["run-config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[2:]] == ["LM", "TR"]
+    assert json.loads((tmp_path / "r" / "summary.json").read_text())["algorithms"] == ["tr", "lm"]
+
+
 
 
 def test_run_example_seed_and_sigma_overrides(tmp_path):

@@ -52,7 +52,7 @@ def test_resolve_history_specs():
 
 
 def test_run_example_writes_all_artifacts(tmp_path):
-    row = run_example("ex1", out_dir=tmp_path / "run")
+    record = run_example("ex1", out_dir=tmp_path / "run")
     expected = {
         "dataset.csv",
         "dataset_meta.json",
@@ -67,11 +67,11 @@ def test_run_example_writes_all_artifacts(tmp_path):
         "summary.json",
     }
     assert {p.name for p in (tmp_path / "run").iterdir()} == expected
-    assert row.example == "ex1"
-    assert row.algorithms["lm"].fit is not None and row.algorithms["tr"].fit is not None
+    assert record["example"] == "ex1"
+    assert record["lm"]["best_fit"] is not None and record["tr"]["best_fit"] is not None
     # paper-style quality for this configuration
-    assert row.algorithms["lm"].rel_err_pct[0] <= 2.0
-    assert row.algorithms["lm"].rel_err_pct[1] <= 2.0
+    assert record["lm"]["rel_err_pct"]["alpha"] <= 2.0
+    assert record["lm"]["rel_err_pct"]["beta"] <= 2.0
 
 
 def test_run_example_rejects_unknown_name(tmp_path):
@@ -80,13 +80,18 @@ def test_run_example_rejects_unknown_name(tmp_path):
 
 
 def test_summary_errors_are_recomputable(tmp_path):
-    row = run_example("ex1", out_dir=tmp_path)
+    run_example("ex1", out_dir=tmp_path)
     with open(tmp_path / "summary.json") as fh:
         summary = json.load(fh)
     fit = summary["lm"]["best_fit"]
     want_a = abs(fit["alpha"] - 0.5) / 0.5 * 100.0
     assert summary["lm"]["rel_err_pct"]["alpha"] == pytest.approx(want_a, rel=1e-12)
-    assert row.algorithms["lm"].rel_err_pct[0] == pytest.approx(want_a, rel=1e-12)
+
+
+def test_run_config_returns_its_summary_json(tmp_path):
+    for cfg in (PRESETS["ex5"], replace(PRESETS["ex1"], algorithms=("tr",))):
+        record = run_config(cfg, out_dir=tmp_path / cfg.name)
+        assert record == json.loads((tmp_path / cfg.name / "summary.json").read_text())
 
 
 def test_histograms_count_every_measurement(tmp_path):
@@ -126,14 +131,14 @@ def test_ex5_trajectory_sits_at_equilibrium(tmp_path):
 
 
 def test_noiseless_override_recovers_exactly(tmp_path):
-    row = run_example("ex1", sigma=0.0, out_dir=tmp_path)
-    lm_fit, tr_fit = row.algorithms["lm"].fit, row.algorithms["tr"].fit
-    assert abs(lm_fit[0] - 0.5) <= 1e-8
-    assert abs(lm_fit[1] - 0.8) <= 1e-8
-    assert abs(tr_fit[0] - 0.5) <= 1e-8
-    assert abs(tr_fit[1] - 0.8) <= 1e-8
-    assert f"{lm_fit[0]:.4f}" == f"{tr_fit[0]:.4f}" == "0.5000"
-    assert f"{lm_fit[1]:.4f}" == f"{tr_fit[1]:.4f}" == "0.8000"
+    record = run_example("ex1", sigma=0.0, out_dir=tmp_path)
+    lm_fit, tr_fit = record["lm"]["best_fit"], record["tr"]["best_fit"]
+    assert abs(lm_fit["alpha"] - 0.5) <= 1e-8
+    assert abs(lm_fit["beta"] - 0.8) <= 1e-8
+    assert abs(tr_fit["alpha"] - 0.5) <= 1e-8
+    assert abs(tr_fit["beta"] - 0.8) <= 1e-8
+    assert f"{lm_fit['alpha']:.4f}" == f"{tr_fit['alpha']:.4f}" == "0.5000"
+    assert f"{lm_fit['beta']:.4f}" == f"{tr_fit['beta']:.4f}" == "0.8000"
 
 
 def test_run_config_matches_preset_outputs(tmp_path):
@@ -149,9 +154,9 @@ def test_run_config_lm_only(tmp_path):
     from dataclasses import replace
 
     cfg = replace(PRESETS["ex1"], algorithms=("lm",))
-    row = run_config(cfg, out_dir=tmp_path)
-    assert "tr" not in row.algorithms
-    assert list(row.algorithms) == ["lm"]
+    record = run_config(cfg, out_dir=tmp_path)
+    assert "tr" not in record
+    assert record["algorithms"] == ["lm"]
     assert not (tmp_path / "trace_tr.csv").exists()
     assert (tmp_path / "trace_lm.csv").exists()
     with open(tmp_path / "summary.json") as fh:
@@ -164,9 +169,9 @@ def test_run_config_two_point_dataset(tmp_path):
     from dataclasses import replace
 
     cfg = replace(PRESETS["ex1"], n_points=2)
-    row = run_config(cfg, out_dir=tmp_path)
-    assert all(math.isfinite(v) for v in row.algorithms["lm"].fit)
-    assert all(math.isfinite(v) for v in row.algorithms["tr"].fit)
+    record = run_config(cfg, out_dir=tmp_path)
+    assert all(math.isfinite(v) for v in record["lm"]["best_fit"].values())
+    assert all(math.isfinite(v) for v in record["tr"]["best_fit"].values())
     # minimal configuration stays identifiable: 2x2 normal equations well posed
     from respfit.data import load_dataset as _ld
     from respfit.fitting import ResidualProblem, fd_jacobian
@@ -174,7 +179,8 @@ def test_run_config_two_point_dataset(tmp_path):
     dataset, _ = _ld(tmp_path / "dataset.csv")
     hist = resolve_history(cfg.history_spec, cfg.truth)
     prob = ResidualProblem.from_dataset(dataset, hist)
-    J, _ = fd_jacobian(prob, np.array(row.algorithms["lm"].fit))
+    fit = record["lm"]["best_fit"]
+    J, _ = fd_jacobian(prob, np.array([fit["alpha"], fit["beta"]]))
     A = J.T @ J
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     assert abs(det) > 1e-6 * max(A[0, 0], A[1, 1]) ** 2
