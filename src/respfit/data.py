@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._artifacts import write_csv, write_json
+from .errors import NonFiniteError
 from .model import Constants, ModelParams
 from .solver import HistoryFunction, fields_equal, history_from_description, solve_dde
 
@@ -75,7 +76,10 @@ def generate_dataset(
     seed: int,
     steps_per_delay: int = 50,
 ) -> Dataset:
-    """Solve the system and sample it at n_points uniform times with noise."""
+    """Solve the system and sample it at n_points uniform times with noise.
+
+    Raises NonFiniteError if the noise of a huge sigma overflows a measurement.
+    """
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
@@ -89,8 +93,11 @@ def generate_dataset(
     xs, ys = traj.eval_many(times)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    x_obs = xs + rng.standard_normal(n_points) * sigma
-    y_obs = ys + rng.standard_normal(n_points) * sigma
+    with np.errstate(over="ignore"):  # reported by the error below
+        x_obs = xs + rng.standard_normal(n_points) * sigma
+        y_obs = ys + rng.standard_normal(n_points) * sigma
+    if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(y_obs))):
+        raise NonFiniteError(f"noise of sigma = {sigma!r} overflows the measurements")
     return Dataset(
         times=times,
         x_obs=x_obs,

@@ -28,7 +28,7 @@ from .data import generate_dataset, save_dataset
 from .errors import ConfigError, InvalidGridError, SolverError
 from .fitting import FitResult, ResidualProblem, solve_lm, solve_trust_region, write_trace_csv
 from .model import Constants, ModelParams, State, equilibrium_solve
-from .solver import ConstantHistory, HistoryFunction, grid_steps, solve_dde_raw
+from .solver import ConstantHistory, HistoryFunction, grid_steps, solve_dde_raw, time_slack
 
 ALGORITHMS = ("lm", "tr")
 # Largest RK4 step count a config may ask for. A trajectory holds five
@@ -82,8 +82,15 @@ class ExperimentConfig:
                 f"t_end: [{self.t0!r}, {self.t_end!r}] takes {n_steps} RK4 steps of "
                 f"tau/steps_per_delay, more than the {MAX_STEPS} allowed"
             )
+        spacing = (self.t_end - self.t0) / (self.n_points - 1)
+        if not spacing > time_slack(self.t0, self.t_end):
+            raise ConfigError(
+                f"t_end: n_points = {self.n_points} measurement times on "
+                f"[{self.t0!r}, {self.t_end!r}] lie {spacing:g} apart, which does not "
+                f"resolve times of that magnitude"
+            )
         if len(self.p0) != 2 or not all(math.isfinite(v) for v in self.p0):
-            raise ConfigError(f"p0: must be two finite numbers, got {self.p0!r}")
+            raise ConfigError(f"p0_alpha, p0_beta: must be two finite numbers, got {self.p0!r}")
         if not self.algorithms:
             raise ConfigError("algorithms: at least one of lm, tr required")
         for a in self.algorithms:
@@ -92,6 +99,9 @@ class ExperimentConfig:
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError(f"algorithms: duplicate entries in {self.algorithms!r}")
         _constant_history(self.history_spec)  # raises ConfigError if malformed
+        for key, text in (("name", self.name), ("out_dir", self.out_dir or "")):
+            if "\x00" in text:
+                raise ConfigError(f"{key}: holds a NUL character, which no path may hold")
 
 
 def _staged(stage: str, exc: SolverError) -> SolverError:

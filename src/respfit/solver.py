@@ -42,6 +42,11 @@ from .model import Constants, ModelParams, State
 _EDGE_TOL = 1e-9
 
 
+def time_slack(*times: float) -> float:
+    """Float noise allowed in times of these magnitudes: 1e-9 of the largest, at least 1e-9."""
+    return _EDGE_TOL * max(1.0, *(abs(t) for t in times))
+
+
 def fields_equal(a, b) -> bool:
     """Dataclass equality that compares NumPy array fields with np.array_equal.
 
@@ -110,7 +115,7 @@ class TabulatedHistory:
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         times = np.asarray(times, dtype=float)
         lo, hi = self.times[0], self.times[-1]
-        tol = _EDGE_TOL * max(1.0, abs(lo), abs(hi))
+        tol = time_slack(lo, hi)
         if np.any(times < lo - tol) or np.any(times > hi + tol):
             raise OutOfDomainError(
                 f"history evaluated outside [{lo:g}, {hi:g}]"
@@ -242,7 +247,9 @@ def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int
     """Number of RK4 steps of tau/steps_per_delay from t0 to t_end.
 
     Raises InvalidGridError unless the window is a positive, finite, whole
-    number of steps, up to a relative slack of 1e-9.
+    number of steps, up to a relative slack of 1e-9, and the step exceeds
+    the time_slack of the window's ends: a smaller step does not resolve
+    distinct node times at that magnitude.
     """
     h = tau / steps_per_delay
     n_float = (t_end - t0) / h
@@ -252,7 +259,17 @@ def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int
             f"interval [{t0:g}, {t_end:g}] is not a positive, finite, whole number of steps "
             f"h = tau/steps_per_delay = {h:g}"
         )
+    slack = time_slack(t0, t_end)
+    if not h > slack:
+        raise InvalidGridError(
+            f"step h = tau/steps_per_delay = {h:g} does not resolve times on "
+            f"[{t0!r}, {t_end!r}], where the float noise is {slack:g}"
+        )
     return n
+
+
+# Bounds the Python floats _ventilation holds at once.
+_VENT_BLOCK = 4096
 
 
 def _ventilation(constants: Constants, history: HistoryFunction, times: np.ndarray) -> np.ndarray:
@@ -260,13 +277,19 @@ def _ventilation(constants: Constants, history: HistoryFunction, times: np.ndarr
 
     Evaluated on Python floats with the libm exp, never np.exp, so every
     value equals the kernels' bit for bit. A constant history has one state,
-    so it takes one evaluation.
+    so it takes one evaluation; any other is sampled and evaluated in blocks
+    of _VENT_BLOCK times, so the Python floats in flight stay few whatever
+    the delayed grid's size.
     """
     if isinstance(history, ConstantHistory):
         v = constants.ventilation(float(history.state.x), float(history.state.y))
         return np.full(len(times), v)
-    xs, ys = history.sample(times)
-    return np.array([constants.ventilation(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+    out = np.empty(len(times))
+    for lo in range(0, len(times), _VENT_BLOCK):
+        xs, ys = history.sample(times[lo : lo + _VENT_BLOCK])
+        vs = [constants.ventilation(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        out[lo : lo + len(vs)] = vs
+    return out
 
 
 @dataclass(frozen=True)
@@ -343,7 +366,7 @@ class Grid:
         shape = ts.shape
         ts = ts.reshape(-1)
         lo = self.t0 - self.constants.tau
-        tol = _EDGE_TOL * max(1.0, abs(lo), abs(self.t_end))
+        tol = time_slack(lo, self.t_end)
         if np.any(ts < lo - tol) or np.any(ts > self.t_end + tol):
             raise OutOfDomainError(
                 f"evaluation time outside [{lo:g}, {self.t_end:g}]"

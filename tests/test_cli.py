@@ -1,6 +1,7 @@
 import filecmp
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,6 @@ def test_run_config_prints_algorithms_in_a_fixed_order(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[2:]] == ["LM", "TR"]
     assert json.loads((tmp_path / "r" / "summary.json").read_text())["algorithms"] == ["tr", "lm"]
-
-
 
 
 def test_run_example_seed_and_sigma_overrides(tmp_path):
@@ -195,6 +194,47 @@ def test_window_off_the_step_grid_is_config_error(tmp_path, capsys, monkeypatch,
     assert main(["run-config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "t_end" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t0", ["1e15", "-1e15", "1e16"])
+def test_window_far_from_zero_is_config_error(tmp_path, capsys, monkeypatch, t0):
+    # a step of 0.02 does not resolve node or measurement times there
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generate_dataset called for an unresolved window")
+
+    monkeypatch.setattr("respfit.experiments.generate_dataset", unreachable)
+    cfg = tmp_path / "far.cfg"
+    t_end = repr(float(t0) + 5)
+    cfg.write_text(CONFIG_TEXT + f"t0 = {t0}\nt_end = {t_end}\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run-config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: t_end:" in err and "does not resolve" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unresolved_measurement_spacing_is_config_error(tmp_path, capsys):
+    # one step of the grid resolves at 1e6, but 99 measurement intervals within it do not
+    cfg = tmp_path / "dense.cfg"
+    extra = f"t0 = 1e6\nt_end = 1000000.02\nn_points = 100\nout_dir = {tmp_path / 'out'}\n"
+    cfg.write_text(CONFIG_TEXT + extra)
+    assert main(["run-config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: t_end:" in err and "n_points = 100" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_noise_is_solver_failure(tmp_path, capsys):
+    cfg = tmp_path / "loud.cfg"
+    text = CONFIG_TEXT.replace("sigma = 0.2", "sigma = 1e308")
+    cfg.write_text(text + f"out_dir = {tmp_path / 'out'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run-config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "solver failure: generate_dataset: noise of sigma = 1e+308 overflows the measurements\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,18 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from respfit import ConstantHistory, Constants, ModelParams, State, TabulatedHistory
+from respfit import (
+    ConstantHistory,
+    Constants,
+    ModelParams,
+    NonFiniteError,
+    State,
+    TabulatedHistory,
+)
 from respfit.data import (
     Dataset,
     generate_dataset,
@@ -156,6 +164,13 @@ def test_generate_validation():
         generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, -0.1, 1)
     with pytest.raises(ValueError):
         generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.2, -3)
+
+
+def test_overflowing_noise_is_non_finite_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported once, as the error
+        with pytest.raises(NonFiniteError, match="sigma = 1e"):
+            generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 1e308, 1)
 
 
 def test_dataset_invariants():

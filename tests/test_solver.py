@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from respfit import (
     history_from_description,
     solve_dde,
     solve_dde_raw,
+    solver,
     ventilation,
 )
 
@@ -175,6 +177,31 @@ def test_grid_holds_the_ventilation_of_its_history(hist, overflows):
     assert inf == {"none": {False}, "all": {True}, "some": {False, True}}[overflows]
 
 
+def test_grid_ventilation_in_blocks_keeps_its_bits(monkeypatch):
+    hist = TabulatedHistory(
+        np.array([-1.0, -0.4, 0.0]), np.array([30.0, 0.5, 35.0]), np.array([33.0, 3e4, 36.0])
+    )
+    whole = Grid(Constants(), hist, 0.0, 5.0, 50)
+    monkeypatch.setattr(solver, "_VENT_BLOCK", 7)  # 8 blocks, the last one short
+    blocked = Grid(Constants(), hist, 0.0, 5.0, 50)
+    assert blocked.hist_v.tobytes() == whole.hist_v.tobytes()
+    assert blocked.hist_mid_v.tobytes() == whole.hist_mid_v.tobytes()
+
+
+def test_grid_ventilation_memory_stays_within_a_few_arrays():
+    # a tabulated history on a large delayed grid: a Python float per sample
+    # would take about 130 bytes per node at once, blocks stay near 5 arrays
+    spd = 50_000
+    hist = TabulatedHistory(np.array([-2.0, 0.5]), np.array([30.0, 40.0]), np.array([20.0, 50.0]))
+    tracemalloc.start()
+    try:
+        Grid(Constants(), hist, 0.0, 1e-4, spd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * spd
+
+
 def test_sample_plan_is_bound_to_its_grid():
     p = ModelParams(alpha=0.5, beta=0.8)
     ts = np.linspace(0.0, 4.0, 21)
@@ -227,6 +254,24 @@ def test_time_shift_invariance():
 def test_interval_must_be_whole_number_of_steps():
     with pytest.raises(InvalidGridError):
         solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.013)
+
+
+@pytest.mark.parametrize("t0", [1e15, -1e15, 1e16, 2e7])
+def test_step_must_resolve_times_at_the_window_magnitude(t0):
+    # float spacing near 1e15 is 0.125, so nodes 0.02 apart would collapse;
+    # near 2e7 the step equals the 1e-9 relative slack of the time checks
+    with pytest.raises(InvalidGridError, match="does not resolve"):
+        solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, t0, t0 + 5)
+    with pytest.raises(InvalidGridError, match="does not resolve"):
+        Grid(Constants(), HIST, t0, t0 + 5, 50)
+
+
+def test_far_window_below_the_slack_keeps_distinct_nodes():
+    p = ModelParams(alpha=0.5, beta=0.8)
+    near = solve_dde(p, HIST, 0.0, 5.0)
+    far = solve_dde(p, HIST, 1e7, 1e7 + 5)
+    assert np.all(np.diff(far.grid.times) > 0.0)
+    assert np.array_equal(near.x, far.x) and np.array_equal(near.y, far.y)
 
 
 def test_interval_validation():
