@@ -42,15 +42,11 @@ from .model import (
     ModelParams,
     State,
     equilibrium_solve,
-    rhs,
-    ventilation,
 )
 from .solver import (
     ConstantHistory,
     Grid,
-    HistoryFunction,
     SamplePlan,
-    TabulatedHistory,
     Trajectory,
     history_from_description,
     solve_dde,
@@ -66,7 +62,6 @@ __all__ = [
     "ExperimentConfig",
     "FitResult",
     "Grid",
-    "HistoryFunction",
     "InvalidGridError",
     "IterationRecord",
     "ModelParams",
@@ -81,7 +76,6 @@ __all__ = [
     "SolverError",
     "SolverOptions",
     "State",
-    "TabulatedHistory",
     "Termination",
     "Trajectory",
     "equilibrium_solve",
@@ -90,7 +84,6 @@ __all__ = [
     "history_from_description",
     "load_dataset",
     "parse_config_file",
-    "rhs",
     "run_config",
     "run_example",
     "run_summary",
@@ -99,7 +92,6 @@ __all__ = [
     "solve_dde_raw",
     "solve_lm",
     "solve_trust_region",
-    "ventilation",
     "write_trace_csv",
 ]
 

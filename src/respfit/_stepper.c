@@ -3,13 +3,14 @@
  * integrate() is expression-for-expression identical to
  * _stepper_py.integrate (same operation order, same libm exp) so the two
  * backends produce bit-identical trajectories; see that module for the
- * contract. The history enters the kernel as its ventilation, so the first
- * delay interval evaluates no exp. Build without FP contraction or
- * -ffast-math (see setup.py).
+ * contract. The history is a constant state and enters the kernel as one
+ * number, its ventilation hist_v, so the first delay interval evaluates no
+ * exp. Build without FP contraction or -ffast-math (see setup.py).
  *
- * Arrays arrive through the buffer protocol. Every buffer is checked for
- * dtype, contiguity and length before the loop touches it, so a bad argument
- * raises ValueError instead of reading or writing out of bounds.
+ * The four arrays x, y, dx, dy arrive through the buffer protocol. Each is
+ * checked for dtype, contiguity, writability and length before the loop
+ * touches it, so a bad argument raises ValueError instead of reading or
+ * writing out of bounds.
  *
  * setup.py defines STEPPER_SOURCE_SHA256, the SHA-256 of this file, and the
  * module exposes it as SOURCE_SHA256, so a build can be checked against the
@@ -25,22 +26,17 @@
 #error "STEPPER_SOURCE_SHA256 is undefined; build with setup.py"
 #endif
 
-#define N_ARRAYS 6
-#define N_INPUTS 2 /* hist_v, hist_mid_v; the rest are outputs */
+#define N_ARRAYS 4
 
-static const char *const array_names[N_ARRAYS] = {
-    "hist_v", "hist_mid_v", "x", "y", "dx", "dy",
-};
+static const char *const array_names[N_ARRAYS] = {"x", "y", "dx", "dy"};
 
-/* Acquire a 1-d C-contiguous float64 buffer of at least min_len elements. */
+/* Acquire a writable 1-d C-contiguous float64 buffer of at least min_len
+ * elements. */
 static int
-get_array(PyObject *obj, const char *name, Py_ssize_t min_len, int writable,
-          Py_buffer *view)
+get_array(PyObject *obj, const char *name, Py_ssize_t min_len, Py_buffer *view)
 {
-    int flags = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS;
+    int flags = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE;
 
-    if (writable)
-        flags |= PyBUF_WRITABLE;
     if (PyObject_GetBuffer(obj, view, flags) < 0)
         return -1;
     if (view->ndim != 1 || view->itemsize != sizeof(double) ||
@@ -63,39 +59,34 @@ get_array(PyObject *obj, const char *name, Py_ssize_t min_len, int writable,
 static PyObject *
 integrate(PyObject *self, PyObject *args)
 {
-    double alpha, beta, vent_gain, vent_rate, vent_offset, h;
+    double alpha, beta, vent_gain, vent_rate, vent_offset, h, hist_v;
     Py_ssize_t n_steps, n_delay;
     PyObject *objs[N_ARRAYS];
     Py_buffer views[N_ARRAYS];
-    Py_ssize_t min_len[N_ARRAYS];
     PyObject *result = NULL;
     int held = 0;
 
-    if (!PyArg_ParseTuple(args, "ddddddnnOOOOOO:integrate",
+    if (!PyArg_ParseTuple(args, "ddddddnndOOOO:integrate",
                           &alpha, &beta, &vent_gain, &vent_rate, &vent_offset,
-                          &h, &n_steps, &n_delay, &objs[0], &objs[1], &objs[2],
-                          &objs[3], &objs[4], &objs[5]))
+                          &h, &n_steps, &n_delay, &hist_v, &objs[0], &objs[1],
+                          &objs[2], &objs[3]))
         return NULL;
     /* No float64 buffer holds more than PY_SSIZE_T_MAX / 8 elements, so this
-     * bound also keeps the +1 lengths below from overflowing. */
-    if (n_steps < 0 || n_delay < 2 ||
-        n_steps > PY_SSIZE_T_MAX / 8 || n_delay > PY_SSIZE_T_MAX / 8) {
+     * bound also keeps the +1 length below from overflowing. */
+    if (n_steps < 0 || n_delay < 2 || n_steps > PY_SSIZE_T_MAX / 8) {
         PyErr_SetString(PyExc_ValueError,
                         "n_steps must be a non-negative count "
                         "and n_delay at least 2");
         return NULL;
     }
-    min_len[0] = min_len[1] = n_delay;
-    min_len[2] = min_len[3] = min_len[4] = min_len[5] = n_steps + 1;
     for (; held < N_ARRAYS; held++) {
-        if (get_array(objs[held], array_names[held], min_len[held],
-                      held >= N_INPUTS, &views[held]) < 0)
+        if (get_array(objs[held], array_names[held], n_steps + 1,
+                      &views[held]) < 0)
             goto done;
     }
 
-    const double *hist_v = views[0].buf, *hist_mid_v = views[1].buf;
-    double *x = views[2].buf, *y = views[3].buf;
-    double *dx = views[4].buf, *dy = views[5].buf;
+    double *x = views[0].buf, *y = views[1].buf;
+    double *dx = views[2].buf, *dy = views[3].buf;
 
     Py_ssize_t k, i1;
     double xdm, ydm, xd4, yd4;
@@ -109,15 +100,15 @@ integrate(PyObject *self, PyObject *args)
     Py_ssize_t status = 0;
 
     /* The history enters as its ventilation; node 0's is that of the
-     * initial state x[0], y[0], which may differ from the history. */
+     * initial state x[0], y[0], which may differ from the history's. */
     v0 = vent_gain * exp(nr * (vent_offset - y[0])) * x[0];
 
     /* alpha and beta times the ventilation at the delayed node of step 0,
      * node -n_delay (history). Step k leaves those of its last stage, node
      * k + 1 - n_delay, in av1, bv1 for step k + 1. The midpoint of step k
      * reads dx[k + 1 - n_delay], which n_delay >= 2 puts before step k. */
-    av1 = alpha * hist_v[0];
-    bv1 = beta * hist_v[0];
+    av1 = alpha * hist_v;
+    bv1 = beta * hist_v;
     for (k = 0; k < n_steps; k++) {
         i1 = k - n_delay;
         if (i1 >= 0) {
@@ -130,8 +121,8 @@ integrate(PyObject *self, PyObject *args)
         }
         else {
             /* first delay interval: the delayed state is the history */
-            vm = hist_mid_v[k];
-            v4 = i1 < -1 ? hist_v[k + 1] : v0;
+            vm = hist_v;
+            v4 = i1 < -1 ? hist_v : v0;
         }
 
         xk = x[k];
@@ -175,11 +166,11 @@ done:
 static PyMethodDef stepper_methods[] = {
     {"integrate", integrate, METH_VARARGS,
      "integrate(alpha, beta, vent_gain, vent_rate, vent_offset, h, n_steps,\n"
-     "          n_delay, hist_v, hist_mid_v, x, y, dx, dy, /)\n"
+     "          n_delay, hist_v, x, y, dx, dy, /)\n"
      "--\n\n"
      "Advance the delayed two-gas system over n_steps RK4 nodes of spacing h.\n"
-     "The history enters as its ventilation at the n_delay delayed nodes before\n"
-     "t0 (hist_v) and midpoints (hist_mid_v); x[0], y[0] hold the initial state.\n"
+     "The history is a constant state and enters as its ventilation hist_v;\n"
+     "x[0], y[0] hold the initial state.\n"
      "Returns 0 on success, or the 1-based index of the first non-finite node."},
     {NULL, NULL, 0, NULL},
 };

@@ -18,7 +18,7 @@ import math
 import operator
 import struct
 
-_ARRAY_NAMES = ("hist_v", "hist_mid_v", "x", "y", "dx", "dy")
+_ARRAY_NAMES = ("x", "y", "dx", "dy")
 
 
 def _exp(z):
@@ -29,17 +29,17 @@ def _exp(z):
         return math.inf
 
 
-def _float64_view(obj, name, min_len, writable):
-    """A memoryview of obj, checked the way get_array in _stepper.c checks it.
+def _float64_view(obj, name, min_len):
+    """A writable memoryview of obj, checked the way get_array in _stepper.c checks it.
 
-    The outputs are written as raw doubles, so anything other than a 1-d
-    C-contiguous float64 buffer of at least min_len elements is refused
+    The outputs are written as raw doubles, so anything other than a writable
+    1-d C-contiguous float64 buffer of at least min_len elements is refused
     before a byte is written.
     """
     view = memoryview(obj)
     if view.ndim != 1 or view.format != "d" or not view.c_contiguous:
         raise ValueError(f"{name} must be a 1-d C-contiguous float64 array")
-    if writable and view.readonly:
+    if view.readonly:
         raise ValueError(f"{name} must be writable")
     if view.shape[0] < min_len:
         raise ValueError(f"{name} has {view.shape[0]} elements, needs at least {min_len}")
@@ -56,7 +56,6 @@ def integrate(
     n_steps,
     n_delay,
     hist_v,
-    hist_mid_v,
     x,
     y,
     dx,
@@ -64,14 +63,13 @@ def integrate(
 ):
     """Advance the delayed two-gas system over ``n_steps`` nodes of spacing ``h``.
 
-    The history enters the kernel as its ventilation: hist_v holds V at the
-    n_delay delayed nodes before t0 and hist_mid_v at the n_delay midpoints,
-    so the first delay interval evaluates no exp. x[0], y[0] hold the initial
-    state, which may differ from the history; the ventilation at node 0 is
-    computed from it once per call. Node values and node derivatives are
-    written into x, y, dx, dy. Returns 0 on success, or the 1-based index s
-    of the first node whose state is non-finite; then only x[1:s], y[1:s],
-    dx[:s] and dy[:s] are written.
+    The history is a constant state and enters the kernel as one number, its
+    ventilation hist_v, so the first delay interval evaluates no exp. x[0],
+    y[0] hold the initial state, which may differ from the history; the
+    ventilation at node 0 is computed from it once per call. Node values and
+    node derivatives are written into x, y, dx, dy. Returns 0 on success, or
+    the 1-based index s of the first node whose state is non-finite; then
+    only x[1:s], y[1:s], dx[:s] and dy[:s] are written.
 
     n_delay must be at least 2. The midpoint of step k reads the derivative at
     node k + 1 - n_delay, which step k + 1 - n_delay writes; with n_delay = 1
@@ -82,11 +80,8 @@ def integrate(
     nd = operator.index(n_delay)
     if n < 0 or nd < 2:
         raise ValueError("n_steps must be a non-negative count and n_delay at least 2")
-    arrays = (hist_v, hist_mid_v, x, y, dx, dy)
-    min_lens = (nd, nd) + (n + 1,) * 4
-    hv, hmv, vx, vy, vdx, vdy = [
-        _float64_view(a, name, size, i >= 2)
-        for i, (a, name, size) in enumerate(zip(arrays, _ARRAY_NAMES, min_lens))
+    vx, vy, vdx, vdy = [
+        _float64_view(a, name, n + 1) for a, name in zip((x, y, dx, dy), _ARRAY_NAMES)
     ]
     exp = math.exp
     isfinite = math.isfinite
@@ -103,34 +98,35 @@ def integrate(
     Y = [yk]
     DX = []
     DY = []
-    # The ventilation at nodes -n_delay .. 0: the history's, then that of the
-    # initial state. exp() overflows to inf as in C (see _exp).
+    # The ventilation at node 0, that of the initial state. exp() overflows
+    # to inf as in C (see _exp).
     try:
         e = exp(nr * (vent_offset - yk))
     except OverflowError:
         e = inf
-    HV = hv[:nd].tolist() + [vent_gain * e * xk]
+    v0 = vent_gain * e * xk
 
-    # alpha and beta times the ventilation at the delayed node of step 0,
-    # node -n_delay. Step k leaves those of its last stage, node
-    # k + 1 - n_delay, in av1, bv1 for step k + 1.
-    av1 = alpha * HV[0]
-    bv1 = beta * HV[0]
-
-    # First delay interval: the delayed state is the history.
+    # First delay interval: every delayed state is the history's, except at
+    # the last stage of step n_delay - 1, which reads node 0. av1, bv1 hold
+    # alpha and beta times the ventilation at the last stage's delayed node,
+    # which the first stage of the next step reads again.
+    ah = alpha * hist_v
+    bh = beta * hist_v
+    av1 = ah
+    bv1 = bh
     lo = 0
     hi = min(nd, n)
-    for vm, v4 in zip(hmv[:hi].tolist(), HV[1 : hi + 1]):
-        avm = alpha * vm
-        bvm = beta * vm
-        k1x = 1.0 - av1 * xk
-        k1y = 1.0 - bv1 * yk
-        k2x = 1.0 - avm * (xk + half_h * k1x)
-        k2y = 1.0 - bvm * (yk + half_h * k1y)
-        k3x = 1.0 - avm * (xk + half_h * k2x)
-        k3y = 1.0 - bvm * (yk + half_h * k2y)
-        av1 = alpha * v4
-        bv1 = beta * v4
+    last = nd - 1
+    for k in range(hi):
+        k1x = 1.0 - ah * xk
+        k1y = 1.0 - bh * yk
+        k2x = 1.0 - ah * (xk + half_h * k1x)
+        k2y = 1.0 - bh * (yk + half_h * k1y)
+        k3x = 1.0 - ah * (xk + half_h * k2x)
+        k3y = 1.0 - bh * (yk + half_h * k2y)
+        if k == last:
+            av1 = alpha * v0
+            bv1 = beta * v0
         k4x = 1.0 - av1 * (xk + h * k3x)
         k4y = 1.0 - bv1 * (yk + h * k3y)
         DX.append(k1x)

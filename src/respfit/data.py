@@ -23,7 +23,7 @@ import numpy as np
 from ._artifacts import write_csv, write_json
 from .errors import NonFiniteError
 from .model import Constants, ModelParams
-from .solver import HistoryFunction, fields_equal, history_from_description, solve_dde
+from .solver import ConstantHistory, fields_equal, history_from_description, solve_dde
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class Dataset:
 
 def generate_dataset(
     params: ModelParams,
-    history: HistoryFunction,
+    history: ConstantHistory,
     t0: float,
     t_end: float,
     n_points: int,
@@ -115,7 +115,7 @@ def _meta_path(csv_path: Path) -> Path:
 def save_dataset(
     dataset: Dataset,
     csv_path,
-    history: HistoryFunction | None = None,
+    history: ConstantHistory | None = None,
     solver_settings: dict | None = None,
 ) -> None:
     """Write the CSV and its JSON sidecar.
@@ -174,7 +174,7 @@ def load_dataset(csv_path) -> tuple[Dataset, dict]:
     return dataset, meta
 
 
-def history_from_meta(meta: dict) -> HistoryFunction | None:
+def history_from_meta(meta: dict) -> ConstantHistory | None:
     """Rebuild the history recorded in a metadata sidecar, if any."""
     desc = meta.get("history")
     return history_from_description(desc) if desc else None

@@ -26,7 +26,7 @@ class NoRootError(SolverError):
 
 
 class OutOfDomainError(SolverError):
-    """A trajectory or history was evaluated outside its time domain."""
+    """A trajectory was evaluated at a time outside its domain, or at a non-finite one."""
 
 
 class SingularNormalEquationsError(SolverError):

@@ -28,7 +28,7 @@ from .data import generate_dataset, save_dataset
 from .errors import ConfigError, InvalidGridError, SolverError
 from .fitting import FitResult, ResidualProblem, solve_lm, solve_trust_region, write_trace_csv
 from .model import Constants, ModelParams, State, equilibrium_solve
-from .solver import ConstantHistory, HistoryFunction, grid_steps, solve_dde_raw, time_slack
+from .solver import ConstantHistory, grid_steps, solve_dde_raw, time_slack
 
 ALGORITHMS = ("lm", "tr")
 # Largest RK4 step count a config may ask for. A trajectory holds five
@@ -66,8 +66,7 @@ class ExperimentConfig:
             raise ConfigError(f"sigma: must be nonnegative, got {self.sigma!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
-        # The delayed grid has steps_per_delay nodes whatever the window, and
-        # the Grid computes the history's ventilation at each of them.
+        # A short window does not bound steps_per_delay, so it has a cap of its own.
         if not 2 <= self.steps_per_delay <= MAX_STEPS:
             raise ConfigError(
                 f"steps_per_delay: must be from 2 to {MAX_STEPS}, got {self.steps_per_delay}"
@@ -110,8 +109,8 @@ def _staged(stage: str, exc: SolverError) -> SolverError:
     return wrapped
 
 
-def resolve_history(spec: str, truth: ModelParams) -> HistoryFunction:
-    """Turn a history spec string into a history function.
+def resolve_history(spec: str, truth: ModelParams) -> ConstantHistory:
+    """Turn a history spec string into a constant history.
 
     ``constant:X,Y`` holds the state (X, Y) before t0; ``equilibrium`` holds
     the equilibrium point of the truth parameters, computed on the spot. A
@@ -218,13 +217,21 @@ def run_config(config: ExperimentConfig, out_dir=None) -> dict:
     directory is created once the dataset has been generated, so a run that
     fails before that leaves nothing behind. Returns the run's record, the
     dict written as summary.json: the configuration, then one entry per
-    algorithm that ran, keyed by its name.
+    algorithm that ran, keyed by its name. An OSError from creating or
+    writing the run directory is raised again with a message that opens
+    with the out_dir key.
     """
     config.validate()
     if out_dir is None:
         out_dir = config.out_dir or f"out_{config.name}"
-    out = Path(out_dir)
+    try:
+        return _run(config, Path(out_dir))
+    except OSError as exc:
+        raise OSError(f"out_dir: {exc}") from exc
 
+
+def _run(config: ExperimentConfig, out: Path) -> dict:
+    """run_config on a validated config, writing into out."""
     history = resolve_history(config.history_spec, config.truth)
     solver_settings = {
         "t0": config.t0,

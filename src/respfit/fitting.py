@@ -43,7 +43,7 @@ from ._artifacts import write_csv
 from .data import Dataset
 from .errors import NonFiniteError, SingularNormalEquationsError
 from .model import Constants
-from .solver import Grid, HistoryFunction, SamplePlan, solve_dde_raw
+from .solver import ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -58,7 +58,7 @@ class ResidualProblem:
     """
 
     dataset: Dataset
-    history: HistoryFunction
+    history: ConstantHistory
     constants: Constants = Constants()
     t0: float = 0.0
     t_end: float = 5.0
@@ -68,7 +68,7 @@ class ResidualProblem:
     def from_dataset(
         cls,
         dataset: Dataset,
-        history: HistoryFunction,
+        history: ConstantHistory,
         *,
         constants: Constants = Constants(),
         t0: float | None = None,

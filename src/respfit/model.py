@@ -99,17 +99,6 @@ class EquilibriumPoint:
     residual_norm: float
 
 
-def ventilation(x_delayed: float, y_delayed: float, params: ModelParams) -> float:
-    """Ventilation drive V for the given delayed state."""
-    return params.constants.ventilation(x_delayed, y_delayed)
-
-
-def rhs(current: State, delayed: State, params: ModelParams) -> tuple[float, float]:
-    """Time derivative (dx/dt, dy/dt) given the current and delayed states."""
-    v = ventilation(delayed.x, delayed.y, params)
-    return (1.0 - params.alpha * v * current.x, 1.0 - params.beta * v * current.y)
-
-
 def _log_equilibrium_residual(x: float, params: ModelParams) -> float:
     # At equilibrium both derivatives vanish, which forces y* = (alpha/beta) x*
     # and  alpha * vent_gain * x*^2 * exp(-vent_rate*(vent_offset - y*)) = 1.
@@ -165,6 +154,6 @@ def equilibrium_solve(
         x -= g / (2.0 / x + params.constants.vent_rate * ratio)
 
     y = ratio * x
-    v = ventilation(x, y, params)
+    v = params.constants.ventilation(x, y)
     residual = max(abs(1.0 - params.alpha * v * x), abs(1.0 - params.beta * v * y))
     return EquilibriumPoint(x_star=x, y_star=y, residual_norm=residual)

@@ -8,21 +8,22 @@ half-step stage times need interpolation, done with cubic Hermite using the
 stored node derivatives. That combination keeps the classical 4th-order
 accuracy of the scheme.
 
-A Grid holds what a solve keeps fixed while (alpha, beta) vary: the
-constants, the history and the window, validated once, with the step
-count, the node times and the history's ventilation on the delayed grid. A
-Trajectory is a grid plus its node values and derivatives, immutable and
-evaluable anywhere on [t0 - tau, t_end]: exact history below t0, stored
-node values on the grid, cubic Hermite in between.
+The history is a constant state (ConstantHistory), the setting of every
+experiment here. A Grid holds what a solve keeps fixed while (alpha, beta)
+vary: the constants, the history and the window, validated once, with the
+step count, the node times and one number for the history, its
+ventilation. A Trajectory is a grid plus its node values and derivatives,
+immutable and evaluable anywhere on [t0 - tau, t_end]: the history's state
+up to t0, stored node values on the grid, cubic Hermite in between.
 
 Evaluation is split in two. Grid.plan builds a SamplePlan holding
 everything about a set of sample times that depends only on the grid: the
-domain check, which times fall in the history and their history values,
-and for the others the enclosing grid interval and the four Hermite
-weights. Its gather then combines those weights with the node values and
-derivatives of any trajectory solved on that Grid object, so a caller that
-samples the same times on many trajectories, such as a least-squares
-residual, builds the grid and the plan once.
+domain check, which times fall in the history, and for the others the
+enclosing grid interval and the four Hermite weights. Its gather then
+combines those weights with the node values and derivatives of any
+trajectory solved on that Grid object, so a caller that samples the same
+times on many trajectories, such as a least-squares residual, builds the
+grid and the plan once.
 """
 
 from __future__ import annotations
@@ -63,91 +64,19 @@ def fields_equal(a, b) -> bool:
 
 @dataclass(frozen=True)
 class ConstantHistory:
-    """History that holds one fixed state on the whole initial interval."""
+    """History that holds one fixed state on the whole initial interval [t0 - tau, t0]."""
 
     state: State
-
-    def __call__(self, t: float) -> State:
-        return self.state
-
-    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = len(times)
-        return np.full(n, self.state.x), np.full(n, self.state.y)
-
-    def span(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
 
     def describe(self) -> dict:
         return {"kind": "constant", "x": self.state.x, "y": self.state.y}
 
 
-@dataclass(frozen=True)
-class TabulatedHistory:
-    """History given at discrete times, linearly interpolated between them."""
-
-    times: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if times.ndim != 1 or len(times) < 2:
-            raise ValueError("tabulated history needs at least two nodes")
-        if len(x) != len(times) or len(y) != len(times):
-            raise ValueError("tabulated history arrays must have equal length")
-        if not np.all(np.diff(times) > 0.0):
-            raise ValueError("tabulated history times must be strictly increasing")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("tabulated history values must be finite")
-        for name, arr in (("times", times), ("x", x), ("y", y)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    __eq__ = fields_equal
-
-    def __call__(self, t: float) -> State:
-        xs, ys = self.sample(np.array([t]))
-        return State(float(xs[0]), float(ys[0]))
-
-    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        times = np.asarray(times, dtype=float)
-        lo, hi = self.times[0], self.times[-1]
-        tol = time_slack(lo, hi)
-        if np.any(times < lo - tol) or np.any(times > hi + tol):
-            raise OutOfDomainError(
-                f"history evaluated outside [{lo:g}, {hi:g}]"
-            )
-        return np.interp(times, self.times, self.x), np.interp(times, self.times, self.y)
-
-    def span(self) -> tuple[float, float]:
-        return (float(self.times[0]), float(self.times[-1]))
-
-    def describe(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "times": self.times.tolist(),
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-        }
-
-
-HistoryFunction = ConstantHistory | TabulatedHistory
-
-
-def history_from_description(desc: dict) -> HistoryFunction:
-    """Inverse of HistoryFunction.describe()."""
+def history_from_description(desc: dict) -> ConstantHistory:
+    """Inverse of ConstantHistory.describe()."""
     kind = desc.get("kind")
     if kind == "constant":
         return ConstantHistory(State(float(desc["x"]), float(desc["y"])))
-    if kind == "tabulated":
-        return TabulatedHistory(
-            np.asarray(desc["times"], dtype=float),
-            np.asarray(desc["x"], dtype=float),
-            np.asarray(desc["y"], dtype=float),
-        )
     raise ValueError(f"unknown history kind {kind!r}")
 
 
@@ -156,7 +85,7 @@ class SamplePlan:
     """The (alpha, beta)-independent part of sampling trajectories on one grid.
 
     Built by Grid.plan and bound to that Grid object. hist_idx lists the
-    sample times at or before t0 and hist_x, hist_y their history values;
+    sample times at or before t0, which take the history's state;
     grid_idx lists the others, j and j1 the nodes of each one's grid
     interval and w00..w11 its Hermite weights, w10 and w11 already
     multiplied by the step.
@@ -165,8 +94,6 @@ class SamplePlan:
     grid: Grid = field(repr=False)
     shape: tuple[int, ...]
     hist_idx: np.ndarray = field(repr=False)
-    hist_x: np.ndarray = field(repr=False)
-    hist_y: np.ndarray = field(repr=False)
     grid_idx: np.ndarray = field(repr=False)
     j: np.ndarray = field(repr=False)
     j1: np.ndarray = field(repr=False)
@@ -187,8 +114,9 @@ class SamplePlan:
         ys = np.empty(self.shape)
         xf = xs.reshape(-1)
         yf = ys.reshape(-1)
-        xf[self.hist_idx] = self.hist_x
-        yf[self.hist_idx] = self.hist_y
+        state = self.grid.history.state
+        xf[self.hist_idx] = state.x
+        yf[self.hist_idx] = state.y
         j, j1 = self.j, self.j1
         xf[self.grid_idx] = (
             self.w00 * traj.x[j]
@@ -268,58 +196,28 @@ def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int
     return n
 
 
-# Bounds the Python floats _ventilation holds at once.
-_VENT_BLOCK = 4096
-
-
-def _ventilation(constants: Constants, history: HistoryFunction, times: np.ndarray) -> np.ndarray:
-    """Constants.ventilation of the history's state at each of times.
-
-    Evaluated on Python floats with the libm exp, never np.exp, so every
-    value equals the kernels' bit for bit. A constant history has one state,
-    so it takes one evaluation; any other is sampled and evaluated in blocks
-    of _VENT_BLOCK times, so the Python floats in flight stay few whatever
-    the delayed grid's size.
-    """
-    if isinstance(history, ConstantHistory):
-        v = constants.ventilation(float(history.state.x), float(history.state.y))
-        return np.full(len(times), v)
-    out = np.empty(len(times))
-    for lo in range(0, len(times), _VENT_BLOCK):
-        xs, ys = history.sample(times[lo : lo + _VENT_BLOCK])
-        vs = [constants.ventilation(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-        out[lo : lo + len(vs)] = vs
-    return out
-
-
 @dataclass(frozen=True)
 class Grid:
     """Everything a solve holds fixed while (alpha, beta) vary.
 
-    The one place that validates the window and the history, and computes
-    from them the step count n, the step h = tau / steps_per_delay, the
-    read-only node times t0 + k*h (t_end snaps to the last one), the start
-    state (x0, y0) and the history's ventilation on the delayed grid on
-    [t0 - tau, t0]: at the steps_per_delay nodes before t0 (hist_v) and at
-    the steps_per_delay midpoints (hist_mid_v). Over the first delay
-    interval the delayed state is the history, so the kernel reads its
-    ventilation from here instead of computing it on every solve; each
-    value is Constants.ventilation of the history's state, bit for bit
-    what the kernel would compute.
+    The one place that validates the window, and computes from it the step
+    count n, the step h = tau / steps_per_delay and the read-only node times
+    t0 + k*h (t_end snaps to the last one). The history's state is also the
+    start state at t0, and over the first delay interval it is the delayed
+    state, so the kernel takes the history as one number: its ventilation
+    hist_v, Constants.ventilation of that state, bit for bit what the kernel
+    would compute from it.
     """
 
     constants: Constants
-    history: HistoryFunction = field(repr=False)
+    history: ConstantHistory = field(repr=False)
     t0: float
     t_end: float
     steps_per_delay: int
     n: int = field(init=False, compare=False)
     step: float = field(init=False, compare=False)
     times: np.ndarray = field(init=False, repr=False, compare=False)
-    x0: float = field(init=False, repr=False, compare=False)
-    y0: float = field(init=False, repr=False, compare=False)
-    hist_v: np.ndarray = field(init=False, repr=False, compare=False)
-    hist_mid_v: np.ndarray = field(init=False, repr=False, compare=False)
+    hist_v: float = field(init=False, repr=False, compare=False)
 
     __eq__ = fields_equal
 
@@ -333,48 +231,32 @@ class Grid:
         tau = self.constants.tau
         n = grid_steps(t0, t_end, tau, spd)
         h = tau / spd
-
-        lo_h, hi_h = self.history.span()
-        tol = _EDGE_TOL * max(1.0, abs(t0), tau)
-        if lo_h > t0 - tau + tol or hi_h < t0 - tol:
-            raise ValueError(
-                f"history covers [{lo_h:g}, {hi_h:g}] but must cover [{t0 - tau:g}, {t0:g}]"
-            )
-
-        start = t0 - tau
-        nodes = start + h * np.arange(spd + 1)
-        x0, y0 = (float(a[0]) for a in self.history.sample(nodes[spd:]))
-        hist_v = _ventilation(self.constants, self.history, nodes[:spd])
-        mids = start + h * (np.arange(spd) + 0.5)
-        hist_mid_v = _ventilation(self.constants, self.history, mids)
         times = t0 + h * np.arange(n + 1)
-        names = ("steps_per_delay", "t_end", "n", "step", "times")
-        names += ("x0", "y0", "hist_v", "hist_mid_v")
-        values = (spd, float(times[-1]), n, h, times, x0, y0, hist_v, hist_mid_v)
-        for name, value in zip(names, values):
-            if isinstance(value, np.ndarray):
-                value = np.ascontiguousarray(value, dtype=float)
-                value.flags.writeable = False
+        times.flags.writeable = False
+        state = self.history.state
+        hist_v = self.constants.ventilation(float(state.x), float(state.y))
+        names = ("steps_per_delay", "t_end", "n", "step", "times", "hist_v")
+        for name, value in zip(names, (spd, float(times[-1]), n, h, times, hist_v)):
             object.__setattr__(self, name, value)
 
     def plan(self, times) -> SamplePlan:
         """Plan for sampling every trajectory on this grid at ``times``.
 
-        Raises OutOfDomainError if a time lies outside [t0 - tau, t_end].
+        Raises OutOfDomainError if a time is not finite or lies outside
+        [t0 - tau, t_end].
         """
         ts = np.asarray(times, dtype=float)
         shape = ts.shape
         ts = ts.reshape(-1)
         lo = self.t0 - self.constants.tau
         tol = time_slack(lo, self.t_end)
-        if np.any(ts < lo - tol) or np.any(ts > self.t_end + tol):
+        if not np.all((ts >= lo - tol) & (ts <= self.t_end + tol)):
             raise OutOfDomainError(
                 f"evaluation time outside [{lo:g}, {self.t_end:g}]"
             )
 
         in_history = ts <= self.t0
         hist_idx = np.flatnonzero(in_history)
-        hist_x, hist_y = self.history.sample(ts[hist_idx])
         grid_idx = np.flatnonzero(~in_history)
         tq = np.minimum(ts[grid_idx], self.times[-1])
         # side='right' makes an exact node time fall in the interval whose
@@ -390,8 +272,6 @@ class Grid:
             grid=self,
             shape=shape,
             hist_idx=hist_idx,
-            hist_x=hist_x,
-            hist_y=hist_y,
             grid_idx=grid_idx,
             j=j,
             j1=j + 1,
@@ -414,8 +294,8 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
     y = np.empty(n + 1)
     dx = np.empty(n + 1)
     dy = np.empty(n + 1)
-    x[0] = grid.x0
-    y[0] = grid.y0
+    x[0] = grid.history.state.x
+    y[0] = grid.history.state.y
 
     status = backend.active.integrate(
         float(alpha),
@@ -427,7 +307,6 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
         n,
         grid.steps_per_delay,
         grid.hist_v,
-        grid.hist_mid_v,
         x,
         y,
         dx,
@@ -446,7 +325,7 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
 
 def solve_dde(
     params: ModelParams,
-    history: HistoryFunction,
+    history: ConstantHistory,
     t0: float,
     t_end: float,
     steps_per_delay: int = 50,

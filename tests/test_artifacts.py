@@ -3,8 +3,8 @@
 The ``_reference_*`` functions are the writers as they were before they shared
 one module, kept verbatim. Each test feeds both the same inputs, chosen from
 what the golden run never writes: negative zero, the smallest subnormal, the
-largest double, NumPy integers, integer-valued solver options and a tabulated
-history, and compares the files byte for byte.
+largest double, NumPy integers, integer-valued solver options and a history
+state at those extremes, and compares the files byte for byte.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from respfit.fitting import (
     write_trace_csv,
 )
 from respfit.model import Constants, ModelParams, State
-from respfit.solver import ConstantHistory, Grid, TabulatedHistory, Trajectory
+from respfit.solver import ConstantHistory, Grid, Trajectory
 
 TINY = 5e-324
 HUGE = 1.7976931348623157e308
@@ -141,7 +141,7 @@ def test_trajectory_csv_matches_reference(tmp_path):
 
 
 def test_dataset_and_sidecar_match_reference(tmp_path):
-    history = TabulatedHistory([-1.0, -TINY, 0.0], [35.0, -0.0, HUGE], [TINY, 1.0 / 3.0, -HUGE])
+    history = ConstantHistory(State(-0.0, HUGE))
     dataset = Dataset(
         times=[TINY, 0.5, HUGE],
         x_obs=[-0.0, -TINY, -HUGE],
@@ -157,7 +157,7 @@ def test_dataset_and_sidecar_match_reference(tmp_path):
     _reference_save_dataset(dataset, tmp_path / "ref" / "d.csv", history, settings)
     for name in ("d.csv", "d_meta.json"):
         _same_bytes(tmp_path / "new" / name, tmp_path / "ref" / name)
-    assert b'"kind": "tabulated"' in (tmp_path / "new" / "d_meta.json").read_bytes()
+    assert b'"x": -0.0' in (tmp_path / "new" / "d_meta.json").read_bytes()
 
 
 def _ex1_problem():

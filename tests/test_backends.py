@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from respfit import ConstantHistory, Constants, ModelParams, State, solve_dde
 from respfit import backend
 from respfit.errors import NonFiniteError
-from respfit.solver import Grid, TabulatedHistory, solve_dde_raw
+from respfit.solver import Grid, solve_dde_raw
 
 HIST = ConstantHistory(State(35.0, 35.0))
 
@@ -211,24 +212,23 @@ _EXP_OVERFLOW_Y = 100.0 + math.log(np.finfo(float).max) / 0.05
 
 
 def _random_kernel_call(rng, overflow, delays=(1, 60)):
-    """Arguments of one kernel call: random gains of either sign, delay, window and history.
+    """The reference's arguments for one call: random gains of either sign, delay, window and states.
 
     The steps per delay are drawn from range(*delays). Windows range from no
-    step at all to eight delays. With overflow, the history's y straddles the
-    level where exp() overflows to inf.
+    step at all to eight delays. The history is one constant state, fed to
+    the reference on the whole delayed grid; the start state x[0], y[0] is
+    drawn apart from it. With overflow, both states' y straddle the level
+    where exp() overflows to inf.
     """
     nd = int(rng.integers(*delays))
     n = int(rng.integers(0, 8 * nd + 2))
     alpha, beta = (float(v) for v in rng.uniform(-4.0, 4.0, 2))
     level = _EXP_OVERFLOW_Y if overflow else rng.uniform(1.0, 60.0)
-
-    def hist(size):
-        return rng.uniform(0.5, 1.5, size) * level
-
+    hx, hy = rng.uniform(0.5, 1.5, 2) * level
     outs = [np.zeros(n + 1) for _ in range(4)]
-    outs[0][0], outs[1][0] = hist(2)
+    outs[0][0], outs[1][0] = rng.uniform(0.5, 1.5, 2) * level
     return [alpha, beta, 0.14, 0.05, 100.0, 1.0 / nd, n, nd,
-            hist(nd + 1), hist(nd + 1), hist(nd), hist(nd), *outs]
+            np.full(nd + 1, hx), np.full(nd + 1, hy), np.full(nd, hx), np.full(nd, hy), *outs]
 
 
 def _copy_args(args):
@@ -238,20 +238,13 @@ def _copy_args(args):
 def _kernel_call(args):
     """The reference's arguments in the kernels' contract, outputs copied.
 
-    The history enters the kernels as its ventilation, computed here with the
-    reference's expression: at the n_delay nodes before t0 and at the
-    n_delay midpoints. The reference never reads the history's node 0.
+    The history enters the kernels as one number, the ventilation of its
+    state, computed here with the reference's expression.
     """
     gain, rate, offset = args[2:5]
-    nd = args[7]
-
-    def vent(xs, ys):
-        pairs = zip(xs.tolist(), ys.tolist())
-        return np.array([gain * _reference_exp(-rate * (offset - yd)) * xd for xd, yd in pairs])
-
-    hist_v = vent(args[8][:nd], args[9][:nd])
-    hist_mid_v = vent(args[10], args[11])
-    return _copy_args(args[:8] + [hist_v, hist_mid_v] + args[12:])
+    xd, yd = float(args[8][0]), float(args[9][0])
+    hist_v = gain * _reference_exp(-rate * (offset - yd)) * xd
+    return _copy_args(args[:8] + [hist_v] + args[12:])
 
 
 def _assert_matches_reference(integrate, args, label):
@@ -260,7 +253,7 @@ def _assert_matches_reference(integrate, args, label):
     ref_args = _copy_args(args)
     status = integrate(*got_args)
     assert status == _reference_integrate(*ref_args), label
-    for got, want in zip(got_args[10:], ref_args[12:]):
+    for got, want in zip(got_args[9:], ref_args[12:]):
         assert got.tobytes() == want.tobytes(), label
     return status
 
@@ -282,7 +275,7 @@ def test_kernel_matches_reference_stepper(name):
             untouched = _copy_args(args)
             with pytest.raises(ValueError):
                 integrate(*args)
-            for got, want in zip(args[10:], untouched[10:]):
+            for got, want in zip(args[9:], untouched[9:]):
                 assert got.tobytes() == want.tobytes(), i
             one_delay += 1
             continue
@@ -323,26 +316,22 @@ def test_blow_ups_at_delay_interval_edges_match_reference_stepper(name):
         assert seen[edge] >= 5, (edge, seen)
 
 
-@pytest.mark.parametrize("y_peak", [60.0, 1.2 * _EXP_OVERFLOW_Y])
+@pytest.mark.parametrize("y_hist", [60.0, 1.2 * _EXP_OVERFLOW_Y])
 @pytest.mark.parametrize("name", BACKENDS)
-def test_grid_solve_matches_reference_stepper(name, y_peak):
-    # the Grid's ventilation of a tabulated history, fed through
-    # solve_dde_raw, against the reference fed the history's states; with a
-    # y peak above the exp overflow level the first interval blows up
+def test_grid_solve_matches_reference_stepper(name, y_hist):
+    # the Grid's ventilation of a constant history, fed through
+    # solve_dde_raw, against the reference fed the history's state; with a
+    # y above the exp overflow level the first interval blows up
     backend.select(name)
     nd = 20
-    hist = TabulatedHistory(
-        np.array([-1.0, -0.5, 0.0]), np.array([30.0, 0.5, 35.0]), np.array([33.0, y_peak, 36.0])
-    )
-    grid = Grid(Constants(), hist, 0.0, 3.0, nd)
-    nodes = hist.sample(-1.0 + grid.step * np.arange(nd + 1))
-    mids = hist.sample(-1.0 + grid.step * (np.arange(nd) + 0.5))
+    grid = Grid(Constants(), ConstantHistory(State(30.0, y_hist)), 0.0, 3.0, nd)
+    hist = (np.full(nd + 1, 30.0), np.full(nd + 1, y_hist), np.full(nd, 30.0), np.full(nd, y_hist))
     statuses = []
     for alpha, beta in ((0.5, 0.8), (-2.0, 0.3)):
         outs = [np.zeros(grid.n + 1) for _ in range(4)]
-        outs[0][0], outs[1][0] = nodes[0][nd], nodes[1][nd]
+        outs[0][0], outs[1][0] = 30.0, y_hist
         status = _reference_integrate(
-            alpha, beta, 0.14, 0.05, 100.0, grid.step, grid.n, nd, *nodes, *mids, *outs
+            alpha, beta, 0.14, 0.05, 100.0, grid.step, grid.n, nd, *hist, *outs
         )
         statuses.append(status)
         if status:
@@ -352,7 +341,7 @@ def test_grid_solve_matches_reference_stepper(name, y_peak):
         traj = solve_dde_raw(alpha, beta, grid)
         for got, want in zip((traj.x, traj.y, traj.dx, traj.dy), outs):
             assert got.tobytes() == want.tobytes()
-    if y_peak > _EXP_OVERFLOW_Y:
+    if y_hist > _EXP_OVERFLOW_Y:
         assert all(0 < s <= nd for s in statuses)
     else:
         assert statuses[0] == 0
@@ -376,32 +365,36 @@ def test_twin_evaluates_no_exp_over_the_first_delay_interval(monkeypatch):
         assert len(calls) == 1 + 2 * (n_steps - n_delay), (n_steps, n_delay)
 
 
+@needs_kernel
+def test_kernels_take_the_same_parameters():
+    # the two copies of the kernel must not drift apart in their contract
+    compiled = backend.available()["compiled"].integrate
+    twin = backend.available()["python"].integrate
+    names = [p.name for p in inspect.signature(compiled).parameters.values()]
+    assert names == list(inspect.signature(twin).parameters)
+
+
 def _kernel_args(n_steps=20, n_delay=50):
-    hist_v = np.full(n_delay, Constants().ventilation(35.0, 35.0))
+    hist_v = Constants().ventilation(35.0, 35.0)
     outs = [np.full(n_steps + 1, 7.0) for _ in range(4)]
-    return [0.5, 0.8, 0.14, 0.05, 100.0, 0.02, n_steps, n_delay,
-            hist_v, hist_v.copy(), *outs]
-
-
-def _short_hist_v(args):
-    args[8] = args[8][:10].copy()
-
-
-def _float32_hist_mid_v(args):
-    args[9] = args[9].astype(np.float32)
+    return [0.5, 0.8, 0.14, 0.05, 100.0, 0.02, n_steps, n_delay, hist_v, *outs]
 
 
 def _read_only_output(args):
-    args[12].flags.writeable = False
+    args[11].flags.writeable = False
 
 
 def _strided_output(args):
-    args[13] = np.full(2 * len(args[13]), 7.0)[::2]
+    args[12] = np.full(2 * len(args[12]), 7.0)[::2]
 
 
 def _int64_output(args):
     # the twin writes raw doubles, which would land in an int64 buffer unnoticed
-    args[11] = np.full(len(args[11]), 7, dtype=np.int64)
+    args[10] = np.full(len(args[10]), 7, dtype=np.int64)
+
+
+def _short_output(args):
+    args[9] = args[9][:10].copy()
 
 
 def _zero_delay(args):
@@ -416,8 +409,7 @@ def _one_delay(args):
 
 @pytest.mark.parametrize(
     "spoil",
-    [_short_hist_v, _float32_hist_mid_v, _read_only_output, _strided_output, _int64_output,
-     _zero_delay, _one_delay],
+    [_short_output, _read_only_output, _strided_output, _int64_output, _zero_delay, _one_delay],
 )
 @pytest.mark.parametrize("name", BACKENDS)
 def test_kernel_rejects_bad_buffers(name, spoil):
@@ -429,7 +421,7 @@ def test_kernel_rejects_bad_buffers(name, spoil):
     with pytest.raises(ValueError):
         integrate(*args)
     # validation happens before the loop, so no output was written
-    for out in args[10:]:
+    for out in args[9:]:
         assert np.all(out == 7.0)
 
 
@@ -441,7 +433,7 @@ def test_kernel_rejects_fractional_step_counts(name):
         args[i] += 0.5
         with pytest.raises(TypeError):
             integrate(*args)
-        for out in args[10:]:
+        for out in args[9:]:
             assert np.all(out == 7.0)
 
 
@@ -452,7 +444,7 @@ def test_python_twin_rejects_zero_delay():
         spoil(args)
         with pytest.raises(ValueError):
             integrate(*args)
-        for out in args[10:]:
+        for out in args[9:]:
             assert np.all(out == 7.0)
 
 

@@ -298,7 +298,9 @@ def test_io_failure_exit_three(tmp_path, capsys):
     target.write_text("a file where the run directory should go")
     code = main(["run-example", "ex1", "--out", str(target)])
     assert code == 3
-    assert "i/o failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: out_dir: ")
+    assert str(target) in err
 
 
 def test_run_summary_and_determinism(tmp_path, capsys):

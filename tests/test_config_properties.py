@@ -218,9 +218,8 @@ def test_any_config_file_gives_a_result_or_a_named_error(values):
             assert err.count("\n") == 1, err
             prefix, _, message = err.rstrip("\n").partition(": ")
             assert prefix == {1: "configuration error", 2: "solver failure", 3: "i/o failure"}[code]
+            assert _names_a_key_or_stage(message), err
             if code == 3:
                 assert BLOCKED in message  # names the path that failed
-            else:
-                assert _names_a_key_or_stage(message), err
         for path in root.rglob("*.json"):
             json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -11,7 +11,6 @@ from respfit import (
     ModelParams,
     NonFiniteError,
     State,
-    TabulatedHistory,
 )
 from respfit.data import (
     Dataset,
@@ -145,16 +144,12 @@ def test_datasets_compare_by_value(tmp_path):
     assert (clone == a) is True
 
 
-def test_tabulated_history_survives_meta_roundtrip(tmp_path):
-    hist = TabulatedHistory(
-        np.array([-1.0, 0.0]), np.array([30.0, 35.0]), np.array([32.0, 35.0])
-    )
+def test_history_survives_meta_roundtrip(tmp_path):
+    hist = ConstantHistory(State(30.0, 32.0))
     ds = generate_dataset(TRUTH, hist, 0.0, 5.0, 11, 0.0, 5)
     save_dataset(ds, tmp_path / "d.csv", history=hist)
     _, meta = load_dataset(tmp_path / "d.csv")
-    clone = history_from_meta(meta)
-    assert isinstance(clone, TabulatedHistory)
-    assert np.array_equal(clone.x, hist.x)
+    assert history_from_meta(meta) == hist
 
 
 def test_generate_validation():

@@ -217,8 +217,7 @@ def test_validate_caps_the_step_count():
 
 
 def test_validate_caps_steps_per_delay():
-    # the delayed grid's size does not depend on the window, so a tiny
-    # window does not bound it
+    # a tiny window does not bound steps_per_delay, so it has a cap of its own
     base = PRESETS["ex1"]  # tau = 1
     replace(base, steps_per_delay=MAX_STEPS, t_end=1e-6).validate()
     with pytest.raises(ConfigError, match="steps_per_delay"):

@@ -5,6 +5,7 @@ import pytest
 
 from respfit import (
     ConstantHistory,
+    Constants,
     Grid,
     InvalidGridError,
     ModelParams,
@@ -12,7 +13,6 @@ from respfit import (
     OutOfDomainError,
     SingularNormalEquationsError,
     State,
-    TabulatedHistory,
     solve_dde,
     solve_dde_raw,
 )
@@ -80,10 +80,8 @@ def test_residuals_reuse_their_plan_bit_for_bit(preset):
         assert r.tobytes() == _fresh_residuals(problem, p).tobytes()
 
 
-def test_residuals_sample_a_tabulated_history_before_t0():
-    hist = TabulatedHistory(
-        np.array([-1.0, -0.4, 0.0]), np.array([30.0, 38.0, 35.0]), np.array([36.0, 31.0, 35.0])
-    )
+def test_residuals_sample_the_history_before_t0():
+    hist = ConstantHistory(State(30.0, 36.0))
     times = np.linspace(-0.9, 5.0, 60)
     rng = np.random.default_rng(3)
     ds = Dataset(times, rng.uniform(20.0, 40.0, 60), rng.uniform(20.0, 40.0, 60), 0.0)
@@ -91,9 +89,10 @@ def test_residuals_sample_a_tabulated_history_before_t0():
     for p in ((0.5, 0.8), (1.3, 0.2), (0.4, 0.9)):
         r = problem.residuals(p)
         assert r.tobytes() == _fresh_residuals(problem, p).tobytes()
-    # times up to t0 take the history's values, whatever p is
-    x_hist, _ = hist.sample(times[times <= 0.0])
-    assert np.array_equal(r[: len(x_hist)], x_hist - ds.x_obs[: len(x_hist)])
+    # times up to t0 take the history's state, whatever p is
+    m = np.count_nonzero(times <= 0.0)
+    assert np.array_equal(r[:m], 30.0 - ds.x_obs[:m])
+    assert np.array_equal(r[60 : 60 + m], 36.0 - ds.y_obs[:m])
 
 
 def test_window_errors_surface_from_residuals_not_construction():
@@ -119,24 +118,21 @@ def test_non_finite_step_count_is_a_grid_error():
 
 
 def test_history_is_sampled_once_per_problem(monkeypatch):
-    hist = TabulatedHistory(
-        np.array([-1.0, -0.4, 0.0]), np.array([30.0, 38.0, 35.0]), np.array([36.0, 31.0, 35.0])
-    )
+    hist = ConstantHistory(State(30.0, 36.0))
     ds = generate_dataset(TRUTH, hist, 0.0, 5.0, 51, 0.0, 1)
     calls = []
-    sample = TabulatedHistory.sample
+    ventilation = Constants.ventilation
 
-    def counted(self, times):
-        calls.append(len(times))
-        return sample(self, times)
+    def counted(self, x, y):
+        calls.append((x, y))
+        return ventilation(self, x, y)
 
-    monkeypatch.setattr(TabulatedHistory, "sample", counted)
+    monkeypatch.setattr(Constants, "ventilation", counted)
     problem = ResidualProblem.from_dataset(ds, hist)
-    problem.residuals((0.5, 0.8))
-    after_one = len(calls)
-    for p in ((0.6, 0.7), (0.4, 0.9), (1.0, 1.0), (0.5, 0.8), (0.2, 0.3)):
+    # the grid reads the history once, as the ventilation of its state
+    for p in ((0.5, 0.8), (0.6, 0.7), (0.4, 0.9), (1.0, 1.0), (0.5, 0.8), (0.2, 0.3)):
         problem.residuals(p)
-    assert len(calls) == after_one
+        assert calls == [(30.0, 36.0)]
 
 
 def test_zero_residual_at_truth_without_noise(clean_problem):

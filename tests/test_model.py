@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from respfit import Constants, ModelParams, NoRootError, State, equilibrium_solve, rhs, ventilation
+from respfit import Constants, ModelParams, NoRootError, State, equilibrium_solve
 
 
 def _vent(xd, yd, gain=0.14, rate=0.05, offset=100.0):
@@ -45,31 +45,18 @@ def _equilibrium_oracle(alpha, beta, gain=0.14, rate=0.05, offset=100.0):
 
 
 def test_ventilation_formula():
-    p = ModelParams(alpha=0.5, beta=0.8)
-    assert ventilation(35.0, 35.0, p) == pytest.approx(_vent(35.0, 35.0), rel=1e-15)
+    assert Constants().ventilation(35.0, 35.0) == pytest.approx(_vent(35.0, 35.0), rel=1e-15)
 
 
 def test_ventilation_honors_custom_constants():
     constants = Constants(vent_gain=0.2, vent_rate=0.07, vent_offset=90.0)
-    p = ModelParams(alpha=1.0, beta=1.0, constants=constants)
-    got = ventilation(20.0, 30.0, p)
+    got = constants.ventilation(20.0, 30.0)
     assert got == pytest.approx(_vent(20.0, 30.0, 0.2, 0.07, 90.0), rel=1e-15)
 
 
 def test_ventilation_is_total_under_huge_delayed_oxygen():
     # the exponential saturates to inf instead of raising
-    p = ModelParams(alpha=1.0, beta=1.0)
-    assert ventilation(1.0, 1e7, p) == math.inf
-
-
-def test_rhs_components():
-    p = ModelParams(alpha=0.5, beta=0.8)
-    cur = State(30.0, 20.0)
-    dl = State(35.0, 35.0)
-    v = _vent(35.0, 35.0)
-    dx, dy = rhs(cur, dl, p)
-    assert dx == pytest.approx(1.0 - 0.5 * v * 30.0, rel=1e-15)
-    assert dy == pytest.approx(1.0 - 0.8 * v * 20.0, rel=1e-15)
+    assert Constants().ventilation(1.0, 1e7) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -93,8 +80,9 @@ def test_equilibrium_reference_point():
 def test_equilibrium_zeroes_the_vector_field():
     p = ModelParams(alpha=0.7, beta=1.3)
     eq = equilibrium_solve(p)
-    st_ = State(eq.x_star, eq.y_star)
-    dx, dy = rhs(st_, st_, p)
+    v = _vent(eq.x_star, eq.y_star)
+    dx = 1.0 - p.alpha * v * eq.x_star
+    dy = 1.0 - p.beta * v * eq.y_star
     assert abs(dx) < 1e-10
     assert abs(dy) < 1e-10
     assert eq.residual_norm < 1e-10

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +12,10 @@ from respfit import (
     NonFiniteError,
     OutOfDomainError,
     State,
-    TabulatedHistory,
     Trajectory,
     history_from_description,
     solve_dde,
     solve_dde_raw,
-    solver,
-    ventilation,
 )
 
 HIST = ConstantHistory(State(35.0, 35.0))
@@ -90,9 +86,8 @@ def _reference_eval_many(traj, times):
     grid = traj.grid
     in_history = ts <= grid.t0
     if np.any(in_history):
-        hx, hy = grid.history.sample(ts[in_history])
-        xs[in_history] = hx
-        ys[in_history] = hy
+        xs[in_history] = grid.history.state.x
+        ys[in_history] = grid.history.state.y
     on_grid = ~in_history
     if np.any(on_grid):
         tq = np.minimum(ts[on_grid], grid.times[-1])
@@ -122,9 +117,7 @@ def _reference_eval_many(traj, times):
     "hist",
     [
         HIST,
-        TabulatedHistory(
-            np.array([-1.0, -0.3, 0.0]), np.array([30.0, 41.0, 35.0]), np.array([33.0, 29.0, 36.0])
-        ),
+        ConstantHistory(State(41.0, 29.0)),
     ],
 )
 def test_planned_sampling_matches_reference_bit_for_bit(hist):
@@ -151,55 +144,14 @@ def test_planned_sampling_matches_reference_bit_for_bit(hist):
         (HIST, "none"),
         # every delayed y above the level where exp overflows to inf
         (ConstantHistory(State(1.0, 1e5)), "all"),
-        (
-            TabulatedHistory(
-                np.array([-1.0, -0.4, 0.0]),
-                np.array([30.0, 0.5, 35.0]),
-                np.array([33.0, 3e4, 36.0]),
-            ),
-            "some",
-        ),
     ],
 )
 def test_grid_holds_the_ventilation_of_its_history(hist, overflows):
-    p = ModelParams(alpha=0.5, beta=0.8)
-    grid = Grid(p.constants, hist, 0.0, 5.0, 50)
-    nodes = -1.0 + grid.step * np.arange(51)
-    mids = -1.0 + grid.step * (np.arange(50) + 0.5)
-    x0, y0 = (float(a[-1]) for a in hist.sample(nodes))
-    assert (grid.x0, grid.y0) == (x0, y0)
-    for got, times in ((grid.hist_v, nodes[:50]), (grid.hist_mid_v, mids)):
-        assert got.dtype == np.float64 and not got.flags.writeable
-        xs, ys = hist.sample(times)
-        want = [ventilation(x, y, p) for x, y in zip(xs.tolist(), ys.tolist())]
-        assert got.tolist() == want
-    inf = {v == math.inf for v in grid.hist_v.tolist() + grid.hist_mid_v.tolist()}
-    assert inf == {"none": {False}, "all": {True}, "some": {False, True}}[overflows]
-
-
-def test_grid_ventilation_in_blocks_keeps_its_bits(monkeypatch):
-    hist = TabulatedHistory(
-        np.array([-1.0, -0.4, 0.0]), np.array([30.0, 0.5, 35.0]), np.array([33.0, 3e4, 36.0])
-    )
-    whole = Grid(Constants(), hist, 0.0, 5.0, 50)
-    monkeypatch.setattr(solver, "_VENT_BLOCK", 7)  # 8 blocks, the last one short
-    blocked = Grid(Constants(), hist, 0.0, 5.0, 50)
-    assert blocked.hist_v.tobytes() == whole.hist_v.tobytes()
-    assert blocked.hist_mid_v.tobytes() == whole.hist_mid_v.tobytes()
-
-
-def test_grid_ventilation_memory_stays_within_a_few_arrays():
-    # a tabulated history on a large delayed grid: a Python float per sample
-    # would take about 130 bytes per node at once, blocks stay near 5 arrays
-    spd = 50_000
-    hist = TabulatedHistory(np.array([-2.0, 0.5]), np.array([30.0, 40.0]), np.array([20.0, 50.0]))
-    tracemalloc.start()
-    try:
-        Grid(Constants(), hist, 0.0, 1e-4, spd)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 8 * spd
+    c = Constants()
+    grid = Grid(c, hist, 0.0, 5.0, 50)
+    assert type(grid.hist_v) is float
+    assert grid.hist_v == c.ventilation(hist.state.x, hist.state.y)
+    assert (grid.hist_v == math.inf) == (overflows == "all")
 
 
 def test_sample_plan_is_bound_to_its_grid():
@@ -233,6 +185,11 @@ def test_eval_outside_domain_raises():
         traj.eval(5.001)
     with pytest.raises(OutOfDomainError):
         traj.eval(-1.001)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfDomainError):
+            traj.eval(t)
+        with pytest.raises(OutOfDomainError):
+            traj.eval_many(np.array([1.0, t]))
 
 
 def test_endpoint_roundoff_is_tolerated():
@@ -308,41 +265,6 @@ def test_to_csv_roundtrip(tmp_path):
     assert np.array_equal(data[:, 2], traj.y)
 
 
-def test_tabulated_history_interpolates_linearly():
-    hist = TabulatedHistory(
-        np.array([-1.0, -0.5, 0.0]),
-        np.array([30.0, 40.0, 20.0]),
-        np.array([10.0, 10.0, 30.0]),
-    )
-    assert hist(-0.75).x == pytest.approx(35.0)
-    assert hist(-0.25).y == pytest.approx(20.0)
-    assert hist(0.0).x == 20.0
-
-
-def test_tabulated_history_validation():
-    t = np.array([-1.0, 0.0])
-    with pytest.raises(ValueError):
-        TabulatedHistory(np.array([0.0, -1.0]), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        TabulatedHistory(t, np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        TabulatedHistory(t, np.array([1.0, math.nan]), np.zeros(2))
-    with pytest.raises(ValueError):
-        TabulatedHistory(np.array([0.0]), np.zeros(1), np.zeros(1))
-
-
-def test_tabulated_histories_compare_by_value():
-    def make(y_last, t=(-1.0, 0.0)):
-        return TabulatedHistory(np.array(t), np.array([30.0, 31.0]), np.array([20.0, y_last]))
-
-    a = make(21.0)
-    assert (a == make(21.0)) is True
-    assert (a != make(21.0)) is False
-    assert (a == make(21.5)) is False
-    assert (a == make(21.0, t=(-2.0, 0.0))) is False
-    assert (a == HIST) is False
-
-
 def test_trajectories_compare_by_value():
     a = solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0)
     assert (a == solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0)) is True
@@ -350,36 +272,11 @@ def test_trajectories_compare_by_value():
     assert (a == solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 4.0)) is False
 
 
-def test_tabulated_history_must_cover_delay_window():
-    hist = TabulatedHistory(
-        np.array([-0.5, 0.0]), np.array([35.0, 35.0]), np.array([35.0, 35.0])
-    )
-    with pytest.raises(ValueError):
-        solve_dde(ModelParams(alpha=0.5, beta=0.8), hist, 0.0, 5.0)
-
-
-def test_tabulated_constant_history_matches_constant():
-    flat = TabulatedHistory(
-        np.array([-1.0, 0.0]), np.array([35.0, 35.0]), np.array([35.0, 35.0])
-    )
-    p = ModelParams(alpha=0.5, beta=0.8)
-    a = solve_dde(p, HIST, 0.0, 5.0)
-    b = solve_dde(p, flat, 0.0, 5.0)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.y, b.y)
-
-
 def test_history_description_roundtrip():
-    for hist in (
-        HIST,
-        TabulatedHistory(
-            np.array([-1.0, 0.0]), np.array([30.0, 31.0]), np.array([20.0, 21.0])
-        ),
-    ):
-        clone = history_from_description(hist.describe())
-        assert clone.describe() == hist.describe()
-    with pytest.raises(ValueError):
-        history_from_description({"kind": "nope"})
+    assert history_from_description(HIST.describe()) == HIST
+    for kind in ("nope", "tabulated"):
+        with pytest.raises(ValueError):
+            history_from_description({"kind": kind, "times": [-1.0, 0.0], "x": [1.0, 2.0]})
 
 
 def test_trajectory_reports_grid_metadata():
