@@ -3,9 +3,10 @@
  * integrate() is expression-for-expression identical to
  * _stepper_py.integrate (same operation order, same libm exp) so the two
  * backends produce bit-identical trajectories; see that module for the
- * contract. The history is a constant state and enters the kernel as one
- * number, its ventilation hist_v, so the first delay interval evaluates no
- * exp. Build without FP contraction or -ffast-math (see setup.py).
+ * contract. x[0], y[0] hold the history's state, whose ventilation is the
+ * delayed one over the whole first delay interval, so that interval
+ * evaluates no further exp. Build without FP contraction or -ffast-math
+ * (see setup.py).
  *
  * The four arrays x, y, dx, dy arrive through the buffer protocol. Each is
  * checked for dtype, contiguity, writability and length before the loop
@@ -59,16 +60,16 @@ get_array(PyObject *obj, const char *name, Py_ssize_t min_len, Py_buffer *view)
 static PyObject *
 integrate(PyObject *self, PyObject *args)
 {
-    double alpha, beta, vent_gain, vent_rate, vent_offset, h, hist_v;
+    double alpha, beta, vent_gain, vent_rate, vent_offset, h;
     Py_ssize_t n_steps, n_delay;
     PyObject *objs[N_ARRAYS];
     Py_buffer views[N_ARRAYS];
     PyObject *result = NULL;
     int held = 0;
 
-    if (!PyArg_ParseTuple(args, "ddddddnndOOOO:integrate",
+    if (!PyArg_ParseTuple(args, "ddddddnnOOOO:integrate",
                           &alpha, &beta, &vent_gain, &vent_rate, &vent_offset,
-                          &h, &n_steps, &n_delay, &hist_v, &objs[0], &objs[1],
+                          &h, &n_steps, &n_delay, &objs[0], &objs[1],
                           &objs[2], &objs[3]))
         return NULL;
     /* No float64 buffer holds more than PY_SSIZE_T_MAX / 8 elements, so this
@@ -99,16 +100,17 @@ integrate(PyObject *self, PyObject *args)
     double nr = -vent_rate;
     Py_ssize_t status = 0;
 
-    /* The history enters as its ventilation; node 0's is that of the
-     * initial state x[0], y[0], which may differ from the history's. */
+    /* The ventilation of the history's state x[0], y[0]: over the first
+     * delay interval every delayed node and midpoint reads it. */
     v0 = vent_gain * exp(nr * (vent_offset - y[0])) * x[0];
+    vm = v4 = v0;
 
     /* alpha and beta times the ventilation at the delayed node of step 0,
      * node -n_delay (history). Step k leaves those of its last stage, node
      * k + 1 - n_delay, in av1, bv1 for step k + 1. The midpoint of step k
      * reads dx[k + 1 - n_delay], which n_delay >= 2 puts before step k. */
-    av1 = alpha * hist_v;
-    bv1 = beta * hist_v;
+    av1 = alpha * v0;
+    bv1 = beta * v0;
     for (k = 0; k < n_steps; k++) {
         i1 = k - n_delay;
         if (i1 >= 0) {
@@ -118,11 +120,6 @@ integrate(PyObject *self, PyObject *args)
             ydm = 0.5 * (y[i1] + yd4) + h8 * (dy[i1] - dy[i1 + 1]);
             vm = vent_gain * exp(nr * (vent_offset - ydm)) * xdm;
             v4 = vent_gain * exp(nr * (vent_offset - yd4)) * xd4;
-        }
-        else {
-            /* first delay interval: the delayed state is the history */
-            vm = hist_v;
-            v4 = i1 < -1 ? hist_v : v0;
         }
 
         xk = x[k];
@@ -166,11 +163,10 @@ done:
 static PyMethodDef stepper_methods[] = {
     {"integrate", integrate, METH_VARARGS,
      "integrate(alpha, beta, vent_gain, vent_rate, vent_offset, h, n_steps,\n"
-     "          n_delay, hist_v, x, y, dx, dy, /)\n"
+     "          n_delay, x, y, dx, dy, /)\n"
      "--\n\n"
      "Advance the delayed two-gas system over n_steps RK4 nodes of spacing h.\n"
-     "The history is a constant state and enters as its ventilation hist_v;\n"
-     "x[0], y[0] hold the initial state.\n"
+     "x[0], y[0] hold the history's state, which is also the state at t0.\n"
      "Returns 0 on success, or the 1-based index of the first non-finite node."},
     {NULL, NULL, 0, NULL},
 };

@@ -55,7 +55,6 @@ def integrate(
     h,
     n_steps,
     n_delay,
-    hist_v,
     x,
     y,
     dx,
@@ -63,13 +62,12 @@ def integrate(
 ):
     """Advance the delayed two-gas system over ``n_steps`` nodes of spacing ``h``.
 
-    The history is a constant state and enters the kernel as one number, its
-    ventilation hist_v, so the first delay interval evaluates no exp. x[0],
-    y[0] hold the initial state, which may differ from the history; the
-    ventilation at node 0 is computed from it once per call. Node values and
-    node derivatives are written into x, y, dx, dy. Returns 0 on success, or
-    the 1-based index s of the first node whose state is non-finite; then
-    only x[1:s], y[1:s], dx[:s] and dy[:s] are written.
+    x[0], y[0] hold the history's state, which is also the state at t0. Its
+    ventilation, computed once per call, is the delayed ventilation over the
+    whole first delay interval, so that interval evaluates no further exp.
+    Node values and node derivatives are written into x, y, dx, dy. Returns
+    0 on success, or the 1-based index s of the first node whose state is
+    non-finite; then only x[1:s], y[1:s], dx[:s] and dy[:s] are written.
 
     n_delay must be at least 2. The midpoint of step k reads the derivative at
     node k + 1 - n_delay, which step k + 1 - n_delay writes; with n_delay = 1
@@ -98,35 +96,28 @@ def integrate(
     Y = [yk]
     DX = []
     DY = []
-    # The ventilation at node 0, that of the initial state. exp() overflows
-    # to inf as in C (see _exp).
+    # The history's ventilation; exp() overflows to inf as in C (see _exp).
     try:
         e = exp(nr * (vent_offset - yk))
     except OverflowError:
         e = inf
     v0 = vent_gain * e * xk
 
-    # First delay interval: every delayed state is the history's, except at
-    # the last stage of step n_delay - 1, which reads node 0. av1, bv1 hold
-    # alpha and beta times the ventilation at the last stage's delayed node,
-    # which the first stage of the next step reads again.
-    ah = alpha * hist_v
-    bh = beta * hist_v
-    av1 = ah
-    bv1 = bh
+    # First delay interval: every delayed state is the history's, so every
+    # stage reads av1, bv1, alpha and beta times its ventilation. Later, av1
+    # and bv1 hold those of the last stage's delayed node, which the first
+    # stage of the next step reads again.
+    av1 = alpha * v0
+    bv1 = beta * v0
     lo = 0
     hi = min(nd, n)
-    last = nd - 1
     for k in range(hi):
-        k1x = 1.0 - ah * xk
-        k1y = 1.0 - bh * yk
-        k2x = 1.0 - ah * (xk + half_h * k1x)
-        k2y = 1.0 - bh * (yk + half_h * k1y)
-        k3x = 1.0 - ah * (xk + half_h * k2x)
-        k3y = 1.0 - bh * (yk + half_h * k2y)
-        if k == last:
-            av1 = alpha * v0
-            bv1 = beta * v0
+        k1x = 1.0 - av1 * xk
+        k1y = 1.0 - bv1 * yk
+        k2x = 1.0 - av1 * (xk + half_h * k1x)
+        k2y = 1.0 - bv1 * (yk + half_h * k1y)
+        k3x = 1.0 - av1 * (xk + half_h * k2x)
+        k3y = 1.0 - bv1 * (yk + half_h * k2y)
         k4x = 1.0 - av1 * (xk + h * k3x)
         k4y = 1.0 - bv1 * (yk + h * k3y)
         DX.append(k1x)

@@ -21,10 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from .errors import NonFiniteError
+from .errors import ConfigError, NonFiniteError
 from .model import Constants, ModelParams
 from .solver import ConstantHistory, fields_equal, history_from_description, solve_dde
 
+# Largest sample count a dataset may be generated with. At its peak a run
+# holds about 30 float64 values per sample point (dataset, sample plan,
+# residuals, Jacobian and temporaries; 240 B under tracemalloc):
+# 400 MB / (30 * 8 B) points.
+MAX_POINTS = 400_000_000 // (30 * 8)
 
 @dataclass(frozen=True)
 class Dataset:
@@ -66,6 +71,20 @@ class Dataset:
         return len(self.times)
 
 
+def check_sampling(n_points: int, sigma: float, seed: int) -> None:
+    """Raise ConfigError unless the sampling arguments are in range.
+
+    n_points must be from 2 to MAX_POINTS, sigma finite and nonnegative, and
+    seed an unsigned 64-bit integer. The message opens with the argument's name.
+    """
+    if not 2 <= n_points <= MAX_POINTS:
+        raise ConfigError(f"n_points: must be from 2 to {MAX_POINTS}, got {n_points!r}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ConfigError(f"sigma: must be nonnegative, got {sigma!r}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
+
+
 def generate_dataset(
     params: ModelParams,
     history: ConstantHistory,
@@ -78,14 +97,11 @@ def generate_dataset(
 ) -> Dataset:
     """Solve the system and sample it at n_points uniform times with noise.
 
-    Raises NonFiniteError if the noise of a huge sigma overflows a measurement.
+    The arguments are checked (check_sampling, Grid) before anything is
+    allocated. Raises NonFiniteError if the noise of a huge sigma overflows a
+    measurement.
     """
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
-    if not (0 <= int(seed) < 2**64):
-        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed!r}")
+    check_sampling(n_points, sigma, seed)
     seed = int(seed)
 
     traj = solve_dde(params, history, t0, t_end, steps_per_delay)

@@ -5,8 +5,8 @@ class RespfitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigError(RespfitError):
-    """An experiment configuration is invalid; the message names the field."""
+class ConfigError(RespfitError, ValueError):
+    """An argument or a configuration value is invalid; the message opens with its name."""
 
 
 class SolverError(RespfitError):

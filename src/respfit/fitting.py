@@ -32,7 +32,6 @@ cannot be formed.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,17 +51,14 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 class ResidualProblem:
     """Measurement set plus everything held fixed during the fit.
 
-    Every residual call integrates on the same grid and samples the same
-    measurement times, so the grid and its sample plan (see solver.Grid) are
-    built on the first call, which raises any error they find, and reused.
+    Every residual call integrates on the same grid (see solver.Grid) and
+    samples the same measurement times with the same plan, so from_dataset
+    builds both once, and raises any error they find.
     """
 
     dataset: Dataset
-    history: ConstantHistory
-    constants: Constants = Constants()
-    t0: float = 0.0
-    t_end: float = 5.0
-    steps_per_delay: int = 50
+    grid: Grid
+    plan: SamplePlan
 
     @classmethod
     def from_dataset(
@@ -75,22 +71,13 @@ class ResidualProblem:
         t_end: float | None = None,
         steps_per_delay: int = 50,
     ) -> "ResidualProblem":
-        """Build a problem whose integration window covers the measurements."""
+        """Build a problem whose integration window defaults to the measurements' span."""
         if t0 is None:
             t0 = float(dataset.times[0])
         if t_end is None:
             t_end = float(dataset.times[-1])
-        return cls(dataset, history, constants, t0, t_end, steps_per_delay)
-
-    @functools.cached_property
-    def grid(self) -> Grid:
-        """The integration grid, built on first use."""
-        return Grid(self.constants, self.history, self.t0, self.t_end, self.steps_per_delay)
-
-    @functools.cached_property
-    def plan(self) -> SamplePlan:
-        """The sample plan of the measurement times on grid, built on first use."""
-        return self.grid.plan(self.dataset.times)
+        grid = Grid(constants, history, t0, t_end, steps_per_delay)
+        return cls(dataset, grid, grid.plan(dataset.times))
 
     def residuals(self, p) -> np.ndarray:
         """Stacked residual vector of length 2M at p = (alpha, beta)."""

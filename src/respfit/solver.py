@@ -9,10 +9,10 @@ stored node derivatives. That combination keeps the classical 4th-order
 accuracy of the scheme.
 
 The history is a constant state (ConstantHistory), the setting of every
-experiment here. A Grid holds what a solve keeps fixed while (alpha, beta)
-vary: the constants, the history and the window, validated once, with the
-step count, the node times and one number for the history, its
-ventilation. A Trajectory is a grid plus its node values and derivatives,
+experiment here; it is also the state at t0, so the kernel reads it at node
+0. A Grid holds what a solve keeps fixed while (alpha, beta) vary: the
+constants, the history and the window, validated once by grid_steps, with
+the step count and the node times. A Trajectory is a grid plus its node values and derivatives,
 immutable and evaluable anywhere on [t0 - tau, t_end]: the history's state
 up to t0, stored node values on the grid, cubic Hermite in between.
 
@@ -35,9 +35,12 @@ import numpy as np
 
 from . import backend
 from ._artifacts import write_csv
-from .errors import InvalidGridError, NonFiniteError, OutOfDomainError
+from .errors import ConfigError, InvalidGridError, NonFiniteError, OutOfDomainError
 from .model import Constants, ModelParams, State
 
+# Largest RK4 step count a grid may hold. A trajectory holds five float64
+# arrays with one entry per step: 400 MB at this cap.
+MAX_STEPS = 10_000_000
 # Relative slack for time-domain boundary checks; absorbs float noise in
 # externally constructed sample times (e.g. linspace endpoints).
 _EDGE_TOL = 1e-9
@@ -174,24 +177,39 @@ class Trajectory:
 def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int:
     """Number of RK4 steps of tau/steps_per_delay from t0 to t_end.
 
-    Raises InvalidGridError unless the window is a positive, finite, whole
-    number of steps, up to a relative slack of 1e-9, and the step exceeds
-    the time_slack of the window's ends: a smaller step does not resolve
-    distinct node times at that magnitude.
+    Raises ConfigError unless t0 and t_end are finite with t_end > t0,
+    steps_per_delay is an integer from 2 to MAX_STEPS and the step count is
+    at most MAX_STEPS; a short window does not bound steps_per_delay, so it
+    has a cap of its own. Raises InvalidGridError unless the window is a
+    whole number of steps, up to a relative slack of 1e-9, and the step
+    exceeds the time_slack of the window's ends: a smaller step does not
+    resolve distinct node times at that magnitude. Each message opens with
+    the name of the argument at fault.
     """
+    if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
+        raise ConfigError(f"t0, t_end: must be finite with t_end > t0, got [{t0!r}, {t_end!r}]")
+    if not 2 <= steps_per_delay <= MAX_STEPS or steps_per_delay != int(steps_per_delay):
+        raise ConfigError(
+            f"steps_per_delay: must be an integer from 2 to {MAX_STEPS}, got {steps_per_delay!r}"
+        )
     h = tau / steps_per_delay
     n_float = (t_end - t0) / h
     n = int(round(n_float)) if math.isfinite(n_float) else 0
     if n < 1 or abs(n_float - n) > _EDGE_TOL * max(1.0, n_float):
         raise InvalidGridError(
-            f"interval [{t0:g}, {t_end:g}] is not a positive, finite, whole number of steps "
+            f"t_end: interval [{t0:g}, {t_end:g}] is not a positive, finite, whole number of steps "
             f"h = tau/steps_per_delay = {h:g}"
         )
     slack = time_slack(t0, t_end)
     if not h > slack:
         raise InvalidGridError(
-            f"step h = tau/steps_per_delay = {h:g} does not resolve times on "
+            f"t_end: step h = tau/steps_per_delay = {h:g} does not resolve times on "
             f"[{t0!r}, {t_end!r}], where the float noise is {slack:g}"
+        )
+    if n > MAX_STEPS:
+        raise ConfigError(
+            f"t_end: [{t0!r}, {t_end!r}] takes {n} RK4 steps of tau/steps_per_delay, "
+            f"more than the {MAX_STEPS} allowed"
         )
     return n
 
@@ -200,13 +218,10 @@ def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int
 class Grid:
     """Everything a solve holds fixed while (alpha, beta) vary.
 
-    The one place that validates the window, and computes from it the step
+    Validates the window with grid_steps, and computes from it the step
     count n, the step h = tau / steps_per_delay and the read-only node times
     t0 + k*h (t_end snaps to the last one). The history's state is also the
-    start state at t0, and over the first delay interval it is the delayed
-    state, so the kernel takes the history as one number: its ventilation
-    hist_v, Constants.ventilation of that state, bit for bit what the kernel
-    would compute from it.
+    state at t0, which solve_dde_raw hands the kernel as node 0.
     """
 
     constants: Constants
@@ -217,26 +232,16 @@ class Grid:
     n: int = field(init=False, compare=False)
     step: float = field(init=False, compare=False)
     times: np.ndarray = field(init=False, repr=False, compare=False)
-    hist_v: float = field(init=False, repr=False, compare=False)
-
-    __eq__ = fields_equal
 
     def __post_init__(self):
-        t0, t_end, spd = self.t0, self.t_end, self.steps_per_delay
-        if not (t_end > t0):
-            raise ValueError(f"t_end must exceed t0, got [{t0!r}, {t_end!r}]")
-        if spd != int(spd) or int(spd) < 2:
-            raise ValueError(f"steps_per_delay must be an integer >= 2, got {spd!r}")
-        spd = int(spd)
         tau = self.constants.tau
-        n = grid_steps(t0, t_end, tau, spd)
+        n = grid_steps(self.t0, self.t_end, tau, self.steps_per_delay)
+        spd = int(self.steps_per_delay)
         h = tau / spd
-        times = t0 + h * np.arange(n + 1)
+        times = self.t0 + h * np.arange(n + 1)
         times.flags.writeable = False
-        state = self.history.state
-        hist_v = self.constants.ventilation(float(state.x), float(state.y))
-        names = ("steps_per_delay", "t_end", "n", "step", "times", "hist_v")
-        for name, value in zip(names, (spd, float(times[-1]), n, h, times, hist_v)):
+        names = ("steps_per_delay", "t_end", "n", "step", "times")
+        for name, value in zip(names, (spd, float(times[-1]), n, h, times)):
             object.__setattr__(self, name, value)
 
     def plan(self, times) -> SamplePlan:
@@ -294,6 +299,8 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
     y = np.empty(n + 1)
     dx = np.empty(n + 1)
     dy = np.empty(n + 1)
+    # the history's state at t0, which the kernel also reads as the delayed
+    # state over the first delay interval
     x[0] = grid.history.state.x
     y[0] = grid.history.state.y
 
@@ -306,7 +313,6 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
         h,
         n,
         grid.steps_per_delay,
-        grid.hist_v,
         x,
         y,
         dx,

@@ -27,7 +27,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from respfit import experiments  # noqa: E402
 from respfit.cli import main  # noqa: E402
-from respfit.experiments import MAX_POINTS, MAX_STEPS  # noqa: E402
+from respfit.data import MAX_POINTS  # noqa: E402
+from respfit.solver import MAX_STEPS  # noqa: E402
 
 KEYS = tuple(experiments._CONFIG_COERCIONS)
 STAGES = (

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from respfit import ConfigError, ModelParams, equilibrium_solve
-from respfit.data import load_dataset
+from respfit.data import MAX_POINTS, load_dataset
 from respfit.experiments import (
-    MAX_POINTS,
-    MAX_STEPS,
     PRESETS,
     ExperimentConfig,
     parse_config_file,
@@ -18,6 +16,7 @@ from respfit.experiments import (
     run_example,
     run_summary,
 )
+from respfit.solver import MAX_STEPS
 
 
 def test_presets_cover_the_five_examples():

@@ -5,8 +5,6 @@ import pytest
 
 from respfit import (
     ConstantHistory,
-    Constants,
-    Grid,
     InvalidGridError,
     ModelParams,
     NonFiniteError,
@@ -57,10 +55,7 @@ def test_residual_vector_layout(noisy_problem):
 
 def _fresh_residuals(problem, p):
     """Residuals of problem at p from a trajectory sampled without a stored plan."""
-    grid = Grid(
-        problem.constants, problem.history, problem.t0, problem.t_end, problem.steps_per_delay
-    )
-    traj = solve_dde_raw(p[0], p[1], grid)
+    traj = solve_dde_raw(p[0], p[1], problem.grid)
     xs, ys = traj.eval_many(problem.dataset.times)
     return np.concatenate([xs - problem.dataset.x_obs, ys - problem.dataset.y_obs])
 
@@ -74,7 +69,7 @@ def test_residuals_reuse_their_plan_bit_for_bit(preset):
     )
     problem = ResidualProblem.from_dataset(ds, hist, steps_per_delay=cfg.steps_per_delay)
     rng = np.random.default_rng(sorted(PRESETS).index(preset))
-    # the first call builds the plan, the later ones reuse it
+    # every call reuses the plan built with the problem
     for p in rng.uniform(0.01, 2.0, (6, 2)):
         r = problem.residuals(p)
         assert r.tobytes() == _fresh_residuals(problem, p).tobytes()
@@ -95,17 +90,14 @@ def test_residuals_sample_the_history_before_t0():
     assert np.array_equal(r[60 : 60 + m], 36.0 - ds.y_obs[:m])
 
 
-def test_window_errors_surface_from_residuals_not_construction():
+def test_window_errors_surface_from_construction():
     ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
     # not a whole number of steps: the grid is rejected before any sampling
-    off_grid = ResidualProblem.from_dataset(ds, HIST, t_end=5.013)
     with pytest.raises(InvalidGridError):
-        off_grid.residuals((0.5, 0.8))
+        ResidualProblem.from_dataset(ds, HIST, t_end=5.013)
     # a valid grid that ends before the last measurement
-    short = ResidualProblem.from_dataset(ds, HIST, t_end=4.0)
-    for _ in range(2):
-        with pytest.raises(OutOfDomainError):
-            short.residuals((0.5, 0.8))
+    with pytest.raises(OutOfDomainError):
+        ResidualProblem.from_dataset(ds, HIST, t_end=4.0)
 
 
 def test_non_finite_step_count_is_a_grid_error():
@@ -115,24 +107,6 @@ def test_non_finite_step_count_is_a_grid_error():
     ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
     with pytest.raises(InvalidGridError):
         ResidualProblem.from_dataset(ds, HIST, t_end=1e308).residuals((0.5, 0.8))
-
-
-def test_history_is_sampled_once_per_problem(monkeypatch):
-    hist = ConstantHistory(State(30.0, 36.0))
-    ds = generate_dataset(TRUTH, hist, 0.0, 5.0, 51, 0.0, 1)
-    calls = []
-    ventilation = Constants.ventilation
-
-    def counted(self, x, y):
-        calls.append((x, y))
-        return ventilation(self, x, y)
-
-    monkeypatch.setattr(Constants, "ventilation", counted)
-    problem = ResidualProblem.from_dataset(ds, hist)
-    # the grid reads the history once, as the ventilation of its state
-    for p in ((0.5, 0.8), (0.6, 0.7), (0.4, 0.9), (1.0, 1.0), (0.5, 0.8), (0.2, 0.3)):
-        problem.residuals(p)
-        assert calls == [(30.0, 36.0)]
 
 
 def test_zero_residual_at_truth_without_noise(clean_problem):
@@ -392,9 +366,9 @@ def test_trace_csv_layouts(tmp_path, noisy_problem):
 def test_problem_window_defaults_to_measurement_span():
     ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
     prob = ResidualProblem.from_dataset(ds, HIST)
-    assert prob.t0 == 0.0
-    assert prob.t_end == 5.0
-    assert prob.constants.tau == 1.0
+    assert prob.grid.t0 == 0.0
+    assert prob.grid.t_end == 5.0
+    assert prob.grid.constants.tau == 1.0
 
 
 def test_fit_result_is_frozen(noisy_problem):

@@ -138,22 +138,6 @@ def test_planned_sampling_matches_reference_bit_for_bit(hist):
             assert ys.tobytes() == want_y.tobytes()
 
 
-@pytest.mark.parametrize(
-    "hist,overflows",
-    [
-        (HIST, "none"),
-        # every delayed y above the level where exp overflows to inf
-        (ConstantHistory(State(1.0, 1e5)), "all"),
-    ],
-)
-def test_grid_holds_the_ventilation_of_its_history(hist, overflows):
-    c = Constants()
-    grid = Grid(c, hist, 0.0, 5.0, 50)
-    assert type(grid.hist_v) is float
-    assert grid.hist_v == c.ventilation(hist.state.x, hist.state.y)
-    assert (grid.hist_v == math.inf) == (overflows == "all")
-
-
 def test_sample_plan_is_bound_to_its_grid():
     p = ModelParams(alpha=0.5, beta=0.8)
     ts = np.linspace(0.0, 4.0, 21)
