@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error (including usage errors),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .errors import ConfigError, SolverError
@@ -51,13 +52,27 @@ def _print_record(record: dict) -> None:
         )
 
 
+@contextlib.contextmanager
+def _naming(key: str):
+    """Raise an OSError again with a message opening with key, the option that gave the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{key}: {exc}") from exc
+
+
 def _cmd_run_example(args) -> int:
-    _print_record(run_example(args.example, seed=args.seed, sigma=args.sigma, out_dir=args.out))
+    with _naming("--out"):
+        record = run_example(args.example, seed=args.seed, sigma=args.sigma, out_dir=args.out)
+    _print_record(record)
     return 0
 
 
 def _cmd_run_config(args) -> int:
-    _print_record(run_config(parse_config_file(args.config)))
+    config = parse_config_file(args.config)
+    with _naming("out_dir"):
+        record = run_config(config)
+    _print_record(record)
     return 0
 
 
@@ -66,9 +81,10 @@ def _cmd_run_summary(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"seeds: expected comma-separated integers, got {args.seeds!r}") from None
-    run_summary(seeds, args.out)
-    with open(f"{args.out}/summary.txt") as fh:
-        sys.stdout.write(fh.read())
+    with _naming("--out"):
+        run_summary(seeds, args.out)
+        with open(f"{args.out}/summary.txt") as fh:
+            sys.stdout.write(fh.read())
     return 0
 
 

@@ -26,7 +26,14 @@ import numpy as np
 from ._artifacts import write_csv, write_json
 from .data import check_sampling, generate_dataset, save_dataset
 from .errors import ConfigError, InvalidGridError, SolverError
-from .fitting import FitResult, ResidualProblem, solve_lm, solve_trust_region, write_trace_csv
+from .fitting import (
+    FitResult,
+    ResidualProblem,
+    solve_lm,
+    solve_trust_region,
+    start_point,
+    write_trace_csv,
+)
 from .model import Constants, ModelParams, State, equilibrium_solve
 from .solver import ConstantHistory, grid_steps, solve_dde_raw, time_slack
 
@@ -64,8 +71,7 @@ class ExperimentConfig:
                 f"[{self.t0!r}, {self.t_end!r}] lie {spacing:g} apart, which does not "
                 f"resolve times of that magnitude"
             )
-        if len(self.p0) != 2 or not all(math.isfinite(v) for v in self.p0):
-            raise ConfigError(f"p0_alpha, p0_beta: must be two finite numbers, got {self.p0!r}")
+        start_point(self.p0)
         if not self.algorithms:
             raise ConfigError("algorithms: at least one of lm, tr required")
         for a in self.algorithms:
@@ -193,21 +199,12 @@ def run_config(config: ExperimentConfig, out_dir=None) -> dict:
     directory is created once the dataset has been generated, so a run that
     fails before that leaves nothing behind. Returns the run's record, the
     dict written as summary.json: the configuration, then one entry per
-    algorithm that ran, keyed by its name. An OSError from creating or
-    writing the run directory is raised again with a message that opens
-    with the out_dir key.
+    algorithm that ran, keyed by its name.
     """
     config.validate()
     if out_dir is None:
         out_dir = config.out_dir or f"out_{config.name}"
-    try:
-        return _run(config, Path(out_dir))
-    except OSError as exc:
-        raise OSError(f"out_dir: {exc}") from exc
-
-
-def _run(config: ExperimentConfig, out: Path) -> dict:
-    """run_config on a validated config, writing into out."""
+    out = Path(out_dir)
     history = resolve_history(config.history_spec, config.truth)
     solver_settings = {
         "t0": config.t0,
@@ -439,11 +436,8 @@ def parse_config_file(path) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"{key}: cannot parse {text_value!r}") from None
 
-    try:
-        given = {f.name: values[f.name] for f in fields(Constants) if f.name in values}
-        truth = ModelParams(values["alpha"], values["beta"], Constants(**given))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    given = {f.name: values[f.name] for f in fields(Constants) if f.name in values}
+    truth = ModelParams(values["alpha"], values["beta"], Constants(**given))
 
     # keys named after a field set it; absent ones leave the field's default
     optional = {f.name: values[f.name] for f in fields(ExperimentConfig) if f.name in values}

@@ -40,8 +40,8 @@ import numpy as np
 
 from ._artifacts import write_csv
 from .data import Dataset
-from .errors import NonFiniteError, SingularNormalEquationsError
-from .model import Constants
+from .errors import ConfigError, NonFiniteError, SingularNormalEquationsError
+from .model import Constants, check_fields
 from .solver import ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -135,7 +135,9 @@ class SolverOptions:
     Both read step_tol (relative step), grad_tol (gradient inf-norm) and
     max_iter (accepted iterations). Only solve_trust_region reads fun_tol
     (relative cost decrease), radius0 and radius_max; only solve_lm reads
-    lambda0 and lambda_max.
+    lambda0 and lambda_max. Every field but max_iter must be finite and
+    positive, and max_iter nonnegative; otherwise construction raises
+    ConfigError naming the field.
     """
 
     step_tol: float = 1e-6
@@ -146,6 +148,14 @@ class SolverOptions:
     lambda_max: float = 1e10
     radius0: float = 1.0
     radius_max: float = 100.0
+
+    def __post_init__(self):
+        check_fields(
+            self,
+            ("step_tol", "fun_tol", "grad_tol", "lambda0", "lambda_max", "radius0", "radius_max"),
+        )
+        if not self.max_iter >= 0:
+            raise ConfigError(f"max_iter: must be nonnegative, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +171,14 @@ class FitResult:
         return self.trace[-1].function_count
 
 
+def start_point(p0) -> np.ndarray:
+    """p0 as a float array; raises ConfigError unless it is two finite numbers."""
+    p = np.array(p0, dtype=float)
+    if p.shape != (2,) or not np.all(np.isfinite(p)):
+        raise ConfigError(f"p0_alpha, p0_beta: must be two finite numbers, got {p0!r}")
+    return p
+
+
 def _rel_step(step_norm: float, p: np.ndarray) -> float:
     return step_norm / max(float(np.linalg.norm(p)), 1.0)
 
@@ -170,16 +188,17 @@ class _Search:
 
     Holds the iterate p, its residual r, cost ||r||^2, forward-difference
     Jacobian J and gradient inf-norm opt, the residual evaluation count and
-    the trace. Construction evaluates the start point: one residual, then a
-    Jacobian (two more evaluations), then the iteration-0 record, which gets
-    the algorithm's extra fields (lam or trust_radius) from ``start``.
+    the trace. Construction checks the start point with start_point and
+    evaluates it: one residual, then a Jacobian (two more evaluations), then
+    the iteration-0 record, which gets the algorithm's extra fields (lam or
+    trust_radius) from ``start``.
     """
 
     def __init__(self, problem, p0, opts: SolverOptions, algorithm: str, **start):
         self.problem = problem
         self.opts = opts
         self.algorithm = algorithm
-        self.p = np.array(p0, dtype=float)
+        self.p = start_point(p0)
         self.r = problem.residuals(self.p)
         self.n_evals = 1
         with np.errstate(over="ignore"):  # reported by the error below

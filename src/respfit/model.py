@@ -24,22 +24,22 @@ import math
 from dataclasses import dataclass
 
 from ._stepper_py import _exp
-from .errors import NoRootError
+from .errors import ConfigError, NoRootError
 
 # Fixed search bracket for the equilibrium root (in x); generous on both
 # sides of any physically plausible operating point.
 EQUILIBRIUM_BRACKET = (1e-6, 1e3)
 
 
-def _check_fields(obj, positive: tuple[str, ...], finite: tuple[str, ...] = ()) -> None:
-    """Raise ValueError unless the named fields are finite, and the first ones positive."""
+def check_fields(obj, positive: tuple[str, ...], finite: tuple[str, ...] = ()) -> None:
+    """Raise ConfigError, naming the field, unless the fields are finite and the first positive."""
     for name in positive + finite:
         value = getattr(obj, name)
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ConfigError(f"{name}: must be finite, got {value!r}")
     for name in positive:
         if getattr(obj, name) <= 0.0:
-            raise ValueError(f"{name} must be positive, got {getattr(obj, name)!r}")
+            raise ConfigError(f"{name}: must be positive, got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class Constants:
     vent_offset: float = 100.0
 
     def __post_init__(self):
-        _check_fields(self, ("tau", "vent_gain", "vent_rate"), finite=("vent_offset",))
+        check_fields(self, ("tau", "vent_gain", "vent_rate"), finite=("vent_offset",))
 
     def ventilation(self, x_delayed: float, y_delayed: float) -> float:
         """Ventilation drive V for the given delayed state.
@@ -73,7 +73,7 @@ class ModelParams:
     constants: Constants = Constants()
 
     def __post_init__(self):
-        _check_fields(self, ("alpha", "beta"))
+        check_fields(self, ("alpha", "beta"))
         if not isinstance(self.constants, Constants):
             raise TypeError(f"constants must be a Constants, got {self.constants!r}")
 
@@ -114,20 +114,16 @@ def _log_equilibrium_residual(x: float, params: ModelParams) -> float:
     )
 
 
-def equilibrium_solve(
-    params: ModelParams,
-    bracket: tuple[float, float] = EQUILIBRIUM_BRACKET,
-) -> EquilibriumPoint:
+def equilibrium_solve(params: ModelParams) -> EquilibriumPoint:
     """Solve for the unique positive equilibrium (x*, y*).
 
-    Bisection on the log-residual down to a narrow interval, then a Newton
-    polish; accepts when the linear-space residual |1 - alpha*V*x*| is at or
-    below 1e-12. Raises NoRootError when the bracket shows no sign change
-    (nonphysical parameters push the equilibrium outside the bracket).
+    Bisection on the log-residual over EQUILIBRIUM_BRACKET down to a narrow
+    interval, then a Newton polish; accepts when the linear-space residual
+    |1 - alpha*V*x*| is at or below 1e-12. Raises NoRootError when the
+    bracket shows no sign change (nonphysical parameters push the
+    equilibrium outside it).
     """
-    lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
+    lo, hi = EQUILIBRIUM_BRACKET
     g_lo = _log_equilibrium_residual(lo, params)
     g_hi = _log_equilibrium_residual(hi, params)
     if g_lo > 0.0 or g_hi < 0.0:

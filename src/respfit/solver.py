@@ -12,9 +12,10 @@ The history is a constant state (ConstantHistory), the setting of every
 experiment here; it is also the state at t0, so the kernel reads it at node
 0. A Grid holds what a solve keeps fixed while (alpha, beta) vary: the
 constants, the history and the window, validated once by grid_steps, with
-the step count and the node times. A Trajectory is a grid plus its node values and derivatives,
-immutable and evaluable anywhere on [t0 - tau, t_end]: the history's state
-up to t0, stored node values on the grid, cubic Hermite in between.
+the step count and the node times. A Trajectory is a grid plus its node
+values and derivatives, immutable and evaluable anywhere on
+[t0 - tau, t_end]: the history's state up to t0, stored node values on the
+grid, cubic Hermite in between.
 
 Evaluation is split in two. Grid.plan builds a SamplePlan holding
 everything about a set of sample times that depends only on the grid: the

@@ -294,13 +294,36 @@ def _reject_constant(name):
 
 
 def test_io_failure_exit_three(tmp_path, capsys):
+    # the line opens with the option or config key that gave the path
     target = tmp_path / "blocked"
     target.write_text("a file where the run directory should go")
     code = main(["run-example", "ex1", "--out", str(target)])
     assert code == 3
     err = capsys.readouterr().err
+    assert err.startswith("i/o failure: --out: ")
+    assert str(target) in err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG_TEXT + f"out_dir = {target}\n")
+    assert main(["run-config", str(cfg)]) == 3
+    err = capsys.readouterr().err
     assert err.startswith("i/o failure: out_dir: ")
     assert str(target) in err
+
+
+def test_run_summary_io_failures_name_the_option_and_path(tmp_path, capsys):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file where the summary directory should go")
+    assert main(["run-summary", "--seeds", "1", "--out", str(blocked)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: --out: ")
+    assert str(blocked) in err
+    # a file where a seed's directory should go
+    (tmp_path / "b2").mkdir()
+    (tmp_path / "b2" / "seed_1").write_text("")
+    assert main(["run-summary", "--seeds", "1", "--out", str(tmp_path / "b2")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: --out: ")
+    assert str(tmp_path / "b2" / "seed_1") in err
 
 
 def test_run_summary_and_determinism(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from respfit import (
+    ConfigError,
     ConstantHistory,
     Constants,
     ModelParams,
@@ -13,12 +14,14 @@ from respfit import (
     State,
 )
 from respfit.data import (
+    MAX_POINTS,
     Dataset,
     generate_dataset,
     history_from_meta,
     load_dataset,
     save_dataset,
 )
+from respfit.solver import MAX_STEPS
 
 TRUTH = ModelParams(alpha=0.5, beta=0.8)
 HIST = ConstantHistory(State(35.0, 35.0))
@@ -159,6 +162,21 @@ def test_generate_validation():
         generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, -0.1, 1)
     with pytest.raises(ValueError):
         generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.2, -3)
+
+
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        ((0.0, 5.0, MAX_POINTS + 1, 0.2, 1), "n_points"),
+        ((0.0, (MAX_STEPS + 1) / 50, 51, 0.2, 1), "t_end"),
+        ((0.0, 5.0, 51, math.nan, 1), "sigma"),
+        ((0.0, 5.0, 51, 0.2, 2**64), "seed"),
+        ((0.0, 5.0, 51, 0.2, math.inf), "seed"),
+    ],
+)
+def test_generate_refuses_out_of_range_sizes_before_allocating(args, key):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        generate_dataset(TRUTH, HIST, *args)
 
 
 def test_overflowing_noise_is_non_finite_error():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from respfit import (
+    ConfigError,
     ConstantHistory,
     InvalidGridError,
     ModelParams,
@@ -369,6 +370,40 @@ def test_problem_window_defaults_to_measurement_span():
     assert prob.grid.t0 == 0.0
     assert prob.grid.t_end == 5.0
     assert prob.grid.constants.tau == 1.0
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("lambda0", math.nan),  # solve_lm never stopped raising a NaN damping
+        ("radius0", 0.0),  # solve_trust_region stopped at p0 with StepTolerance
+        ("radius0", -1.0),
+        ("step_tol", math.inf),
+        ("fun_tol", 0.0),
+        ("grad_tol", -1e-10),
+        ("lambda_max", math.nan),
+        ("radius_max", 0.0),
+    ],
+)
+def test_solver_options_refuse_non_positive_or_non_finite_values(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        SolverOptions(**{field: value})
+
+
+def test_solver_options_refuse_a_negative_iteration_count(noisy_problem):
+    with pytest.raises(ConfigError, match="^max_iter: "):
+        SolverOptions(max_iter=-1)
+    res = solve_lm(noisy_problem, (0.3, 0.5), SolverOptions(max_iter=0))
+    assert res.termination == Termination.MAX_ITERATIONS
+    assert len(res.trace) == 1
+
+
+@pytest.mark.parametrize("solve", [solve_lm, solve_trust_region])
+@pytest.mark.parametrize("p0", [(0.3, 0.5, 0.1), (0.3,), (math.nan, 0.5), (0.3, -math.inf)])
+def test_solvers_refuse_a_start_point_that_is_not_two_finite_numbers(noisy_problem, solve, p0):
+    # a third component used to surface as "Jacobian column 2 is zero"
+    with pytest.raises(ConfigError, match="^p0_alpha, p0_beta: "):
+        solve(noisy_problem, p0)
 
 
 def test_fit_result_is_frozen(noisy_problem):

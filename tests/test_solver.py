@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from respfit import (
+    ConfigError,
     ConstantHistory,
     Constants,
     Grid,
@@ -17,6 +18,7 @@ from respfit import (
     solve_dde,
     solve_dde_raw,
 )
+from respfit.solver import MAX_STEPS, grid_steps
 
 HIST = ConstantHistory(State(35.0, 35.0))
 
@@ -221,6 +223,18 @@ def test_interval_validation():
         solve_dde(p, HIST, 5.0, 5.0)
     with pytest.raises(ValueError):
         solve_dde(p, HIST, 0.0, 5.0, steps_per_delay=1)
+
+
+def test_grid_caps_its_step_counts():
+    # one over each cap is refused before a node array is allocated
+    assert grid_steps(0.0, MAX_STEPS / 50, 1.0, 50) == MAX_STEPS
+    with pytest.raises(ConfigError, match="^t_end: .* more than the 10000000 allowed"):
+        Grid(Constants(), HIST, 0.0, (MAX_STEPS + 1) / 50, 50)
+    # a whole number of ten steps, so only the cap refuses it
+    spd = MAX_STEPS + 1
+    with pytest.raises(ConfigError, match="^steps_per_delay: "):
+        Grid(Constants(), HIST, 0.0, 10 / spd, spd)
+    assert grid_steps(0.0, 10 / MAX_STEPS, 1.0, MAX_STEPS) == 10
 
 
 def test_negative_gain_blowup_is_reported():
