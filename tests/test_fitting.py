@@ -375,8 +375,8 @@ def test_problem_window_defaults_to_measurement_span():
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("lambda0", math.nan),  # solve_lm never stopped raising a NaN damping
-        ("radius0", 0.0),  # solve_trust_region stopped at p0 with StepTolerance
+        ("lambda0", math.nan),  # never reaches lambda_max, so solve_lm would not stop
+        ("radius0", 0.0),  # a zero step would read as StepTolerance at p0
         ("radius0", -1.0),
         ("step_tol", math.inf),
         ("fun_tol", 0.0),
@@ -401,7 +401,7 @@ def test_solver_options_refuse_a_negative_iteration_count(noisy_problem):
 @pytest.mark.parametrize("solve", [solve_lm, solve_trust_region])
 @pytest.mark.parametrize("p0", [(0.3, 0.5, 0.1), (0.3,), (math.nan, 0.5), (0.3, -math.inf)])
 def test_solvers_refuse_a_start_point_that_is_not_two_finite_numbers(noisy_problem, solve, p0):
-    # a third component used to surface as "Jacobian column 2 is zero"
+    # a third component would otherwise surface as a zero Jacobian column
     with pytest.raises(ConfigError, match="^p0_alpha, p0_beta: "):
         solve(noisy_problem, p0)
 
