@@ -29,7 +29,6 @@ from .fitting import (
     FitResult,
     IterationRecord,
     ResidualProblem,
-    SolverOptions,
     Termination,
     fd_jacobian,
     solve_lm,
@@ -74,7 +73,6 @@ __all__ = [
     "SamplePlan",
     "SingularNormalEquationsError",
     "SolverError",
-    "SolverOptions",
     "State",
     "Termination",
     "Trajectory",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,7 +34,13 @@ MAX_POINTS = 400_000_000 // (30 * 8)
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable measurement set (t_i, X_i, Y_i) with its noise provenance."""
+    """Immutable measurement set (t_i, X_i, Y_i) with its noise provenance.
+
+    Construction raises ConfigError, its message opening with the field at
+    fault, unless times is a strictly increasing 1-d array of at least two
+    values, x_obs and y_obs match its length, all three are finite and
+    noise_sigma is finite and nonnegative.
+    """
 
     times: np.ndarray
     x_obs: np.ndarray
@@ -46,21 +53,21 @@ class Dataset:
         times = np.asarray(self.times, dtype=float)
         x_obs = np.asarray(self.x_obs, dtype=float)
         y_obs = np.asarray(self.y_obs, dtype=float)
+        arrays = (("times", times), ("x_obs", x_obs), ("y_obs", y_obs))
         if times.ndim != 1 or len(times) < 2:
-            raise ValueError("a dataset needs at least two measurement times")
-        if len(x_obs) != len(times) or len(y_obs) != len(times):
-            raise ValueError("times, x_obs, y_obs must have equal length")
+            raise ConfigError(
+                f"times: must be a 1-d array of at least two values, got {times.shape}"
+            )
+        for name, arr in arrays:
+            if arr.shape != times.shape:
+                raise ConfigError(f"{name}: must have the shape of times, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{name}: must be finite")
         if not np.all(np.diff(times) > 0.0):
-            raise ValueError("measurement times must be strictly increasing")
-        if not (
-            np.all(np.isfinite(times))
-            and np.all(np.isfinite(x_obs))
-            and np.all(np.isfinite(y_obs))
-        ):
-            raise ValueError("dataset values must be finite")
+            raise ConfigError("times: must be strictly increasing")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
-        for name, arr in (("times", times), ("x_obs", x_obs), ("y_obs", y_obs)):
+            raise ConfigError(f"noise_sigma: must be nonnegative, got {self.noise_sigma!r}")
+        for name, arr in arrays:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -74,14 +81,15 @@ class Dataset:
 def check_sampling(n_points: int, sigma: float, seed: int) -> None:
     """Raise ConfigError unless the sampling arguments are in range.
 
-    n_points must be from 2 to MAX_POINTS, sigma finite and nonnegative, and
-    seed an unsigned 64-bit integer. The message opens with the argument's name.
+    n_points must be an integer from 2 to MAX_POINTS, sigma finite and
+    nonnegative, and seed an unsigned 64-bit integer; Python and NumPy
+    integers pass. The message opens with the argument's name.
     """
-    if not 2 <= n_points <= MAX_POINTS:
-        raise ConfigError(f"n_points: must be from 2 to {MAX_POINTS}, got {n_points!r}")
+    if not (isinstance(n_points, numbers.Integral) and 2 <= n_points <= MAX_POINTS):
+        raise ConfigError(f"n_points: must be an integer from 2 to {MAX_POINTS}, got {n_points!r}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ConfigError(f"sigma: must be nonnegative, got {sigma!r}")
-    if not 0 <= seed < 2**64:
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
 
 

@@ -41,10 +41,24 @@ import numpy as np
 from ._artifacts import write_csv
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, SingularNormalEquationsError
-from .model import Constants, check_fields
+from .model import Constants
 from .solver import ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+# The fixed settings of both minimizers. Both stop on a relative step below
+# STEP_TOL, a gradient inf-norm below GRAD_TOL or after MAX_ITER accepted
+# iterations; solve_trust_region also on a relative cost decrease below
+# FUN_TOL. solve_lm damps from LAMBDA0 up to LAMBDA_MAX, and
+# solve_trust_region's radius starts at RADIUS0 and is capped at RADIUS_MAX.
+STEP_TOL = 1e-6
+FUN_TOL = 1e-6
+GRAD_TOL = 1e-10
+MAX_ITER = 100
+LAMBDA0 = 0.01
+LAMBDA_MAX = 1e10
+RADIUS0 = 1.0
+RADIUS_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -129,36 +143,6 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Tolerances and start values of the two minimizers.
-
-    Both read step_tol (relative step), grad_tol (gradient inf-norm) and
-    max_iter (accepted iterations). Only solve_trust_region reads fun_tol
-    (relative cost decrease), radius0 and radius_max; only solve_lm reads
-    lambda0 and lambda_max. Every field but max_iter must be finite and
-    positive, and max_iter nonnegative; otherwise construction raises
-    ConfigError naming the field.
-    """
-
-    step_tol: float = 1e-6
-    fun_tol: float = 1e-6
-    grad_tol: float = 1e-10
-    max_iter: int = 100
-    lambda0: float = 0.01
-    lambda_max: float = 1e10
-    radius0: float = 1.0
-    radius_max: float = 100.0
-
-    def __post_init__(self):
-        check_fields(
-            self,
-            ("step_tol", "fun_tol", "grad_tol", "lambda0", "lambda_max", "radius0", "radius_max"),
-        )
-        if not self.max_iter >= 0:
-            raise ConfigError(f"max_iter: must be nonnegative, got {self.max_iter!r}")
-
-
-@dataclass(frozen=True)
 class FitResult:
     best_fit: tuple[float, float]
     final_residual: float
@@ -194,9 +178,8 @@ class _Search:
     trust_radius) from ``start``.
     """
 
-    def __init__(self, problem, p0, opts: SolverOptions, algorithm: str, **start):
+    def __init__(self, problem, p0, algorithm: str, **start):
         self.problem = problem
-        self.opts = opts
         self.algorithm = algorithm
         self.p = start_point(p0)
         self.r = problem.residuals(self.p)
@@ -245,12 +228,12 @@ class _Search:
                 len(self.trace), self.n_evals, cost, self.opt, step_norm=step_norm, **record
             )
         )
-        if _rel_step(step_norm, p) < self.opts.step_tol:
+        if _rel_step(step_norm, p) < STEP_TOL:
             return Termination.STEP_TOLERANCE
         return self.at_critical_point()
 
     def at_critical_point(self) -> Termination | None:
-        if self.opt < self.opts.grad_tol:
+        if self.opt < GRAD_TOL:
             return Termination.GRADIENT_TOLERANCE
         return None
 
@@ -259,24 +242,23 @@ class _Search:
         return FitResult(best_fit, self.cost, termination, tuple(self.trace), self.algorithm)
 
 
-def solve_lm(problem, p0, opts: SolverOptions | None = None) -> FitResult:
+def solve_lm(problem, p0) -> FitResult:
     """Levenberg-Marquardt with diag(JtJ) damping.
 
-    Starts at lambda = opts.lambda0; an accepted step divides lambda by 10,
+    Starts at lambda = LAMBDA0; an accepted step divides lambda by 10,
     a rejected one multiplies it by 10 and retries without recording an
     iteration. Raises SingularNormalEquationsError if a Jacobian column
     vanishes or the damped normal equations stay singular all the way up to
-    lambda_max (an unidentifiable parameter direction), and NonFiniteError
+    LAMBDA_MAX (an unidentifiable parameter direction), and NonFiniteError
     if the cost at p0 is not finite or a forward-difference probe blows up,
     at p0 or after an accepted step.
     """
-    opts = opts or SolverOptions()
-    lam = opts.lambda0
-    search = _Search(problem, p0, opts, "LM", lam=lam)
+    lam = LAMBDA0
+    search = _Search(problem, p0, "LM", lam=lam)
     if termination := search.at_critical_point():
         return search.result(termination)
 
-    for _ in range(opts.max_iter):
+    for _ in range(MAX_ITER):
         A = search.J.T @ search.J
         g = search.J.T @ search.r
         while True:
@@ -287,7 +269,7 @@ def solve_lm(problem, p0, opts: SolverOptions | None = None) -> FitResult:
             except np.linalg.LinAlgError:
                 solvable = False
             if not solvable:
-                if lam >= opts.lambda_max:
+                if lam >= LAMBDA_MAX:
                     raise SingularNormalEquationsError(
                         f"damped normal equations singular at lambda={lam:g}; "
                         "a parameter direction leaves the residual unchanged"
@@ -304,7 +286,7 @@ def solve_lm(problem, p0, opts: SolverOptions | None = None) -> FitResult:
             lam *= 10.0
             # ever-larger damping only shortens the step; once it is
             # negligible relative to p, no meaningful move remains
-            if _rel_step(step_norm, search.p) < opts.step_tol:
+            if _rel_step(step_norm, search.p) < STEP_TOL:
                 return search.result(Termination.STEP_TOLERANCE)
 
         if termination := search.accept(trial, r_trial, cost_trial, step_norm, lam=lam):
@@ -341,24 +323,23 @@ def _dogleg(J: np.ndarray, r: np.ndarray, g: np.ndarray, radius: float):
     return cauchy + s * d, True
 
 
-def solve_trust_region(problem, p0, opts: SolverOptions | None = None) -> FitResult:
+def solve_trust_region(problem, p0) -> FitResult:
     """Dogleg trust-region Gauss-Newton.
 
     Acceptance ratio rho compares the actual residual decrease with the one
     the linear model promised; steps with rho > 1e-4 are taken. The radius
-    shrinks by 4 when rho < 0.25 and doubles (capped at radius_max) when
+    shrinks by 4 when rho < 0.25 and doubles (capped at RADIUS_MAX) when
     rho > 0.75 with the step on the boundary. Raises
     SingularNormalEquationsError if a Jacobian column vanishes, and
     NonFiniteError if the cost at p0 is not finite or a forward-difference
     probe blows up, at p0 or after an accepted step.
     """
-    opts = opts or SolverOptions()
-    radius = opts.radius0
-    search = _Search(problem, p0, opts, "TrustRegion", trust_radius=radius)
+    radius = RADIUS0
+    search = _Search(problem, p0, "TrustRegion", trust_radius=radius)
     if termination := search.at_critical_point():
         return search.result(termination)
 
-    for _ in range(opts.max_iter):
+    for _ in range(MAX_ITER):
         J, r, cost = search.J, search.r, search.cost
         g = J.T @ r
         while True:
@@ -374,17 +355,17 @@ def solve_trust_region(problem, p0, opts: SolverOptions | None = None) -> FitRes
             if rho < 0.25:
                 radius /= 4.0
             elif rho > 0.75 and hit_boundary:
-                radius = min(2.0 * radius, opts.radius_max)
+                radius = min(2.0 * radius, RADIUS_MAX)
 
             if rho > 1e-4:
                 break
             # rejected; once the region forces negligible steps, stop
-            if _rel_step(step_norm, search.p) < opts.step_tol:
+            if _rel_step(step_norm, search.p) < STEP_TOL:
                 return search.result(Termination.STEP_TOLERANCE)
 
         termination = search.accept(trial, r_trial, cost_trial, step_norm, trust_radius=radius)
         # the function tolerance takes precedence over the step and gradient ones
-        if abs(cost - cost_trial) / max(cost, 1.0) < opts.fun_tol:
+        if abs(cost - cost_trial) / max(cost, 1.0) < FUN_TOL:
             termination = Termination.FUNCTION_TOLERANCE
         if termination:
             return search.result(termination)

@@ -86,8 +86,7 @@ class State:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"state components must be finite, got ({self.x!r}, {self.y!r})")
+        check_fields(self, (), finite=("x", "y"))
 
 
 @dataclass(frozen=True)

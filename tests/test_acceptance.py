@@ -336,3 +336,69 @@ def test_criterion_9_determinism(tmp_path):
         (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes() for rel in rel_a
     )
     _verdict(9, identical, f"{len(rel_a)} files compared byte-for-byte")
+
+
+def _method_of_steps(integrate, params: ModelParams, start: State, times: np.ndarray):
+    """(x, y) at times by SciPy's DOP853, one delay interval at a time.
+
+    PAPER.md's two equations, integrated independently of respfit's RK4
+    kernels (method of steps: Bellen & Zennaro, Numerical Methods for Delay
+    Differential Equations, 2003). On [t0, t0 + tau] the delayed state is the
+    constant history; on each later interval it is read from the previous
+    interval's dense output.
+    """
+    c = params.constants
+    tau = c.tau
+
+    def delayed(_t):
+        return start.x, start.y
+
+    state = (start.x, start.y)
+    t, t_end = float(times[0]), float(times[-1])
+    out = np.empty((2, len(times)))
+    while t < t_end:
+        t_next = min(t + tau, t_end)
+
+        def rhs(s, u, delayed=delayed):
+            xd, yd = delayed(s - tau)
+            v = c.vent_gain * math.exp(-c.vent_rate * (c.vent_offset - yd)) * xd
+            return [1.0 - params.alpha * v * u[0], 1.0 - params.beta * v * u[1]]
+
+        sol = integrate.solve_ivp(
+            rhs, (t, t_next), state, method="DOP853", rtol=1e-13, atol=1e-12, dense_output=True
+        )
+        assert sol.success, sol.message
+        inside = (times >= t) & (times <= t_next)
+        out[:, inside] = sol.sol(times[inside])
+        delayed, state, t = sol.sol, sol.y[:, -1], t_next
+    return out
+
+
+def test_criterion_11_independent_forward_model():
+    # Criterion 7 checks the order of accuracy only on [0, tau], where the
+    # delayed state is the constant history, and the other criteria compare
+    # fits with fits; past t0 + tau only an independent integrator of the
+    # paper's equations can tell a wrong delayed argument from a right one.
+    integrate = pytest.importorskip("scipy.integrate")
+    times = np.linspace(0.0, 5.0, 51)
+    cases = [
+        ((0.5, 0.8), (35.0, 35.0)),
+        ((0.3, 0.5), (35.0, 35.0)),
+        ((1.2, 0.4), (35.0, 35.0)),
+        ((0.5, 0.8), (20.0, 50.0)),
+    ]
+    start = time.perf_counter()
+    worst, where = 0.0, ""
+    for (alpha, beta), (x0, y0) in cases:
+        params, state = ModelParams(alpha=alpha, beta=beta), State(x0, y0)
+        traj = solve_dde(params, ConstantHistory(state), 0.0, 5.0, steps_per_delay=50)
+        oracle = _method_of_steps(integrate, params, state, times)
+        gap = float(np.max(np.abs(np.vstack(traj.eval_many(times)) - oracle)))
+        if gap > worst:
+            worst, where = gap, f"({alpha}, {beta}) from ({x0:g}, {y0:g})"
+    _verdict(
+        11,
+        worst <= 1e-9,
+        f"max gap to DOP853 method of steps {worst:.2e} at {where}; "
+        f"{time.perf_counter() - start:.2f} s",
+    )

@@ -172,11 +172,18 @@ def test_generate_validation():
         ((0.0, 5.0, 51, math.nan, 1), "sigma"),
         ((0.0, 5.0, 51, 0.2, 2**64), "seed"),
         ((0.0, 5.0, 51, 0.2, math.inf), "seed"),
+        ((0.0, 5.0, 2.5, 0.2, 1), "n_points"),  # np.linspace raised TypeError
+        ((0.0, 5.0, 51, 0.2, 1.5), "seed"),  # was recorded as seed 1
     ],
 )
 def test_generate_refuses_out_of_range_sizes_before_allocating(args, key):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         generate_dataset(TRUTH, HIST, *args)
+
+
+def test_generate_takes_numpy_integers():
+    ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, np.int64(11), 0.2, np.uint64(5))
+    assert ds == generate_dataset(TRUTH, HIST, 0.0, 5.0, 11, 0.2, 5)
 
 
 def test_overflowing_noise_is_non_finite_error():
@@ -189,13 +196,17 @@ def test_overflowing_noise_is_non_finite_error():
 def test_dataset_invariants():
     t = np.array([0.0, 1.0, 2.0])
     v = np.zeros(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^times: must be strictly increasing"):
         Dataset(times=np.array([0.0, 0.0, 1.0]), x_obs=v, y_obs=v, noise_sigma=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^times: must be finite"):
+        Dataset(times=np.array([0.0, math.nan, 1.0]), x_obs=v, y_obs=v, noise_sigma=0.1)
+    with pytest.raises(ConfigError, match="^x_obs: "):
         Dataset(times=t, x_obs=np.zeros(2), y_obs=v, noise_sigma=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^y_obs: "):
+        Dataset(times=t, x_obs=v, y_obs=np.array([0.0, math.inf, 0.0]), noise_sigma=0.1)
+    with pytest.raises(ConfigError, match="^noise_sigma: "):
         Dataset(times=t, x_obs=v, y_obs=v, noise_sigma=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^times: "):
         Dataset(times=np.array([0.0]), x_obs=np.zeros(1), y_obs=np.zeros(1), noise_sigma=0.0)
     ds = Dataset(times=t, x_obs=v, y_obs=v, noise_sigma=0.0)
     assert len(ds) == 3

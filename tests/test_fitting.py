@@ -12,6 +12,7 @@ from respfit import (
     OutOfDomainError,
     SingularNormalEquationsError,
     State,
+    fitting,
     solve_dde,
     solve_dde_raw,
 )
@@ -20,7 +21,6 @@ from respfit.experiments import PRESETS, resolve_history
 from respfit.fitting import (
     FitResult,
     ResidualProblem,
-    SolverOptions,
     Termination,
     fd_jacobian,
     solve_lm,
@@ -258,10 +258,13 @@ def test_tr_far_start_takes_more_iterations(noisy_problem):
     assert len(far.trace) >= len(near.trace)
 
 
-def test_max_iterations_is_reported(noisy_problem):
-    res = solve_lm(noisy_problem, (0.01, 0.01), SolverOptions(max_iter=1))
-    assert res.termination is Termination.MAX_ITERATIONS
-    assert len(res.trace) == 2
+def test_max_iterations_is_reported(noisy_problem, monkeypatch):
+    for max_iter in (1, 0):
+        monkeypatch.setattr(fitting, "MAX_ITER", max_iter)
+        for solve in (solve_lm, solve_trust_region):
+            res = solve(noisy_problem, (0.01, 0.01))
+            assert res.termination is Termination.MAX_ITERATIONS
+            assert len(res.trace) == max_iter + 1
 
 
 class _NoSensitivity:
@@ -370,32 +373,6 @@ def test_problem_window_defaults_to_measurement_span():
     assert prob.grid.t0 == 0.0
     assert prob.grid.t_end == 5.0
     assert prob.grid.constants.tau == 1.0
-
-
-@pytest.mark.parametrize(
-    "field,value",
-    [
-        ("lambda0", math.nan),  # never reaches lambda_max, so solve_lm would not stop
-        ("radius0", 0.0),  # a zero step would read as StepTolerance at p0
-        ("radius0", -1.0),
-        ("step_tol", math.inf),
-        ("fun_tol", 0.0),
-        ("grad_tol", -1e-10),
-        ("lambda_max", math.nan),
-        ("radius_max", 0.0),
-    ],
-)
-def test_solver_options_refuse_non_positive_or_non_finite_values(field, value):
-    with pytest.raises(ConfigError, match=f"^{field}: "):
-        SolverOptions(**{field: value})
-
-
-def test_solver_options_refuse_a_negative_iteration_count(noisy_problem):
-    with pytest.raises(ConfigError, match="^max_iter: "):
-        SolverOptions(max_iter=-1)
-    res = solve_lm(noisy_problem, (0.3, 0.5), SolverOptions(max_iter=0))
-    assert res.termination == Termination.MAX_ITERATIONS
-    assert len(res.trace) == 1
 
 
 @pytest.mark.parametrize("solve", [solve_lm, solve_trust_region])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from respfit import Constants, ModelParams, NoRootError, State, equilibrium_solve
+from respfit import ConfigError, Constants, ModelParams, NoRootError, State, equilibrium_solve
 
 
 def _vent(xd, yd, gain=0.14, rate=0.05, offset=100.0):
@@ -133,9 +133,9 @@ def test_params_take_the_constants_as_one_object():
 
 
 def test_state_must_be_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^x: must be finite"):
         State(math.nan, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^y: must be finite"):
         State(1.0, math.inf)
 
 
