@@ -1,15 +1,17 @@
 """Pure-Python twin of the compiled RK4 method-of-steps stepper.
 
-Kept expression-for-expression identical to ``_stepper.c`` (same arithmetic
-in the same order, same libm exp) so both backends produce bit-identical
-trajectories. Used when the compiled extension is unavailable or explicitly
-selected.
+It performs the same IEEE operations as ``_stepper.c`` in the same order,
+with the same libm exp, so both backends produce bit-identical trajectories;
+on long delays some of those operations are evaluated elementwise in NumPy
+(see _step_windows). Used when the compiled extension is unavailable or
+explicitly selected.
 
 The two differ only in when they look for a blow-up. The C kernel checks the
 state after every step; the twin checks it once per delay interval (n_delay
-steps) and then finds the interval's first non-finite node. Both stop at the
-same node and write the same outputs, because a non-finite state stays
-non-finite: every step computes x[k+1] = x[k] + ...
+steps), or once per window of n_delay - 1 steps on long delays, and then
+finds that stretch's first non-finite node. Both stop at the same node and
+write the same outputs, because a non-finite state stays non-finite: every
+step computes x[k+1] = x[k] + ...
 """
 
 from __future__ import annotations
@@ -18,7 +20,17 @@ import math
 import operator
 import struct
 
+import numpy as np
+
 _ARRAY_NAMES = ("x", "y", "dx", "dy")
+
+# Delays of at least this many steps run their later intervals in windows
+# (_step_windows). Each window pays for about thirty NumPy calls whatever its
+# length, which short windows do not earn back. Against the step-by-step loop
+# over 50 delay intervals, four runs measured windows at 0.84-1.10x the
+# loop's speed at 160 steps per delay, 1.05-1.13x at 192 and 1.12-1.19x at
+# 256 (BENCH_15.json): 192 is the shortest delay at which every run won.
+_BATCH_MIN_DELAY = 192
 
 
 def _exp(z):
@@ -127,6 +139,14 @@ def integrate(
         X.append(xk)
         Y.append(yk)
 
+    views = (vx, vy, vdx, vdy)
+    if nd >= _BATCH_MIN_DELAY and hi < n and isfinite(xk) and isfinite(yk):
+        _pack(views, 0, X, Y, DX, DY, hi + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _step_windows(
+                alpha, beta, vent_gain, nr, vent_offset, h, n, nd, views, hi, xk, yk, av1, bv1
+            )
+
     # Later intervals: step k's delayed nodes are i1 = k - n_delay and i1 + 1,
     # its midpoint the Hermite interpolant between them.
     while hi < n and isfinite(xk) and isfinite(yk):
@@ -170,23 +190,110 @@ def integrate(
             Y.append(yk)
 
     if hi and not (isfinite(xk) and isfinite(yk)):
-        # the interval [lo, hi) blew up: find its first non-finite node
-        status = lo + 1
-        while isfinite(X[status]) and isfinite(Y[status]):
-            status += 1
+        # the interval [lo, hi) blew up: its first non-finite node is the status
+        status = _first_nonfinite(X, Y, lo + 1)
         end = status
     else:
         status = 0
         DX.append(1.0 - av1 * xk)
         DY.append(1.0 - bv1 * yk)
         end = n + 1
-
-    # x[0], y[0] are inputs; steps 1 .. end - 1 and derivatives 0 .. end - 1
-    # are written as raw doubles, which struct packs faster than NumPy assigns.
-    fmt = f"{end - 1}d"
-    struct.pack_into(fmt, vx, 8, *X[1:end])
-    struct.pack_into(fmt, vy, 8, *Y[1:end])
-    fmt = f"{end}d"
-    struct.pack_into(fmt, vdx, 0, *DX[:end])
-    struct.pack_into(fmt, vdy, 0, *DY[:end])
+    _pack(views, 0, X, Y, DX, DY, end)
     return status
+
+
+def _step_windows(alpha, beta, vent_gain, nr, vent_offset, h, n, nd, views, s, xk, yk, av1, bv1):
+    """integrate's steps s .. n - 1, s >= n_delay, from nodes 0 .. s already in views.
+
+    Step k reads the derivative at node k + 1 - n_delay, which step
+    k + 1 - n_delay writes, so the n_delay - 1 steps from s on read only nodes
+    written before s. Each such window first evaluates its delayed midpoints,
+    ventilations and gains elementwise in NumPy, each with the C kernel's
+    operations in its order, and libm's exp through math.exp. Its RK4 loop
+    then runs on those gains, and its nodes go into views when it ends.
+    Returns integrate's status; xk, yk, av1, bv1 are its values at step s.
+    """
+    x, y, dx, dy = (np.frombuffer(v) for v in views)
+    half_h = 0.5 * h
+    h8 = 0.125 * h
+    h6 = h / 6.0
+    while s < n:
+        end = min(s + nd - 1, n)
+        a = s - nd
+        b = end - nd
+        xd4 = x[a + 1 : b + 1]
+        yd4 = y[a + 1 : b + 1]
+        xdm = 0.5 * (x[a:b] + xd4) + h8 * (dx[a:b] - dx[a + 1 : b + 1])
+        ydm = 0.5 * (y[a:b] + yd4) + h8 * (dy[a:b] - dy[a + 1 : b + 1])
+        vm = vent_gain * _exps(nr * (vent_offset - ydm)) * xdm
+        v4 = vent_gain * _exps(nr * (vent_offset - yd4)) * xd4
+
+        X = [xk]
+        Y = [yk]
+        DX = []
+        DY = []
+        for avm, bvm, av4, bv4 in zip(
+            (alpha * vm).tolist(), (beta * vm).tolist(), (alpha * v4).tolist(), (beta * v4).tolist()
+        ):
+            k1x = 1.0 - av1 * xk
+            k1y = 1.0 - bv1 * yk
+            k2x = 1.0 - avm * (xk + half_h * k1x)
+            k2y = 1.0 - bvm * (yk + half_h * k1y)
+            k3x = 1.0 - avm * (xk + half_h * k2x)
+            k3y = 1.0 - bvm * (yk + half_h * k2y)
+            av1 = av4
+            bv1 = bv4
+            k4x = 1.0 - av1 * (xk + h * k3x)
+            k4y = 1.0 - bv1 * (yk + h * k3y)
+            DX.append(k1x)
+            DY.append(k1y)
+            xk = xk + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+            yk = yk + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+            X.append(xk)
+            Y.append(yk)
+
+        if not (math.isfinite(xk) and math.isfinite(yk)):
+            stop = _first_nonfinite(X, Y, 1)
+            _pack(views, s, X, Y, DX, DY, stop)
+            return s + stop
+        if end == n:
+            DX.append(1.0 - av1 * xk)
+            DY.append(1.0 - bv1 * yk)
+        _pack(views, s, X, Y, DX, DY, len(X))
+        s = end
+    return 0
+
+
+def _exps(z):
+    """libm's exp of each element of z, overflowing to inf as in C (see _exp).
+
+    np.exp is not used: it may round differently from libm.
+    """
+    z = z.tolist()
+    try:
+        return np.fromiter(map(math.exp, z), float, len(z))
+    except OverflowError:
+        return np.fromiter(map(_exp, z), float, len(z))
+
+
+def _first_nonfinite(X, Y, i):
+    """The first index from i on at which X or Y is non-finite; there must be one."""
+    while math.isfinite(X[i]) and math.isfinite(Y[i]):
+        i += 1
+    return i
+
+
+def _pack(views, s, X, Y, DX, DY, stop):
+    """Write X[1:stop], Y[1:stop] to nodes s + 1 on and DX[:stop], DY[:stop] to nodes s on.
+
+    The values go in as raw doubles, which struct packs faster than NumPy assigns.
+    """
+    vx, vy, vdx, vdy = views
+    nodes = X[1:stop]
+    fmt = f"{len(nodes)}d"
+    struct.pack_into(fmt, vx, 8 * (s + 1), *nodes)
+    struct.pack_into(fmt, vy, 8 * (s + 1), *Y[1:stop])
+    derivs = DX[:stop]
+    fmt = f"{len(derivs)}d"
+    struct.pack_into(fmt, vdx, 8 * s, *derivs)
+    struct.pack_into(fmt, vdy, 8 * s, *DY[:stop])

@@ -38,8 +38,9 @@ class Dataset:
 
     Construction raises ConfigError, its message opening with the field at
     fault, unless times is a strictly increasing 1-d array of at least two
-    values, x_obs and y_obs match its length, all three are finite and
-    noise_sigma is finite and nonnegative.
+    values, x_obs and y_obs match its length, all three are finite,
+    noise_sigma is finite and nonnegative and seed, if given, is an unsigned
+    64-bit integer.
     """
 
     times: np.ndarray
@@ -67,6 +68,8 @@ class Dataset:
             raise ConfigError("times: must be strictly increasing")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ConfigError(f"noise_sigma: must be nonnegative, got {self.noise_sigma!r}")
+        if self.seed is not None and not is_seed(self.seed):
+            raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed!r}")
         for name, arr in arrays:
             arr = arr.copy()
             arr.flags.writeable = False
@@ -89,8 +92,13 @@ def check_sampling(n_points: int, sigma: float, seed: int) -> None:
         raise ConfigError(f"n_points: must be an integer from 2 to {MAX_POINTS}, got {n_points!r}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ConfigError(f"sigma: must be nonnegative, got {sigma!r}")
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+    if not is_seed(seed):
         raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
+
+
+def is_seed(value) -> bool:
+    """True if value, a Python or NumPy integer, is an unsigned 64-bit noise seed."""
+    return isinstance(value, numbers.Integral) and 0 <= value < 2**64
 
 
 def generate_dataset(
@@ -170,28 +178,50 @@ def load_dataset(csv_path) -> tuple[Dataset, dict]:
     """Read a CSV/sidecar pair back; returns (dataset, metadata).
 
     The metadata dict is empty if no sidecar exists. Round-trips written
-    datasets bit-exactly (17 significant digits reproduce any double).
+    datasets bit-exactly (17 significant digits reproduce any double). A CSV
+    that is not three columns of numbers, or a sidecar that is not a JSON
+    object or holds a malformed truth, noise_sigma or seed, raises
+    ConfigError naming the field.
     """
     csv_path = Path(csv_path)
-    raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"t,x_obs,y_obs: {csv_path} does not hold numbers: {exc}") from None
     if raw.shape[1] != 3:
-        raise ValueError(f"{csv_path} must have three columns t,x_obs,y_obs")
+        raise ConfigError(
+            f"t,x_obs,y_obs: {csv_path} must have these three columns, got {raw.shape[1]}"
+        )
 
     meta: dict = {}
     mp = _meta_path(csv_path)
     if mp.exists():
         with open(mp) as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"meta: {mp} is not JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"meta: {mp} must hold a JSON object")
 
     truth = None
     if meta.get("truth"):
-        flat = dict(meta["truth"])
-        truth = ModelParams(flat.pop("alpha"), flat.pop("beta"), Constants(**flat))
+        try:
+            flat = dict(meta["truth"])
+            truth = ModelParams(flat.pop("alpha"), flat.pop("beta"), Constants(**flat))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"truth: malformed in {mp}: {exc!r}") from None
+    try:
+        noise_sigma = float(meta.get("noise_sigma", 0.0))
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"noise_sigma: must be a number, got {meta['noise_sigma']!r} in {mp}"
+        ) from None
     dataset = Dataset(
         times=raw[:, 0],
         x_obs=raw[:, 1],
         y_obs=raw[:, 2],
-        noise_sigma=float(meta.get("noise_sigma", 0.0)),
+        noise_sigma=noise_sigma,
         seed=meta.get("seed"),
         truth=truth,
     )

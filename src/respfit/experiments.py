@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from .data import check_sampling, generate_dataset, save_dataset
+from .data import check_sampling, generate_dataset, is_seed, save_dataset
 from .errors import ConfigError, InvalidGridError, SolverError
 from .fitting import (
     FitResult,
@@ -324,11 +324,17 @@ def run_summary(seeds, out_dir) -> list[dict]:
 
     Writes seed_<s>/<example>/ run directories plus summary.csv (machine
     readable) and summary.txt (aligned table) under out_dir. Returns the
-    aggregate rows.
+    aggregate rows. The seeds, distinct unsigned 64-bit integers, are checked
+    before anything is written.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = list(seeds)
     if not seeds:
         raise ConfigError("seeds: at least one seed required")
+    for seed in seeds:
+        if not is_seed(seed):
+            raise ConfigError(f"seeds: each must be an unsigned 64-bit integer, got {seed!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds: duplicate entries in {seeds!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

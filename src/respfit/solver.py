@@ -30,6 +30,7 @@ grid and the plan once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -77,11 +78,22 @@ class ConstantHistory:
 
 
 def history_from_description(desc: dict) -> ConstantHistory:
-    """Inverse of ConstantHistory.describe()."""
+    """Inverse of ConstantHistory.describe().
+
+    Raises ConfigError, its message opening with the field at fault, unless
+    desc is a constant history whose x and y are finite numbers.
+    """
+    if not isinstance(desc, dict):
+        raise ConfigError(f"history: must be a mapping, got {desc!r}")
     kind = desc.get("kind")
-    if kind == "constant":
-        return ConstantHistory(State(float(desc["x"]), float(desc["y"])))
-    raise ValueError(f"unknown history kind {kind!r}")
+    if kind != "constant":
+        raise ConfigError(f"history: unknown kind {kind!r}")
+    for name in ("x", "y"):
+        value = desc.get(name)
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        if isinstance(value, bool) or not finite:
+            raise ConfigError(f"history.{name}: must be a finite number, got {value!r}")
+    return ConstantHistory(State(float(desc["x"]), float(desc["y"])))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from respfit import ConstantHistory, Constants, ModelParams, State, solve_dde
 from respfit import backend
+from respfit._stepper_py import _BATCH_MIN_DELAY
 from respfit.errors import NonFiniteError
 from respfit.solver import Grid, solve_dde_raw
 
@@ -225,6 +227,11 @@ def _random_kernel_call(rng, overflow, delays=(1, 60)):
     alpha, beta = (float(v) for v in rng.uniform(-4.0, 4.0, 2))
     level = _EXP_OVERFLOW_Y if overflow else rng.uniform(1.0, 60.0)
     hx, hy = rng.uniform(0.5, 1.5, 2) * level
+    return _reference_call(alpha, beta, n, nd, hx, hy)
+
+
+def _reference_call(alpha, beta, n, nd, hx, hy):
+    """The reference's arguments for n steps from the constant history (hx, hy), tau = 1."""
     outs = [np.zeros(n + 1) for _ in range(4)]
     outs[0][0], outs[1][0] = hx, hy
     return [alpha, beta, 0.14, 0.05, 100.0, 1.0 / nd, n, nd,
@@ -312,6 +319,52 @@ def test_blow_ups_at_delay_interval_edges_match_reference_stepper(name):
         assert seen[edge] >= 5, (edge, seen)
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_windowed_twin_matches_reference_stepper(name):
+    # From _BATCH_MIN_DELAY steps per delay on, the twin steps its later
+    # intervals in windows of n_delay - 1 steps; the draws fall on both sides.
+    integrate = backend.available()[name].integrate
+    rng = np.random.default_rng(15)
+    seen = collections.Counter()
+    for i in range(160):
+        overflow = i % 4 == 0
+        args = _random_kernel_call(
+            rng, overflow, delays=(_BATCH_MIN_DELAY - 16, _BATCH_MIN_DELAY + 16)
+        )
+        n, nd = args[6], args[7]
+        if i % 4 == 1:
+            # the last window ends on step n
+            n = n // (nd - 1) * (nd - 1)
+            args[6] = n
+            args[12:] = [out[: n + 1] for out in args[12:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = _assert_matches_reference(integrate, args, i)
+        if nd < _BATCH_MIN_DELAY:
+            seen["step by step"] += n > nd
+            continue
+        seen["n < n_delay"] += n < nd
+        seen["n a multiple of n_delay - 1"] += n > nd and n % (nd - 1) == 0
+        seen["blow-up in a window"] += status > nd
+        seen["exp-overflow history"] += overflow
+    for case in ("step by step", "n < n_delay", "n a multiple of n_delay - 1",
+                 "blow-up in a window", "exp-overflow history"):
+        assert seen[case] >= 5, (case, seen)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_windowed_twin_raises_no_warning_as_its_gains_turn_nan(name):
+    # With alpha = beta = 0 the state grows by t, so the delayed y crosses the
+    # level where exp() overflows in the second interval. Its gains are then
+    # 0 * inf = nan, which NumPy would report as a RuntimeWarning.
+    args = _reference_call(0.0, 0.0, 3 * _BATCH_MIN_DELAY, _BATCH_MIN_DELAY, 1.0,
+                           _EXP_OVERFLOW_Y - 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = _assert_matches_reference(backend.available()[name].integrate, args, name)
+    assert _BATCH_MIN_DELAY < status < 2 * _BATCH_MIN_DELAY
+
+
 @pytest.mark.parametrize("y_hist", [60.0, 1.2 * _EXP_OVERFLOW_Y])
 @pytest.mark.parametrize("name", BACKENDS)
 def test_grid_solve_matches_reference_stepper(name, y_hist):
@@ -344,7 +397,8 @@ def test_grid_solve_matches_reference_stepper(name, y_hist):
 
 
 def test_twin_evaluates_no_exp_over_the_first_delay_interval(monkeypatch):
-    # one exp for the ventilation at node 0, then two per later step
+    # one exp for the ventilation at node 0, then two per later step, also
+    # when the later steps run in windows
     twin = backend.available()["python"]
     calls = []
     real_exp = math.exp
@@ -354,7 +408,8 @@ def test_twin_evaluates_no_exp_over_the_first_delay_interval(monkeypatch):
         return real_exp(z)
 
     monkeypatch.setattr(math, "exp", counting_exp)
-    for n_steps, n_delay in ((50, 50), (51, 50), (250, 50), (9, 2)):
+    windowed = (3 * _BATCH_MIN_DELAY, _BATCH_MIN_DELAY)
+    for n_steps, n_delay in ((50, 50), (51, 50), (250, 50), (9, 2), windowed):
         args = _kernel_args(n_steps, n_delay)
         calls.clear()
         assert twin.integrate(*args) == 0

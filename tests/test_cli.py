@@ -342,8 +342,13 @@ def test_run_summary_and_determinism(tmp_path, capsys):
 
 
 def test_run_summary_bad_seed_list(tmp_path, capsys):
-    assert main(["run-summary", "--seeds", "1,two", "--out", str(tmp_path)]) == 1
-    assert "seeds" in capsys.readouterr().err
+    # every seed is checked before the first run, so a bad one leaves no run
+    # directory, and a repeated one no summary that counts one run twice
+    out = tmp_path / "summary"
+    for seeds in ("1,two", "1,-5", "99999999999999999999999", "1,1", "2,7,2"):
+        assert main(["run-summary", "--seeds", seeds, "--out", str(out)]) == 1, seeds
+        assert "configuration error: seeds: " in capsys.readouterr().err
+        assert not out.exists(), seeds
 
 
 def test_console_script_is_wired():

@@ -147,6 +147,58 @@ def test_datasets_compare_by_value(tmp_path):
     assert (clone == a) is True
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t,x_obs\n0.0,1.0\n1.0,2.0\n",
+        "t,x_obs,y_obs,z\n0.0,1.0,2.0,3.0\n1.0,2.0,3.0,4.0\n",
+        "t,x_obs,y_obs\n0.0,1.0,one\n1.0,2.0,3.0\n",
+    ],
+)
+def test_load_refuses_a_malformed_csv(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith("t,x_obs,y_obs: ")
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "sidecar,prefix",
+    [
+        ("{not json", "meta: "),
+        ("[1, 2]", "meta: "),
+        ('{"truth": {"beta": 0.8}}', "truth: "),
+        ('{"truth": {"alpha": 0.5, "beta": 0.8, "tau": -1.0}}', "truth: "),
+        ('{"truth": {"alpha": 0.5, "beta": 0.8, "lag": 1.0}}', "truth: "),
+        ('{"noise_sigma": "abc"}', "noise_sigma: "),
+        ('{"noise_sigma": -0.5}', "noise_sigma: "),
+        ('{"seed": "abc"}', "seed: "),
+        ('{"seed": 1.5}', "seed: "),
+    ],
+)
+def test_load_refuses_a_malformed_sidecar(tmp_path, sidecar, prefix):
+    ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 11, 0.0, 5)
+    save_dataset(ds, tmp_path / "d.csv", history=HIST)
+    (tmp_path / "d_meta.json").write_text(sidecar)
+    with pytest.raises(ConfigError) as err:
+        load_dataset(tmp_path / "d.csv")
+    assert str(err.value).startswith(prefix)
+
+
+def test_meta_with_an_unknown_history_kind_is_a_config_error(tmp_path):
+    ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 11, 0.0, 5)
+    save_dataset(ds, tmp_path / "d.csv", history=HIST)
+    meta_path = tmp_path / "d_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["history"] = {"kind": "tabulated", "times": [-1.0, 0.0], "x": [1.0, 2.0]}
+    meta_path.write_text(json.dumps(meta))
+    _, meta = load_dataset(tmp_path / "d.csv")
+    with pytest.raises(ConfigError, match="^history: unknown kind 'tabulated'"):
+        history_from_meta(meta)
+
+
 def test_history_survives_meta_roundtrip(tmp_path):
     hist = ConstantHistory(State(30.0, 32.0))
     ds = generate_dataset(TRUTH, hist, 0.0, 5.0, 11, 0.0, 5)
@@ -206,6 +258,9 @@ def test_dataset_invariants():
         Dataset(times=t, x_obs=v, y_obs=np.array([0.0, math.inf, 0.0]), noise_sigma=0.1)
     with pytest.raises(ConfigError, match="^noise_sigma: "):
         Dataset(times=t, x_obs=v, y_obs=v, noise_sigma=-1.0)
+    for seed in (-1, 1.5, "abc"):
+        with pytest.raises(ConfigError, match="^seed: "):
+            Dataset(times=t, x_obs=v, y_obs=v, noise_sigma=0.1, seed=seed)
     with pytest.raises(ConfigError, match="^times: "):
         Dataset(times=np.array([0.0]), x_obs=np.zeros(1), y_obs=np.zeros(1), noise_sigma=0.0)
     ds = Dataset(times=t, x_obs=v, y_obs=v, noise_sigma=0.0)

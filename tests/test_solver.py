@@ -272,9 +272,22 @@ def test_trajectories_compare_by_value():
 
 def test_history_description_roundtrip():
     assert history_from_description(HIST.describe()) == HIST
-    for kind in ("nope", "tabulated"):
-        with pytest.raises(ValueError):
-            history_from_description({"kind": kind, "times": [-1.0, 0.0], "x": [1.0, 2.0]})
+    # a malformed description is a configuration error naming the field
+    for desc, prefix in [
+        ({"kind": "nope", "x": 35.0, "y": 35.0}, "history: unknown kind 'nope'"),
+        ({"kind": "tabulated", "times": [-1.0, 0.0], "x": [1.0, 2.0]},
+         "history: unknown kind 'tabulated'"),
+        ("constant", "history: "),
+        ({"x": 35.0, "y": 35.0}, "history: "),
+        ({"kind": "constant", "y": 35.0}, "history.x: "),
+        ({"kind": "constant", "x": 35.0, "y": "35"}, "history.y: "),
+        ({"kind": "constant", "x": True, "y": 35.0}, "history.x: "),
+        ({"kind": "constant", "x": 35.0, "y": math.inf}, "history.y: "),
+        ({"kind": "constant", "x": [35.0], "y": 35.0}, "history.x: "),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            history_from_description(desc)
+        assert str(err.value).startswith(prefix), desc
 
 
 def test_trajectory_reports_grid_metadata():
