@@ -94,8 +94,18 @@ class ResidualProblem:
         return cls(dataset, grid, grid.plan(dataset.times))
 
     def residuals(self, p) -> np.ndarray:
-        """Stacked residual vector of length 2M at p = (alpha, beta)."""
-        traj = solve_dde_raw(float(p[0]), float(p[1]), self.grid)
+        """Stacked residual vector of length 2M at p = (alpha, beta).
+
+        Raises ConfigError unless p is two numbers.
+        """
+        try:
+            two = len(p) == 2
+            alpha, beta = float(p[0]), float(p[1])
+        except (TypeError, ValueError, IndexError):
+            two = False
+        if not two:
+            raise ConfigError(f"p: must be two numbers, got {p!r}")
+        traj = solve_dde_raw(alpha, beta, self.grid)
         xs, ys = traj.eval_many(self.plan)
         return np.concatenate([xs - self.dataset.x_obs, ys - self.dataset.y_obs])
 
@@ -207,13 +217,17 @@ class _Search:
         self.opt = float(np.max(np.abs(2.0 * (self.J.T @ self.r))))
 
     def trial(self, p) -> tuple[np.ndarray | None, float]:
-        """(residual, cost) at a trial point, counted once; a blow-up costs inf."""
+        """(residual, cost) at a trial point, counted once; a blow-up costs inf.
+
+        So does a finite residual whose cost overflows.
+        """
         self.n_evals += 1
         try:
             r = self.problem.residuals(p)
         except NonFiniteError:
             return None, math.inf
-        return r, float(r @ r)
+        with np.errstate(over="ignore"):
+            return r, float(r @ r)
 
     def accept(self, p, r, cost, step_norm: float, **record) -> Termination | None:
         """Move to an accepted trial point and relinearize there.

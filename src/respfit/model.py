@@ -102,11 +102,13 @@ def _log_equilibrium_residual(x: float, params: ModelParams) -> float:
     # At equilibrium both derivatives vanish, which forces y* = (alpha/beta) x*
     # and  alpha * vent_gain * x*^2 * exp(-vent_rate*(vent_offset - y*)) = 1.
     # The log of the left-hand side is monotone in x and overflow-free over the
-    # whole bracket, unlike the raw product.
+    # whole bracket, unlike the raw product. A gain product that underflows
+    # to 0 gives -inf, which the bracket check reports as no root.
     c = params.constants
     ratio = params.alpha / params.beta
+    gain = params.alpha * c.vent_gain
     return (
-        math.log(params.alpha * c.vent_gain)
+        (math.log(gain) if gain > 0.0 else -math.inf)
         + 2.0 * math.log(x)
         - c.vent_rate * c.vent_offset
         + c.vent_rate * ratio * x
@@ -117,15 +119,16 @@ def equilibrium_solve(params: ModelParams) -> EquilibriumPoint:
     """Solve for the unique positive equilibrium (x*, y*).
 
     Bisection on the log-residual over EQUILIBRIUM_BRACKET down to a narrow
-    interval, then a Newton polish; accepts when the linear-space residual
-    |1 - alpha*V*x*| is at or below 1e-12. Raises NoRootError when the
-    bracket shows no sign change (nonphysical parameters push the
-    equilibrium outside it).
+    interval, then a Newton polish until |expm1(g)| <= 1e-12, g the
+    log-residual. Raises NoRootError when the bracket shows no sign change
+    (nonphysical parameters push the equilibrium outside it), when the
+    polish does not meet its tolerance, or when x* or y* is not finite.
+    residual_norm reports max |1 - gain*V*state| over both gases.
     """
     lo, hi = EQUILIBRIUM_BRACKET
     g_lo = _log_equilibrium_residual(lo, params)
     g_hi = _log_equilibrium_residual(hi, params)
-    if g_lo > 0.0 or g_hi < 0.0:
+    if not g_lo <= 0.0 <= g_hi:
         raise NoRootError(
             f"no equilibrium in x bracket [{lo:g}, {hi:g}] for "
             f"alpha={params.alpha:g}, beta={params.beta:g}"
@@ -144,11 +147,21 @@ def equilibrium_solve(params: ModelParams) -> EquilibriumPoint:
     x = 0.5 * (lo + hi)
     for _ in range(20):
         g = _log_equilibrium_residual(x, params)
-        if abs(math.expm1(g)) <= 1e-12:
+        # expm1 overflows past g = 709, far from converged
+        if abs(g) < 1.0 and abs(math.expm1(g)) <= 1e-12:
             break
         x -= g / (2.0 / x + params.constants.vent_rate * ratio)
+    else:
+        raise NoRootError(
+            f"equilibrium search did not converge for alpha={params.alpha:g}, beta={params.beta:g}"
+        )
 
     y = ratio * x
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NoRootError(
+            f"equilibrium ({x:g}, {y:g}) is not finite for "
+            f"alpha={params.alpha:g}, beta={params.beta:g}"
+        )
     v = params.constants.ventilation(x, y)
     residual = max(abs(1.0 - params.alpha * v * x), abs(1.0 - params.beta * v * y))
     return EquilibriumPoint(x_star=x, y_star=y, residual_norm=residual)

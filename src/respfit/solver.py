@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,20 +51,6 @@ _EDGE_TOL = 1e-9
 def time_slack(*times: float) -> float:
     """Float noise allowed in times of these magnitudes: 1e-9 of the largest, at least 1e-9."""
     return _EDGE_TOL * max(1.0, *(abs(t) for t in times))
-
-
-def fields_equal(a, b) -> bool:
-    """Dataclass equality that compares NumPy array fields with np.array_equal.
-
-    The generated __eq__ compares field tuples, which asks an array
-    comparison for a single truth value and raises.
-    """
-    if type(a) is not type(b):
-        return NotImplemented
-    return all(
-        np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v
-        for u, v in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
-    )
 
 
 @dataclass(frozen=True)
@@ -108,7 +94,6 @@ class SamplePlan:
     """
 
     grid: Grid = field(repr=False)
-    shape: tuple[int, ...]
     hist_idx: np.ndarray = field(repr=False)
     grid_idx: np.ndarray = field(repr=False)
     j: np.ndarray = field(repr=False)
@@ -120,27 +105,26 @@ class SamplePlan:
 
     def __len__(self) -> int:
         """Number of sample times."""
-        return math.prod(self.shape)
+        return len(self.hist_idx) + len(self.grid_idx)
 
     def gather(self, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
         """Sample values of traj, which must lie on the Grid object the plan is bound to."""
         if traj.grid is not self.grid:
             raise ValueError("sample plan was built for a different trajectory grid")
-        xs = np.empty(self.shape)
-        ys = np.empty(self.shape)
-        xf = xs.reshape(-1)
-        yf = ys.reshape(-1)
+        n = len(self)
+        xs = np.empty(n)
+        ys = np.empty(n)
         state = self.grid.history.state
-        xf[self.hist_idx] = state.x
-        yf[self.hist_idx] = state.y
+        xs[self.hist_idx] = state.x
+        ys[self.hist_idx] = state.y
         j, j1 = self.j, self.j1
-        xf[self.grid_idx] = (
+        xs[self.grid_idx] = (
             self.w00 * traj.x[j]
             + self.w10 * traj.dx[j]
             + self.w01 * traj.x[j1]
             + self.w11 * traj.dx[j1]
         )
-        yf[self.grid_idx] = (
+        ys[self.grid_idx] = (
             self.w00 * traj.y[j]
             + self.w10 * traj.dy[j]
             + self.w01 * traj.y[j1]
@@ -149,7 +133,7 @@ class SamplePlan:
         return xs, ys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Dense numerical solution on a grid, plus the grid's history.
 
@@ -163,19 +147,12 @@ class Trajectory:
     dx: np.ndarray = field(repr=False)
     dy: np.ndarray = field(repr=False)
 
-    __eq__ = fields_equal
-
-    def eval(self, t: float) -> State:
-        """State at a single time in [t0 - tau, t_end]."""
-        xs, ys = self.eval_many(np.array([float(t)]))
-        return State(float(xs[0]), float(ys[0]))
-
     def eval_many(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized evaluation at arbitrary times in [t0 - tau, t_end].
 
         History value for t <= t0, stored node value on grid nodes, cubic
-        Hermite between adjacent nodes otherwise. ``times`` is an array of
-        times, or a SamplePlan built by this trajectory's grid.plan; an
+        Hermite between adjacent nodes otherwise. ``times`` is a 1-d array
+        of times, or a SamplePlan built by this trajectory's grid.plan; an
         array is planned on the spot and the plan discarded.
         """
         plan = times if isinstance(times, SamplePlan) else self.grid.plan(times)
@@ -258,14 +235,14 @@ class Grid:
             object.__setattr__(self, name, value)
 
     def plan(self, times) -> SamplePlan:
-        """Plan for sampling every trajectory on this grid at ``times``.
+        """Plan for sampling every trajectory on this grid at the 1-d array ``times``.
 
-        Raises OutOfDomainError if a time is not finite or lies outside
-        [t0 - tau, t_end].
+        Raises ConfigError if times is not 1-d, and OutOfDomainError if a
+        time is not finite or lies outside [t0 - tau, t_end].
         """
         ts = np.asarray(times, dtype=float)
-        shape = ts.shape
-        ts = ts.reshape(-1)
+        if ts.ndim != 1:
+            raise ConfigError(f"times: must be a 1-d array, got shape {ts.shape}")
         lo = self.t0 - self.constants.tau
         tol = time_slack(lo, self.t_end)
         if not np.all((ts >= lo - tol) & (ts <= self.t_end + tol)):
@@ -288,7 +265,6 @@ class Grid:
         h11 = (s - 1.0) * s * s
         return SamplePlan(
             grid=self,
-            shape=shape,
             hist_idx=hist_idx,
             grid_idx=grid_idx,
             j=j,

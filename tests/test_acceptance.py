@@ -374,31 +374,55 @@ def _method_of_steps(integrate, params: ModelParams, start: State, times: np.nda
     return out
 
 
-def test_criterion_11_independent_forward_model():
-    # Criterion 7 checks the order of accuracy only on [0, tau], where the
-    # delayed state is the constant history, and the other criteria compare
-    # fits with fits; past t0 + tau only an independent integrator of the
-    # paper's equations can tell a wrong delayed argument from a right one.
-    integrate = pytest.importorskip("scipy.integrate")
-    times = np.linspace(0.0, 5.0, 51)
-    cases = [
-        ((0.5, 0.8), (35.0, 35.0)),
-        ((0.3, 0.5), (35.0, 35.0)),
-        ((1.2, 0.4), (35.0, 35.0)),
-        ((0.5, 0.8), (20.0, 50.0)),
-    ]
-    start = time.perf_counter()
+# (alpha, beta) and history state of the forward-model criteria 11 and 12
+FORWARD_CASES = (
+    ((0.5, 0.8), (35.0, 35.0)),
+    ((0.3, 0.5), (35.0, 35.0)),
+    ((1.2, 0.4), (35.0, 35.0)),
+    ((0.5, 0.8), (20.0, 50.0)),
+)
+
+
+def _forward_model_gap(integrate, times: np.ndarray) -> tuple[float, str]:
+    """Largest gap between respfit at 50 steps per delay on [0, 5] and the oracle at times."""
     worst, where = 0.0, ""
-    for (alpha, beta), (x0, y0) in cases:
+    for (alpha, beta), (x0, y0) in FORWARD_CASES:
         params, state = ModelParams(alpha=alpha, beta=beta), State(x0, y0)
         traj = solve_dde(params, ConstantHistory(state), 0.0, 5.0, steps_per_delay=50)
         oracle = _method_of_steps(integrate, params, state, times)
         gap = float(np.max(np.abs(np.vstack(traj.eval_many(times)) - oracle)))
         if gap > worst:
             worst, where = gap, f"({alpha}, {beta}) from ({x0:g}, {y0:g})"
+    return worst, where
+
+
+def test_criterion_11_independent_forward_model():
+    # Criterion 7 checks the order of accuracy only on [0, tau], where the
+    # delayed state is the constant history, and the other criteria compare
+    # fits with fits; past t0 + tau only an independent integrator of the
+    # paper's equations can tell a wrong delayed argument from a right one.
+    integrate = pytest.importorskip("scipy.integrate")
+    start = time.perf_counter()
+    worst, where = _forward_model_gap(integrate, np.linspace(0.0, 5.0, 51))
     _verdict(
         11,
         worst <= 1e-9,
         f"max gap to DOP853 method of steps {worst:.2e} at {where}; "
+        f"{time.perf_counter() - start:.2f} s",
+    )
+
+
+def test_criterion_12_dense_output_between_grid_nodes():
+    # Criterion 11's times are all grid nodes, so it never reads the cubic
+    # Hermite interpolant; here every time after t0 is a midpoint between
+    # two nodes 0.02 apart, where that interpolant's O(h^4) error is 2.1e-9.
+    integrate = pytest.importorskip("scipy.integrate")
+    times = np.concatenate([[0.0], (np.arange(250) + 0.5) * 0.02])
+    start = time.perf_counter()
+    worst, where = _forward_model_gap(integrate, times)
+    _verdict(
+        12,
+        worst <= 1e-8,
+        f"max gap to DOP853 method of steps at 250 midpoints {worst:.2e} at {where}; "
         f"{time.perf_counter() - start:.2f} s",
     )

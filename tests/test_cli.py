@@ -151,6 +151,29 @@ def test_missing_equilibrium_names_its_stage(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # alpha * vent_gain underflows to 0, whose log was a math domain error
+        "alpha = 5e-324\n",
+        "alpha = 0.5\nvent_gain = 5e-324\n",
+        # the search returned nan, reported as the finiteness of x, no config key
+        "alpha = 0.5\nvent_gain = 1e308\nvent_rate = 1e308\nvent_offset = 1e308\n",
+    ],
+    ids=["alpha", "vent_gain", "vent_constants"],
+)
+def test_extreme_equilibrium_constants_are_a_resolve_history_failure(tmp_path, capsys, lines):
+    cfg = tmp_path / "exp.cfg"
+    text = CONFIG_TEXT.replace("alpha = 0.5\n", lines)
+    cfg.write_text(text + f"history = equilibrium\nout_dir = {tmp_path / 'r'}\n")
+    assert main(["run-config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure: resolve_history: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
 def test_huge_steps_per_delay_is_config_error(tmp_path, capsys, monkeypatch):
     # ten steps, but a delayed grid of 10**9 nodes
     def unreachable(*args, **kwargs):

@@ -12,12 +12,12 @@ from respfit import (
     ModelParams,
     NonFiniteError,
     State,
+    history_from_description,
 )
 from respfit.data import (
     MAX_POINTS,
     Dataset,
     generate_dataset,
-    history_from_meta,
     load_dataset,
     save_dataset,
 )
@@ -100,7 +100,7 @@ def test_csv_roundtrip_is_bit_exact(tmp_path):
     assert clone.seed == 99
     assert clone.truth == TRUTH
     assert meta["solver"]["steps_per_delay"] == 50
-    hist = history_from_meta(meta)
+    hist = history_from_description(meta["history"])
     assert isinstance(hist, ConstantHistory)
     assert hist.state == State(35.0, 35.0)
 
@@ -153,6 +153,9 @@ def test_datasets_compare_by_value(tmp_path):
         "t,x_obs\n0.0,1.0\n1.0,2.0\n",
         "t,x_obs,y_obs,z\n0.0,1.0,2.0,3.0\n1.0,2.0,3.0,4.0\n",
         "t,x_obs,y_obs\n0.0,1.0,one\n1.0,2.0,3.0\n",
+        # NumPy's loadtxt warned that it read no data before the error
+        "t,x_obs,y_obs\n",
+        "",
     ],
 )
 def test_load_refuses_a_malformed_csv(tmp_path, text):
@@ -196,7 +199,7 @@ def test_meta_with_an_unknown_history_kind_is_a_config_error(tmp_path):
     meta_path.write_text(json.dumps(meta))
     _, meta = load_dataset(tmp_path / "d.csv")
     with pytest.raises(ConfigError, match="^history: unknown kind 'tabulated'"):
-        history_from_meta(meta)
+        history_from_description(meta["history"])
 
 
 def test_history_survives_meta_roundtrip(tmp_path):
@@ -204,7 +207,7 @@ def test_history_survives_meta_roundtrip(tmp_path):
     ds = generate_dataset(TRUTH, hist, 0.0, 5.0, 11, 0.0, 5)
     save_dataset(ds, tmp_path / "d.csv", history=hist)
     _, meta = load_dataset(tmp_path / "d.csv")
-    assert history_from_meta(meta) == hist
+    assert history_from_description(meta["history"]) == hist
 
 
 def test_generate_validation():
@@ -226,6 +229,7 @@ def test_generate_validation():
         ((0.0, 5.0, 51, 0.2, math.inf), "seed"),
         ((0.0, 5.0, 2.5, 0.2, 1), "n_points"),  # np.linspace raised TypeError
         ((0.0, 5.0, 51, 0.2, 1.5), "seed"),  # was recorded as seed 1
+        ((0.0, 5.0, 51, 0.2, True), "seed"),  # an int to isinstance, also seed 1
     ],
 )
 def test_generate_refuses_out_of_range_sizes_before_allocating(args, key):
@@ -258,7 +262,7 @@ def test_dataset_invariants():
         Dataset(times=t, x_obs=v, y_obs=np.array([0.0, math.inf, 0.0]), noise_sigma=0.1)
     with pytest.raises(ConfigError, match="^noise_sigma: "):
         Dataset(times=t, x_obs=v, y_obs=v, noise_sigma=-1.0)
-    for seed in (-1, 1.5, "abc"):
+    for seed in (-1, 1.5, "abc", True):
         with pytest.raises(ConfigError, match="^seed: "):
             Dataset(times=t, x_obs=v, y_obs=v, noise_sigma=0.1, seed=seed)
     with pytest.raises(ConfigError, match="^times: "):

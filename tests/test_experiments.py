@@ -259,8 +259,9 @@ def test_run_summary_lm_tr_rows_agree(tmp_path):
 
 def test_run_summary_needs_a_seed(tmp_path):
     # each seed must be a distinct unsigned 64-bit integer, checked before
-    # anything is written: a float is not truncated, nor a string parsed
-    for seeds in ([], [1.5], [1, "2"], [-1], [np.int64(3), 3]):
+    # anything is written: a float is not truncated, nor a string parsed, and
+    # True does not write seed_True/ with records saying seed 1
+    for seeds in ([], [1.5], [1, "2"], [-1], [np.int64(3), 3], [True]):
         with pytest.raises(ConfigError, match="^seeds: "):
             run_summary(seeds, tmp_path / "out")
         assert not (tmp_path / "out").exists()

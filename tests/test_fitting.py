@@ -54,6 +54,13 @@ def test_residual_vector_layout(noisy_problem):
     assert np.array_equal(r[51:], ys - noisy_problem.dataset.y_obs)
 
 
+@pytest.mark.parametrize("p", [[0.5, 0.8, 99.0], [0.5], [], None, 0.5, ["a", "b"]])
+def test_residuals_refuse_a_p_that_is_not_two_numbers(noisy_problem, p):
+    # [0.5, 0.8, 99] fitted the first two numbers; [0.5] raised IndexError
+    with pytest.raises(ConfigError, match="^p: must be two numbers"):
+        noisy_problem.residuals(p)
+
+
 def _fresh_residuals(problem, p):
     """Residuals of problem at p from a trajectory sampled without a stored plan."""
     traj = solve_dde_raw(p[0], p[1], problem.grid)

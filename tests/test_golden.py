@@ -29,9 +29,9 @@ from pathlib import Path
 
 import pytest
 
-from respfit import backend
+from respfit import backend, history_from_description
 from respfit.cli import main as cli_main
-from respfit.data import history_from_meta, load_dataset
+from respfit.data import load_dataset
 from respfit.fitting import ResidualProblem, solve_lm, solve_trust_region
 
 MANIFEST = Path(__file__).with_name("golden") / "run_summary_seeds_1_2_3.sha256"
@@ -104,7 +104,7 @@ def test_every_run_replays_from_its_own_files(golden_runs):
                 assert dataset.truth.constants.tau == solver["tau"]
                 problem = ResidualProblem.from_dataset(
                     dataset,
-                    history_from_meta(meta),
+                    history_from_description(meta["history"]),
                     constants=dataset.truth.constants,
                     t0=solver["t0"],
                     t_end=solver["t_end"],

@@ -41,11 +41,11 @@ def test_first_delay_interval_matches_closed_form():
     p = ModelParams(alpha=0.5, beta=0.8)
     traj = solve_dde(p, HIST, 0.0, 5.0)
     # 0.77 sits strictly between grid nodes, exercising the Hermite evaluator
-    for t in (0.25, 0.5, 0.77, 1.0):
+    ts = (0.25, 0.5, 0.77, 1.0)
+    for t, x, y in zip(ts, *traj.eval_many(np.array(ts))):
         want_x, want_y = _first_interval_exact(0.5, 0.8, 35.0, 35.0, t)
-        got = traj.eval(t)
-        assert got.x == pytest.approx(want_x, abs=1e-9)
-        assert got.y == pytest.approx(want_y, abs=1e-9)
+        assert x == pytest.approx(want_x, abs=1e-9)
+        assert y == pytest.approx(want_y, abs=1e-9)
 
 
 def test_grid_refinement_is_fourth_order():
@@ -63,21 +63,31 @@ def test_grid_refinement_is_fourth_order():
 def test_eval_is_exact_on_grid_nodes():
     p = ModelParams(alpha=0.5, beta=0.8)
     traj = solve_dde(p, HIST, 0.0, 5.0)
-    for k in (0, 1, 37, 125, 250):
-        got = traj.eval(traj.grid.times[k])
-        assert got.x == traj.x[k]
-        assert got.y == traj.y[k]
+    ks = [0, 1, 37, 125, 250]
+    xs, ys = traj.eval_many(traj.grid.times[ks])
+    assert np.array_equal(xs, traj.x[ks])
+    assert np.array_equal(ys, traj.y[ks])
 
 
-def test_eval_many_matches_eval():
+def test_batched_eval_many_matches_one_time_calls():
     p = ModelParams(alpha=1.0, beta=0.4)
     traj = solve_dde(p, HIST, 0.0, 5.0)
     ts = np.linspace(-1.0, 5.0, 173)
     xs, ys = traj.eval_many(ts)
     for t, x, y in zip(ts, xs, ys):
-        s = traj.eval(t)
-        assert s.x == x
-        assert s.y == y
+        x1, y1 = traj.eval_many(np.array([t]))
+        assert x1.shape == y1.shape == (1,)
+        assert (x1[0], y1[0]) == (x, y)
+
+
+def test_plan_refuses_times_that_are_not_1d():
+    grid = Grid(Constants(), HIST, 0.0, 5.0, 50)
+    traj = solve_dde_raw(0.5, 0.8, grid)
+    for times in (np.array(1.0), np.linspace(0.0, 5.0, 6).reshape(2, 3)):
+        with pytest.raises(ConfigError, match=r"^times: must be a 1-d array, got shape "):
+            grid.plan(times)
+        with pytest.raises(ConfigError, match="^times: "):
+            traj.eval_many(times)
 
 
 def _reference_eval_many(traj, times):
@@ -160,20 +170,16 @@ def test_sample_plan_is_bound_to_its_grid():
 def test_eval_in_history_segment():
     p = ModelParams(alpha=0.5, beta=0.8)
     traj = solve_dde(p, HIST, 0.0, 5.0)
-    s = traj.eval(-0.3)
-    assert (s.x, s.y) == (35.0, 35.0)
-    assert traj.eval(0.0).x == traj.x[0]
+    xs, ys = traj.eval_many(np.array([-0.3, 0.0]))
+    assert (xs[0], ys[0]) == (35.0, 35.0)
+    assert xs[1] == traj.x[0]
 
 
 def test_eval_outside_domain_raises():
     traj = solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0)
-    with pytest.raises(OutOfDomainError):
-        traj.eval(5.001)
-    with pytest.raises(OutOfDomainError):
-        traj.eval(-1.001)
-    for t in (math.nan, math.inf, -math.inf):
+    for t in (5.001, -1.001, math.nan, math.inf, -math.inf):
         with pytest.raises(OutOfDomainError):
-            traj.eval(t)
+            traj.eval_many(np.array([t]))
         with pytest.raises(OutOfDomainError):
             traj.eval_many(np.array([1.0, t]))
 
@@ -261,13 +267,6 @@ def test_to_csv_roundtrip(tmp_path):
     assert np.array_equal(data[:, 0], traj.grid.times)
     assert np.array_equal(data[:, 1], traj.x)
     assert np.array_equal(data[:, 2], traj.y)
-
-
-def test_trajectories_compare_by_value():
-    a = solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0)
-    assert (a == solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0)) is True
-    assert (a == solve_dde(ModelParams(alpha=0.5, beta=0.9), HIST, 0.0, 5.0)) is False
-    assert (a == solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 4.0)) is False
 
 
 def test_history_description_roundtrip():
