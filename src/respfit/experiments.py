@@ -18,6 +18,7 @@ the byte format of ``_artifacts``, so identical invocations write identical byte
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -85,10 +86,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: holds a NUL character, which no path may hold")
 
 
-def _staged(stage: str, exc: SolverError) -> SolverError:
-    wrapped = type(exc)(f"{stage}: {exc}")
-    wrapped.__cause__ = exc
-    return wrapped
+@contextmanager
+def _stage(name: str):
+    """Re-raise a SolverError from the block as its own class, the message opening with name."""
+    try:
+        yield
+    except SolverError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def resolve_history(spec: str, truth: ModelParams) -> ConstantHistory:
@@ -101,10 +105,8 @@ def resolve_history(spec: str, truth: ModelParams) -> ConstantHistory:
     history = _constant_history(spec)
     if history is not None:
         return history
-    try:
+    with _stage("resolve_history"):
         eq = equilibrium_solve(truth)
-    except SolverError as exc:
-        raise _staged("resolve_history", exc) from exc
     return ConstantHistory(State(eq.x_star, eq.y_star))
 
 
@@ -212,7 +214,7 @@ def run_config(config: ExperimentConfig, out_dir=None) -> dict:
         "steps_per_delay": config.steps_per_delay,
         "tau": config.truth.constants.tau,
     }
-    try:
+    with _stage("generate_dataset"):
         dataset = generate_dataset(
             config.truth,
             history,
@@ -223,8 +225,6 @@ def run_config(config: ExperimentConfig, out_dir=None) -> dict:
             config.seed,
             config.steps_per_delay,
         )
-    except SolverError as exc:
-        raise _staged("generate_dataset", exc) from exc
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out / "dataset.csv", history=history, solver_settings=solver_settings)
 
@@ -242,10 +242,8 @@ def run_config(config: ExperimentConfig, out_dir=None) -> dict:
         if algo not in config.algorithms:
             continue
         solver = solve_lm if algo == "lm" else solve_trust_region
-        try:
+        with _stage(f"fit_{algo}"):
             fits[algo] = solver(problem, config.p0)
-        except SolverError as exc:
-            raise _staged(f"fit_{algo}", exc) from exc
 
     summary: dict = {
         "example": config.name,

@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,13 +66,16 @@ class ResidualProblem:
     """Measurement set plus everything held fixed during the fit.
 
     Every residual call integrates on the same grid (see solver.Grid) and
-    samples the same measurement times with the same plan, so from_dataset
-    builds both once, and raises any error they find.
+    samples the measurement times with the same plan, which construction
+    derives from the grid once, raising any error it finds.
     """
 
     dataset: Dataset
     grid: Grid
-    plan: SamplePlan
+    plan: SamplePlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", self.grid.plan(self.dataset.times))
 
     @classmethod
     def from_dataset(
@@ -90,8 +93,7 @@ class ResidualProblem:
             t0 = float(dataset.times[0])
         if t_end is None:
             t_end = float(dataset.times[-1])
-        grid = Grid(constants, history, t0, t_end, steps_per_delay)
-        return cls(dataset, grid, grid.plan(dataset.times))
+        return cls(dataset, Grid(constants, history, t0, t_end, steps_per_delay))
 
     def residuals(self, p) -> np.ndarray:
         """Stacked residual vector of length 2M at p = (alpha, beta).

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._stepper_py import _exp
 from .errors import ConfigError, NoRootError
 
 # Fixed search bracket for the equilibrium root (in x); generous on both
@@ -54,15 +53,6 @@ class Constants:
     def __post_init__(self):
         check_fields(self, ("tau", "vent_gain", "vent_rate"), finite=("vent_offset",))
 
-    def ventilation(self, x_delayed: float, y_delayed: float) -> float:
-        """Ventilation drive V for the given delayed state.
-
-        The stepper kernels' expression, operation for operation, with the
-        libm exp saturating to inf as in C, so a value computed here equals
-        the one a kernel would compute from the same state bit for bit.
-        """
-        return self.vent_gain * _exp(-self.vent_rate * (self.vent_offset - y_delayed)) * x_delayed
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -91,7 +81,7 @@ class State:
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
-    """Constant solution (x*, y*) and the verified algebraic residual."""
+    """Constant solution (x*, y*) and its relative residual |expm1(g)| <= 1e-12."""
 
     x_star: float
     y_star: float
@@ -123,7 +113,9 @@ def equilibrium_solve(params: ModelParams) -> EquilibriumPoint:
     log-residual. Raises NoRootError when the bracket shows no sign change
     (nonphysical parameters push the equilibrium outside it), when the
     polish does not meet its tolerance, or when x* or y* is not finite.
-    residual_norm reports max |1 - gain*V*state| over both gases.
+    residual_norm reports the accepted |expm1(g)|, which equals both gases'
+    |1 - gain*V*state| at y* = (alpha/beta) x*, taken in log space, where
+    it cannot overflow.
     """
     lo, hi = EQUILIBRIUM_BRACKET
     g_lo = _log_equilibrium_residual(lo, params)
@@ -148,7 +140,8 @@ def equilibrium_solve(params: ModelParams) -> EquilibriumPoint:
     for _ in range(20):
         g = _log_equilibrium_residual(x, params)
         # expm1 overflows past g = 709, far from converged
-        if abs(g) < 1.0 and abs(math.expm1(g)) <= 1e-12:
+        residual = abs(math.expm1(g)) if abs(g) < 1.0 else math.inf
+        if residual <= 1e-12:
             break
         x -= g / (2.0 / x + params.constants.vent_rate * ratio)
     else:
@@ -162,6 +155,4 @@ def equilibrium_solve(params: ModelParams) -> EquilibriumPoint:
             f"equilibrium ({x:g}, {y:g}) is not finite for "
             f"alpha={params.alpha:g}, beta={params.beta:g}"
         )
-    v = params.constants.ventilation(x, y)
-    residual = max(abs(1.0 - params.alpha * v * x), abs(1.0 - params.beta * v * y))
     return EquilibriumPoint(x_star=x, y_star=y, residual_norm=residual)

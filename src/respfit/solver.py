@@ -108,9 +108,9 @@ class SamplePlan:
         return len(self.hist_idx) + len(self.grid_idx)
 
     def gather(self, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-        """Sample values of traj, which must lie on the Grid object the plan is bound to."""
+        """Sample values of traj; ConfigError unless it lies on the plan's own Grid object."""
         if traj.grid is not self.grid:
-            raise ValueError("sample plan was built for a different trajectory grid")
+            raise ConfigError("plan: built for another Grid object than the trajectory's")
         n = len(self)
         xs = np.empty(n)
         ys = np.empty(n)

@@ -396,6 +396,22 @@ def test_grid_solve_matches_reference_stepper(name, y_hist):
         assert statuses[0] == 0
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_grid_solve_takes_the_grid_ventilation_constants(name):
+    # the kernels hold the only copy of V(xd, yd); a Grid's own constants must
+    # reach it in the kernels' argument order
+    backend.select(name)
+    nd = 20
+    grid = Grid(Constants(vent_gain=0.2, vent_rate=0.07, vent_offset=90.0),
+                ConstantHistory(State(20.0, 30.0)), 0.0, 3.0, nd)
+    args = _reference_call(0.5, 0.8, grid.n, nd, 20.0, 30.0)
+    args[2:5] = [0.2, 0.07, 90.0]
+    assert _reference_integrate(*args) == 0
+    traj = solve_dde_raw(0.5, 0.8, grid)
+    for got, want in zip((traj.x, traj.y, traj.dx, traj.dy), args[12:]):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_twin_evaluates_no_exp_over_the_first_delay_interval(monkeypatch):
     # one exp for the ventilation at node 0, then two per later step, also
     # when the later steps run in windows

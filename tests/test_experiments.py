@@ -5,7 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from respfit import ConfigError, ModelParams, equilibrium_solve
+from respfit import (
+    ConfigError,
+    ModelParams,
+    NonFiniteError,
+    NoRootError,
+    SingularNormalEquationsError,
+    equilibrium_solve,
+)
 from respfit.data import MAX_POINTS, load_dataset
 from respfit.experiments import (
     PRESETS,
@@ -326,3 +333,33 @@ def test_parse_config_file_errors(tmp_path):
 def test_experiment_config_is_frozen():
     with pytest.raises(AttributeError):
         PRESETS["ex1"].sigma = 0.5
+
+
+@pytest.mark.parametrize(
+    "stage,config,error,leaves_out_dir",
+    [
+        (
+            "resolve_history",
+            replace(PRESETS["ex5"], truth=ModelParams(1e-12, 0.8)),
+            NoRootError,
+            False,
+        ),
+        ("generate_dataset", replace(PRESETS["ex1"], sigma=1e308), NonFiniteError, False),
+        # the flat-Jacobian config of test_cli: r(p + delta) - r(p) cancels to zero
+        (
+            "fit_lm",
+            replace(PRESETS["ex1"], sigma=1e150),
+            SingularNormalEquationsError,
+            True,
+        ),
+    ],
+)
+def test_a_stage_failure_keeps_its_class_and_cause(tmp_path, stage, config, error, leaves_out_dir):
+    out = tmp_path / "run"
+    with pytest.raises(error) as info:
+        run_config(config, out_dir=out)
+    exc = info.value
+    assert type(exc) is error and type(exc.__cause__) is error
+    assert str(exc) == f"{stage}: {exc.__cause__}"
+    assert out.exists() == leaves_out_dir
+    assert not (out / "summary.json").exists()

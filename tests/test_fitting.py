@@ -6,6 +6,8 @@ import pytest
 from respfit import (
     ConfigError,
     ConstantHistory,
+    Constants,
+    Grid,
     InvalidGridError,
     ModelParams,
     NonFiniteError,
@@ -103,9 +105,11 @@ def test_window_errors_surface_from_construction():
     # not a whole number of steps: the grid is rejected before any sampling
     with pytest.raises(InvalidGridError):
         ResidualProblem.from_dataset(ds, HIST, t_end=5.013)
-    # a valid grid that ends before the last measurement
+    # a valid grid that ends before the last measurement, through either constructor
     with pytest.raises(OutOfDomainError):
         ResidualProblem.from_dataset(ds, HIST, t_end=4.0)
+    with pytest.raises(OutOfDomainError):
+        ResidualProblem(ds, Grid(Constants(), HIST, 0.0, 4.0, 50))
 
 
 def test_non_finite_step_count_is_a_grid_error():
@@ -380,6 +384,10 @@ def test_problem_window_defaults_to_measurement_span():
     assert prob.grid.t0 == 0.0
     assert prob.grid.t_end == 5.0
     assert prob.grid.constants.tau == 1.0
+    # the same window built by hand derives the same plan
+    direct = ResidualProblem(ds, Grid(Constants(), HIST, 0.0, 5.0, 50))
+    for p in ((0.5, 0.8), (1.7, 0.3)):
+        assert direct.residuals(p).tobytes() == prob.residuals(p).tobytes()
 
 
 @pytest.mark.parametrize("solve", [solve_lm, solve_trust_region])

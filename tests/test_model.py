@@ -44,25 +44,10 @@ def _equilibrium_oracle(alpha, beta, gain=0.14, rate=0.05, offset=100.0):
     return 0.5 * (lo + hi)
 
 
-def test_ventilation_formula():
-    assert Constants().ventilation(35.0, 35.0) == pytest.approx(_vent(35.0, 35.0), rel=1e-15)
+EQUILIBRIUM_CASES = [(0.5, 0.8), (0.8, 0.5), (1.0, 1.0), (0.05, 2.0), (3.0, 0.07)]
 
 
-def test_ventilation_honors_custom_constants():
-    constants = Constants(vent_gain=0.2, vent_rate=0.07, vent_offset=90.0)
-    got = constants.ventilation(20.0, 30.0)
-    assert got == pytest.approx(_vent(20.0, 30.0, 0.2, 0.07, 90.0), rel=1e-15)
-
-
-def test_ventilation_is_total_under_huge_delayed_oxygen():
-    # the exponential saturates to inf instead of raising
-    assert Constants().ventilation(1.0, 1e7) == math.inf
-
-
-@pytest.mark.parametrize(
-    "alpha,beta",
-    [(0.5, 0.8), (0.8, 0.5), (1.0, 1.0), (0.05, 2.0), (3.0, 0.07)],
-)
+@pytest.mark.parametrize("alpha,beta", EQUILIBRIUM_CASES)
 def test_equilibrium_matches_bisection_oracle(alpha, beta):
     want_x = _equilibrium_oracle(alpha, beta)
     eq = equilibrium_solve(ModelParams(alpha=alpha, beta=beta))
@@ -78,14 +63,23 @@ def test_equilibrium_reference_point():
 
 
 def test_equilibrium_zeroes_the_vector_field():
-    p = ModelParams(alpha=0.7, beta=1.3)
+    # the oracle's cases in one test, checked in linear space against _vent
+    for alpha, beta in EQUILIBRIUM_CASES:
+        eq = equilibrium_solve(ModelParams(alpha=alpha, beta=beta))
+        v = _vent(eq.x_star, eq.y_star)
+        assert abs(1.0 - alpha * v * eq.x_star) < 1e-10, (alpha, beta)
+        assert abs(1.0 - beta * v * eq.y_star) < 1e-10, (alpha, beta)
+        assert eq.residual_norm <= 1e-12, (alpha, beta)
+
+
+def test_equilibrium_residual_is_finite_where_the_ventilation_overflows():
+    # V(x*, y*) = 20 * exp(20 * (y* - 100)) * x* overflows at y* = 136.58, yet
+    # alpha * V * x* is 1 there: the residual is taken in log space
+    p = ModelParams(5e-324, 5e-324, Constants(vent_gain=20.0, vent_rate=20.0))
     eq = equilibrium_solve(p)
-    v = _vent(eq.x_star, eq.y_star)
-    dx = 1.0 - p.alpha * v * eq.x_star
-    dy = 1.0 - p.beta * v * eq.y_star
-    assert abs(dx) < 1e-10
-    assert abs(dy) < 1e-10
-    assert eq.residual_norm < 1e-10
+    assert math.isfinite(eq.x_star) and math.isfinite(eq.y_star)
+    assert eq.x_star == eq.y_star
+    assert eq.residual_norm <= 1e-12
 
 
 def test_equilibrium_reports_no_root_for_bad_bracket():

@@ -163,7 +163,7 @@ def test_sample_plan_is_bound_to_its_grid():
         solve_dde(p, HIST, -1.0, 4.0),  # t0
         solve_dde(p, ConstantHistory(State(35.0, 35.0)), 0.0, 5.0),  # history
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^plan: "):
             other.eval_many(plan)
 
 
