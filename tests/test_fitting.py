@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -404,3 +405,60 @@ def test_fit_result_is_frozen(noisy_problem):
     with pytest.raises(AttributeError):
         res.final_residual = 0.0
     assert res.function_count == res.trace[-1].function_count
+
+
+# SHA-256 of every trace record, best fit and termination of the 120 fits in
+# _path_fits, each float as float.hex: the same on both backends.
+PATH_DIGEST = "f215d9cad0a844a52de2558523e9eddb18d3bab3d6f988a3f0373a8b0a48c364"
+
+
+def _path_fits():
+    """LM and TR fits of the five presets at seeds 1-4 from three starts each.
+
+    Besides each preset's p0, which the golden runs start from and where
+    trials are rarely rejected, the two far starts take LM through rejected
+    trials and move TR's radius both ways.
+    """
+    for name in sorted(PRESETS):
+        cfg = PRESETS[name]
+        hist = resolve_history(cfg.history_spec, cfg.truth)
+        for seed in range(1, 5):
+            ds = generate_dataset(
+                cfg.truth, hist, cfg.t0, cfg.t_end, cfg.n_points, cfg.sigma, seed,
+                cfg.steps_per_delay,
+            )
+            problem = ResidualProblem.from_dataset(
+                ds, hist, constants=cfg.truth.constants, t0=cfg.t0, t_end=cfg.t_end,
+                steps_per_delay=cfg.steps_per_delay,
+            )
+            for p0 in (cfg.p0, (5.0, 0.05), (-0.2, 3.0)):
+                for solve in (solve_lm, solve_trust_region):
+                    yield solve(problem, p0)
+
+
+def test_control_paths_keep_their_bits():
+    digest = hashlib.sha256()
+    paths = dict.fromkeys(("lm_rejection", "tr_shrink", "tr_growth", "tr_boundary"), 0)
+    for res in _path_fits():
+        for rec in res.trace:
+            fields = (rec.iteration, rec.function_count, rec.residual, rec.first_order_opt,
+                      rec.step_norm, rec.lam, rec.trust_radius)
+            digest.update(" ".join("None" if v is None else float(v).hex() for v in fields)
+                          .encode() + b"\n")
+        digest.update(" ".join((*map(float.hex, res.best_fit), res.termination.value))
+                      .encode() + b"\n")
+        # an accepted iteration costs 3 evaluations, plus one per rejected trial
+        pairs = list(zip(res.trace, res.trace[1:]))
+        rejected = [b.function_count - a.function_count - 3 for a, b in pairs]
+        if res.algorithm == "LM":
+            paths["lm_rejection"] += any(rejected)
+            continue
+        paths["tr_shrink"] += any(b.trust_radius < a.trust_radius for a, b in pairs)
+        paths["tr_growth"] += any(b.trust_radius > a.trust_radius for a, b in pairs)
+        # each rejected trial quarters the radius the accepted step then met
+        paths["tr_boundary"] += any(
+            math.isclose(b.step_norm, a.trust_radius / 4.0**k, rel_tol=1e-9)
+            for (a, b), k in zip(pairs, rejected)
+        )
+    assert digest.hexdigest() == PATH_DIGEST
+    assert all(paths.values()), paths
