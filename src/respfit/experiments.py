@@ -292,13 +292,15 @@ def run_example(
 ) -> dict:
     """Run a preset, optionally overriding its seed, noise level, and out_dir.
 
-    Returns its summary.json record, as run_config does.
+    Returns its summary.json record, as run_config does. A seed is checked,
+    not truncated or parsed: one that is_seed refuses raises ConfigError
+    ("seed: ..."), and a NumPy integer is recorded as a Python int.
     """
     if name not in PRESETS:
         raise ConfigError(f"example: unknown name {name!r} (choose from {sorted(PRESETS)})")
     config = PRESETS[name]
     if seed is not None:
-        config = replace(config, seed=int(seed))
+        config = replace(config, seed=int(seed) if is_seed(seed) else seed)
     if sigma is not None:
         config = replace(config, sigma=float(sigma))
     return run_config(config, out_dir=out_dir)

@@ -17,16 +17,17 @@ Two minimizers are provided, both from scratch:
   a spherical trust region, with the standard 0.25/0.75 radius update and
   acceptance threshold 1e-4.
 
-Both share one skeleton (_Search) for the start point, trial evaluation,
-relinearization after an accepted step and the result, and differ only in
-how they propose, accept and stop. Both record a per-iteration trace (one
-row per accepted step plus the start row) that can be exported as CSV via
-write_trace_csv. The search is unconstrained: nothing stops iterates from
-visiting negative alpha or beta, and if the model blows up there the trial
-is treated as a rejected step. A start point whose cost is not finite is an
-error (NonFiniteError), since no step could be compared against it, and so is
-a forward-difference probe that blows up, since the Jacobian it belongs to
-cannot be formed.
+Both run the one iteration loop of _Search, which evaluates the start point
+and each trial step, relinearizes after an accepted step, records the trace
+(one row per accepted step plus the start row, exported as CSV by
+write_trace_csv) and stops on the tolerances. Each minimizer supplies only
+two rules: how to propose a step, and how to judge its trial cost and update
+its damping or radius. The search is unconstrained: nothing stops iterates
+from visiting negative alpha or beta, and if the model blows up there the
+trial is treated as a rejected step. A start point whose cost is not finite
+is an error (NonFiniteError), since no step could be compared against it,
+and so is a forward-difference probe that blows up, since the Jacobian it
+belongs to cannot be formed.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ class ResidualProblem:
     plan: SamplePlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, kind in (("dataset", Dataset), ("grid", Grid)):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         object.__setattr__(self, "plan", self.grid.plan(self.dataset.times))
 
     @classmethod
@@ -180,14 +184,15 @@ def _rel_step(step_norm: float, p: np.ndarray) -> float:
 
 
 class _Search:
-    """The state both minimizers carry, and the steps they share.
+    """The one iteration loop of both minimizers, and the state it carries.
 
     Holds the iterate p, its residual r, cost ||r||^2, forward-difference
-    Jacobian J and gradient inf-norm opt, the residual evaluation count and
-    the trace. Construction checks the start point with start_point and
-    evaluates it: one residual, then a Jacobian (two more evaluations), then
-    the iteration-0 record, which gets the algorithm's extra fields (lam or
-    trust_radius) from ``start``.
+    Jacobian J, half-gradient g = Jt r and gradient inf-norm opt, the residual
+    evaluation count and the trace. Construction checks the start point with
+    start_point and evaluates it: one residual, then a Jacobian (two more
+    evaluations), then the iteration-0 record, which gets the algorithm's
+    extra fields (lam or trust_radius) from ``start``. ``run`` then iterates
+    with the two rules a minimizer supplies.
     """
 
     def __init__(self, problem, p0, algorithm: str, **start):
@@ -215,43 +220,58 @@ class _Search:
                 f"Jacobian column {np.argmax(dead)} is zero or non-finite at ({self.p[0]:g}, "
                 f"{self.p[1]:g}); a parameter direction leaves the residual unchanged"
             )
+        self.g = self.J.T @ self.r
         # inf-norm of the gradient of ||r||^2, 2*Jt*r
-        self.opt = float(np.max(np.abs(2.0 * (self.J.T @ self.r))))
+        self.opt = float(np.max(np.abs(2.0 * self.g)))
 
-    def trial(self, p) -> tuple[np.ndarray | None, float]:
-        """(residual, cost) at a trial point, counted once; a blow-up costs inf.
+    def run(self, propose, judge, stop=None) -> FitResult:
+        """Iterate with a minimizer's two rules until a tolerance or MAX_ITER stops it.
 
-        So does a finite residual whose cost overflows.
+        ``propose()`` returns a step from the current state. ``judge(step,
+        cost)`` updates the minimizer's control from the trial's cost (inf if
+        it blows up or overflows) and returns the extra record fields of an
+        accepted step, None for a rejected one, which is retried unless it was
+        negligible. After an accepted step the search relinearizes, records
+        the iteration and stops on ``stop(old cost, new cost)``, the step or
+        the gradient tolerance, in that order.
         """
-        self.n_evals += 1
-        try:
-            r = self.problem.residuals(p)
-        except NonFiniteError:
-            return None, math.inf
-        with np.errstate(over="ignore"):
-            return r, float(r @ r)
-
-    def accept(self, p, r, cost, step_norm: float, **record) -> Termination | None:
-        """Move to an accepted trial point and relinearize there.
-
-        Appends the iteration record (extra fields in ``record``) and returns
-        the step- or gradient-tolerance termination it meets, if any.
-        """
-        self.p, self.r, self.cost = p, r, cost
-        self._linearize()
-        self.trace.append(
-            IterationRecord(
-                len(self.trace), self.n_evals, cost, self.opt, step_norm=step_norm, **record
-            )
-        )
-        if _rel_step(step_norm, p) < STEP_TOL:
-            return Termination.STEP_TOLERANCE
-        return self.at_critical_point()
-
-    def at_critical_point(self) -> Termination | None:
         if self.opt < GRAD_TOL:
-            return Termination.GRADIENT_TOLERANCE
-        return None
+            return self.result(Termination.GRADIENT_TOLERANCE)
+        for _ in range(MAX_ITER):
+            while True:
+                step = propose()
+                step_norm = float(np.linalg.norm(step))
+                p = self.p + step
+                self.n_evals += 1
+                try:
+                    r = self.problem.residuals(p)
+                except NonFiniteError:
+                    r, cost = None, math.inf
+                else:
+                    with np.errstate(over="ignore"):
+                        cost = float(r @ r)
+                record = judge(step, cost)
+                if record is not None:
+                    break
+                # a negligible rejected step leaves no meaningful move
+                if _rel_step(step_norm, self.p) < STEP_TOL:
+                    return self.result(Termination.STEP_TOLERANCE)
+
+            cost_before = self.cost
+            self.p, self.r, self.cost = p, r, cost
+            self._linearize()
+            self.trace.append(
+                IterationRecord(
+                    len(self.trace), self.n_evals, cost, self.opt, step_norm=step_norm, **record
+                )
+            )
+            if stop is not None and stop(cost_before, cost):
+                return self.result(Termination.FUNCTION_TOLERANCE)
+            if _rel_step(step_norm, p) < STEP_TOL:
+                return self.result(Termination.STEP_TOLERANCE)
+            if self.opt < GRAD_TOL:
+                return self.result(Termination.GRADIENT_TOLERANCE)
+        return self.result(Termination.MAX_ITERATIONS)
 
     def result(self, termination: Termination) -> FitResult:
         best_fit = (float(self.p[0]), float(self.p[1]))
@@ -271,43 +291,32 @@ def solve_lm(problem, p0) -> FitResult:
     """
     lam = LAMBDA0
     search = _Search(problem, p0, "LM", lam=lam)
-    if termination := search.at_critical_point():
-        return search.result(termination)
 
-    for _ in range(MAX_ITER):
+    def propose():
+        nonlocal lam
         A = search.J.T @ search.J
-        g = search.J.T @ search.r
         while True:
             damped = A + lam * np.diag(np.diag(A))
             try:
-                step = np.linalg.solve(damped, -g)
-                solvable = np.all(np.isfinite(step))
+                step = np.linalg.solve(damped, -search.g)
+                if np.all(np.isfinite(step)):
+                    return step
             except np.linalg.LinAlgError:
-                solvable = False
-            if not solvable:
-                if lam >= LAMBDA_MAX:
-                    raise SingularNormalEquationsError(
-                        f"damped normal equations singular at lambda={lam:g}; "
-                        "a parameter direction leaves the residual unchanged"
-                    )
-                lam *= 10.0
-                continue
-
-            step_norm = float(np.linalg.norm(step))
-            trial = search.p + step
-            r_trial, cost_trial = search.trial(trial)
-            if cost_trial < search.cost:
-                lam /= 10.0
-                break
+                pass
+            if lam >= LAMBDA_MAX:
+                raise SingularNormalEquationsError(
+                    f"damped normal equations singular at lambda={lam:g}; "
+                    "a parameter direction leaves the residual unchanged"
+                )
             lam *= 10.0
-            # ever-larger damping only shortens the step; once it is
-            # negligible relative to p, no meaningful move remains
-            if _rel_step(step_norm, search.p) < STEP_TOL:
-                return search.result(Termination.STEP_TOLERANCE)
 
-        if termination := search.accept(trial, r_trial, cost_trial, step_norm, lam=lam):
-            return search.result(termination)
-    return search.result(Termination.MAX_ITERATIONS)
+    def judge(step, cost_trial):
+        nonlocal lam
+        accepted = cost_trial < search.cost
+        lam = lam / 10.0 if accepted else lam * 10.0
+        return {"lam": lam} if accepted else None
+
+    return search.run(propose, judge)
 
 
 def _dogleg(J: np.ndarray, r: np.ndarray, g: np.ndarray, radius: float):
@@ -345,47 +354,34 @@ def solve_trust_region(problem, p0) -> FitResult:
     Acceptance ratio rho compares the actual residual decrease with the one
     the linear model promised; steps with rho > 1e-4 are taken. The radius
     shrinks by 4 when rho < 0.25 and doubles (capped at RADIUS_MAX) when
-    rho > 0.75 with the step on the boundary. Raises
+    rho > 0.75 with the step on the boundary. An accepted step that lowers
+    the cost by less than FUN_TOL relative to it also stops the search, ahead
+    of the step and gradient tolerances. Raises
     SingularNormalEquationsError if a Jacobian column vanishes, and
     NonFiniteError if the cost at p0 is not finite or a forward-difference
     probe blows up, at p0 or after an accepted step.
     """
     radius = RADIUS0
+    hit_boundary = False
     search = _Search(problem, p0, "TrustRegion", trust_radius=radius)
-    if termination := search.at_critical_point():
-        return search.result(termination)
 
-    for _ in range(MAX_ITER):
-        J, r, cost = search.J, search.r, search.cost
-        g = J.T @ r
-        while True:
-            step, hit_boundary = _dogleg(J, r, g, radius)
-            step_norm = float(np.linalg.norm(step))
-            trial = search.p + step
-            r_trial, cost_trial = search.trial(trial)
+    def propose():
+        nonlocal hit_boundary
+        step, hit_boundary = _dogleg(search.J, search.r, search.g, radius)
+        return step
 
-            model = r + J @ step
-            predicted = cost - float(model @ model)
-            rho = (cost - cost_trial) / predicted if predicted > 0.0 else -math.inf
+    def judge(step, cost_trial):
+        nonlocal radius
+        model = search.r + search.J @ step
+        predicted = search.cost - float(model @ model)
+        rho = (search.cost - cost_trial) / predicted if predicted > 0.0 else -math.inf
+        if rho < 0.25:
+            radius /= 4.0
+        elif rho > 0.75 and hit_boundary:
+            radius = min(2.0 * radius, RADIUS_MAX)
+        return {"trust_radius": radius} if rho > 1e-4 else None
 
-            if rho < 0.25:
-                radius /= 4.0
-            elif rho > 0.75 and hit_boundary:
-                radius = min(2.0 * radius, RADIUS_MAX)
-
-            if rho > 1e-4:
-                break
-            # rejected; once the region forces negligible steps, stop
-            if _rel_step(step_norm, search.p) < STEP_TOL:
-                return search.result(Termination.STEP_TOLERANCE)
-
-        termination = search.accept(trial, r_trial, cost_trial, step_norm, trust_radius=radius)
-        # the function tolerance takes precedence over the step and gradient ones
-        if abs(cost - cost_trial) / max(cost, 1.0) < FUN_TOL:
-            termination = Termination.FUNCTION_TOLERANCE
-        if termination:
-            return search.result(termination)
-    return search.result(Termination.MAX_ITERATIONS)
+    return search.run(propose, judge, lambda old, new: abs(old - new) / max(old, 1.0) < FUN_TOL)
 
 
 # Trace layouts: the (header, IterationRecord attribute) of each column.

@@ -58,7 +58,8 @@ def test_resolve_history_specs():
 
 
 def test_run_example_writes_all_artifacts(tmp_path):
-    record = run_example("ex1", out_dir=tmp_path / "run")
+    # ex1's own seed, passed as a NumPy integer
+    record = run_example("ex1", seed=np.uint64(1), out_dir=tmp_path / "run")
     expected = {
         "dataset.csv",
         "dataset_meta.json",
@@ -74,6 +75,8 @@ def test_run_example_writes_all_artifacts(tmp_path):
     }
     assert {p.name for p in (tmp_path / "run").iterdir()} == expected
     assert record["example"] == "ex1"
+    assert type(record["seed"]) is int
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["seed"] == 1
     assert record["lm"]["best_fit"] is not None and record["tr"]["best_fit"] is not None
     # paper-style quality for this configuration
     assert record["lm"]["rel_err_pct"]["alpha"] <= 2.0
@@ -83,6 +86,11 @@ def test_run_example_writes_all_artifacts(tmp_path):
 def test_run_example_rejects_unknown_name(tmp_path):
     with pytest.raises(ConfigError):
         run_example("ex9", out_dir=tmp_path)
+    # a seed is checked as run_summary checks it, not truncated or parsed
+    for seed in (1.7, True, "3", -1, 2**64):
+        with pytest.raises(ConfigError, match="^seed: "):
+            run_example("ex1", seed=seed, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def test_summary_errors_are_recomputable(tmp_path):

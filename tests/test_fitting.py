@@ -113,6 +113,14 @@ def test_window_errors_surface_from_construction():
         ResidualProblem(ds, Grid(Constants(), HIST, 0.0, 4.0, 50))
 
 
+def test_problem_refuses_a_dataset_or_grid_of_another_type():
+    ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
+    grid = Grid(Constants(), HIST, 0.0, 5.0, 50)
+    for args, name in (((ds, None), "grid"), ((ds, "grid"), "grid"), ((None, grid), "dataset")):
+        with pytest.raises(TypeError, match=f"^{name} must be a "):
+            ResidualProblem(*args)
+
+
 def test_non_finite_step_count_is_a_grid_error():
     # (t_end - t0) / h overflows to inf: no finite whole number of steps
     with pytest.raises(InvalidGridError):
