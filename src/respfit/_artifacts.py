@@ -21,6 +21,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, obj) -> None:
-    """Write obj as indented JSON with sorted keys."""
+    """Write obj as indented JSON with sorted keys; a value it cannot write leaves no file."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        fh.write(text)

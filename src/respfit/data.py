@@ -92,14 +92,16 @@ class Dataset:
 def check_sampling(n_points: int, sigma: float, seed: int) -> None:
     """Raise ConfigError unless the sampling arguments are in range.
 
-    n_points must be an integer from 2 to MAX_POINTS, sigma finite and
-    nonnegative, and seed an unsigned 64-bit integer; Python and NumPy
-    integers pass. The message opens with the argument's name.
+    n_points must be an integer from 2 to MAX_POINTS, sigma a finite and
+    nonnegative real number but not a bool, and seed an unsigned 64-bit
+    integer; Python and NumPy numbers pass. The message opens with the
+    argument's name.
     """
     if not (isinstance(n_points, numbers.Integral) and 2 <= n_points <= MAX_POINTS):
         raise ConfigError(f"n_points: must be an integer from 2 to {MAX_POINTS}, got {n_points!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ConfigError(f"sigma: must be nonnegative, got {sigma!r}")
+    real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+    if not (real and math.isfinite(sigma) and sigma >= 0.0):
+        raise ConfigError(f"sigma: must be a finite nonnegative number, got {sigma!r}")
     if not is_seed(seed):
         raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
 

@@ -43,7 +43,14 @@ ALGORITHMS = ("lm", "tr")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a single experiment needs, validated up front."""
+    """Everything a single experiment needs; a config that exists can run.
+
+    Construction, and so every ``dataclasses.replace``, raises ConfigError,
+    its message opening with the config key at fault, and TypeError for a
+    truth that is not a ModelParams. Once checked, seed, n_points and
+    steps_per_delay are held as ints, sigma, t0 and t_end as floats and p0
+    as a tuple of two floats, so every field summary.json records is JSON.
+    """
 
     truth: ModelParams
     p0: tuple[float, float]
@@ -58,8 +65,9 @@ class ExperimentConfig:
     name: str = "custom"
     out_dir: str | None = None
 
-    def validate(self) -> None:
-        """Raise ConfigError, its message opening with the config key at fault."""
+    def __post_init__(self):
+        if not isinstance(self.truth, ModelParams):
+            raise TypeError(f"truth must be a ModelParams, got {self.truth!r}")
         try:
             grid_steps(self.t0, self.t_end, self.truth.constants.tau, self.steps_per_delay)
         except InvalidGridError as exc:
@@ -72,7 +80,7 @@ class ExperimentConfig:
                 f"[{self.t0!r}, {self.t_end!r}] lie {spacing:g} apart, which does not "
                 f"resolve times of that magnitude"
             )
-        start_point(self.p0)
+        p0 = start_point(self.p0)
         if not self.algorithms:
             raise ConfigError("algorithms: at least one of lm, tr required")
         for a in self.algorithms:
@@ -84,6 +92,17 @@ class ExperimentConfig:
         for key, text in (("name", self.name), ("out_dir", self.out_dir or "")):
             if "\x00" in text:
                 raise ConfigError(f"{key}: holds a NUL character, which no path may hold")
+        normalized = dict(
+            seed=int(self.seed),
+            n_points=int(self.n_points),
+            steps_per_delay=int(self.steps_per_delay),
+            sigma=float(self.sigma),
+            t0=float(self.t0),
+            t_end=float(self.t_end),
+            p0=tuple(p0.tolist()),
+        )
+        for key, value in normalized.items():
+            object.__setattr__(self, key, value)
 
 
 @contextmanager
@@ -203,7 +222,6 @@ def run_config(config: ExperimentConfig, out_dir=None) -> dict:
     dict written as summary.json: the configuration, then one entry per
     algorithm that ran, keyed by its name.
     """
-    config.validate()
     if out_dir is None:
         out_dir = config.out_dir or f"out_{config.name}"
     out = Path(out_dir)
@@ -292,18 +310,15 @@ def run_example(
 ) -> dict:
     """Run a preset, optionally overriding its seed, noise level, and out_dir.
 
-    Returns its summary.json record, as run_config does. A seed is checked,
-    not truncated or parsed: one that is_seed refuses raises ConfigError
-    ("seed: ..."), and a NumPy integer is recorded as a Python int.
+    Returns its summary.json record, as run_config does. The overrides are
+    checked as the config checks every field, not truncated or parsed: a seed
+    or sigma it refuses raises ConfigError ("seed: ..." or "sigma: ...")
+    before anything is written.
     """
     if name not in PRESETS:
         raise ConfigError(f"example: unknown name {name!r} (choose from {sorted(PRESETS)})")
-    config = PRESETS[name]
-    if seed is not None:
-        config = replace(config, seed=int(seed) if is_seed(seed) else seed)
-    if sigma is not None:
-        config = replace(config, sigma=float(sigma))
-    return run_config(config, out_dir=out_dir)
+    overrides = {key: v for key, v in (("seed", seed), ("sigma", sigma)) if v is not None}
+    return run_config(replace(PRESETS[name], **overrides), out_dir=out_dir)
 
 
 _PARAMETERS = ("alpha", "beta")
@@ -448,6 +463,4 @@ def parse_config_file(path) -> ExperimentConfig:
     if "history" in values:
         optional["history_spec"] = values["history"]
 
-    config = ExperimentConfig(truth=truth, p0=(values["p0_alpha"], values["p0_beta"]), **optional)
-    config.validate()
-    return config
+    return ExperimentConfig(truth=truth, p0=(values["p0_alpha"], values["p0_beta"]), **optional)

@@ -228,6 +228,9 @@ def test_json_matches_reference(tmp_path):
     write_json(tmp_path / "new.json", obj)
     _reference_write_json(tmp_path / "ref.json", obj)
     _same_bytes(tmp_path / "new.json", tmp_path / "ref.json")
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    refused = ((float("nan"), ValueError), (float("inf"), ValueError), (np.int64(2), TypeError))
+    for bad, error in refused:
+        with pytest.raises(error):
             write_json(tmp_path / "bad.json", {"v": bad})
+        # raised before the file is opened, so no empty file is left behind
+        assert not (tmp_path / "bad.json").exists()

@@ -230,6 +230,8 @@ def test_generate_validation():
         ((0.0, 5.0, 2.5, 0.2, 1), "n_points"),  # np.linspace raised TypeError
         ((0.0, 5.0, 51, 0.2, 1.5), "seed"),  # was recorded as seed 1
         ((0.0, 5.0, 51, 0.2, True), "seed"),  # an int to isinstance, also seed 1
+        ((0.0, 5.0, 51, True, 1), "sigma"),  # was recorded as noise_sigma: true
+        ((0.0, 5.0, 51, "0.1", 1), "sigma"),  # math.isfinite raised TypeError
     ],
 )
 def test_generate_refuses_out_of_range_sizes_before_allocating(args, key):

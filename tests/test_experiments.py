@@ -38,7 +38,7 @@ def test_presets_cover_the_five_examples():
         assert cfg.seed == 1
         assert cfg.truth.alpha == 0.5
         assert cfg.truth.beta == 0.8
-        cfg.validate()
+        assert replace(cfg) == cfg  # a preset passes the checks of construction
 
 
 def test_resolve_history_specs():
@@ -91,6 +91,11 @@ def test_run_example_rejects_unknown_name(tmp_path):
         with pytest.raises(ConfigError, match="^seed: "):
             run_example("ex1", seed=seed, out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+    # and so is a sigma: "0.1" was parsed and True recorded as sigma 1.0
+    for sigma in ("0.1", True, math.nan):
+        with pytest.raises(ConfigError, match="^sigma: "):
+            run_example("ex1", sigma=sigma, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def test_summary_errors_are_recomputable(tmp_path):
@@ -103,9 +108,17 @@ def test_summary_errors_are_recomputable(tmp_path):
 
 
 def test_run_config_returns_its_summary_json(tmp_path):
-    for cfg in (PRESETS["ex5"], replace(PRESETS["ex1"], algorithms=("tr",))):
-        record = run_config(cfg, out_dir=tmp_path / cfg.name)
-        assert record == json.loads((tmp_path / cfg.name / "summary.json").read_text())
+    cases = (
+        PRESETS["ex5"],
+        replace(PRESETS["ex1"], algorithms=("tr",)),
+        # NumPy integers are held, and so recorded, as plain ints
+        replace(PRESETS["ex1"], seed=np.int64(2), n_points=np.int64(51)),
+    )
+    for k, cfg in enumerate(cases):
+        record = run_config(cfg, out_dir=tmp_path / str(k))
+        assert record == json.loads((tmp_path / str(k) / "summary.json").read_text())
+        assert [type(record[key]) for key in ("seed", "n_points", "sigma")] == [int, int, float]
+    assert (record["seed"], record["n_points"]) == (2, 51)
 
 
 def test_histograms_count_every_measurement(tmp_path):
@@ -205,45 +218,48 @@ def test_config_validation_names_the_field():
 
     base = PRESETS["ex1"]
     cases = [
-        (replace(base, t_end=0.0), "t_end"),
-        (replace(base, n_points=1), "n_points"),
-        (replace(base, sigma=-0.2), "sigma"),
-        (replace(base, seed=-1), "seed"),
-        (replace(base, steps_per_delay=1), "steps_per_delay"),
-        (replace(base, p0=(math.nan, 0.5)), "p0"),
-        (replace(base, algorithms=()), "algorithms"),
-        (replace(base, algorithms=("lm", "newton")), "algorithms"),
-        (replace(base, algorithms=("lm", "lm")), "algorithms"),
-        (replace(base, history_spec="wavelet"), "history"),
+        (dict(t_end=0.0), "t_end"),
+        (dict(n_points=1), "n_points"),
+        (dict(sigma=-0.2), "sigma"),
+        (dict(seed=-1), "seed"),
+        (dict(steps_per_delay=1), "steps_per_delay"),
+        (dict(p0=(math.nan, 0.5)), "p0"),
+        (dict(algorithms=()), "algorithms"),
+        (dict(algorithms=("lm", "newton")), "algorithms"),
+        (dict(algorithms=("lm", "lm")), "algorithms"),
+        (dict(history_spec="wavelet"), "history"),
     ]
-    for cfg, fieldname in cases:
+    for changes, fieldname in cases:
         with pytest.raises(ConfigError) as err:
-            cfg.validate()
+            replace(base, **changes)
         assert fieldname in str(err.value)
+    # a truth of another type is refused as ModelParams refuses its constants
+    with pytest.raises(TypeError, match="^truth must be a ModelParams"):
+        replace(base, truth=(0.5, 0.8))
 
 
 def test_validate_caps_the_step_count():
     base = PRESETS["ex1"]  # tau = 1, steps_per_delay = 50
-    replace(base, t_end=200_000.0).validate()  # exactly MAX_STEPS = 10,000,000 steps
+    replace(base, t_end=200_000.0)  # exactly MAX_STEPS = 10,000,000 steps
     for t_end in (200_000.5, 1e9, 1e308):
         with pytest.raises(ConfigError, match="t_end"):
-            replace(base, t_end=t_end).validate()
+            replace(base, t_end=t_end)
 
 
 def test_validate_caps_steps_per_delay():
     # a tiny window does not bound steps_per_delay, so it has a cap of its own
     base = PRESETS["ex1"]  # tau = 1
-    replace(base, steps_per_delay=MAX_STEPS, t_end=1e-6).validate()
+    replace(base, steps_per_delay=MAX_STEPS, t_end=1e-6)
     with pytest.raises(ConfigError, match="steps_per_delay"):
-        replace(base, steps_per_delay=MAX_STEPS + 1, t_end=1e-6).validate()
+        replace(base, steps_per_delay=MAX_STEPS + 1, t_end=1e-6)
 
 
 def test_validate_caps_the_sample_count():
     base = PRESETS["ex1"]
-    replace(base, n_points=MAX_POINTS).validate()
+    replace(base, n_points=MAX_POINTS)
     for n_points in (MAX_POINTS + 1, 10**13):
         with pytest.raises(ConfigError, match="n_points"):
-            replace(base, n_points=n_points).validate()
+            replace(base, n_points=n_points)
 
 
 def test_run_summary_single_seed(tmp_path):
