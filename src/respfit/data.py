@@ -14,7 +14,6 @@ history, and grid settings, enough to regenerate or refit it.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 
 from ._artifacts import write_csv, write_json
 from .errors import ConfigError, NonFiniteError
-from .model import Constants, ModelParams
+from .model import Constants, ModelParams, hold_reals, real
 from .solver import ConstantHistory, solve_dde
 
 # Largest sample count a dataset may be generated with. At its peak a run
@@ -39,8 +38,9 @@ class Dataset:
     Construction raises ConfigError, its message opening with the field at
     fault, unless times is a strictly increasing 1-d array of at least two
     values, x_obs and y_obs match its length, all three are finite,
-    noise_sigma is finite and nonnegative and seed, if given, is an unsigned
-    64-bit integer.
+    noise_sigma is finite and nonnegative (model.real) and seed, if given, is
+    an unsigned 64-bit integer. noise_sigma is held as a Python float and
+    seed as a Python int.
     """
 
     times: np.ndarray
@@ -66,10 +66,9 @@ class Dataset:
                 raise ConfigError(f"{name}: must be finite")
         if not np.all(np.diff(times) > 0.0):
             raise ConfigError("times: must be strictly increasing")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ConfigError(f"noise_sigma: must be nonnegative, got {self.noise_sigma!r}")
-        if self.seed is not None and not is_seed(self.seed):
-            raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed!r}")
+        hold_reals(self, ("noise_sigma",), nonnegative=True)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_seed(self.seed))
         for name, arr in arrays:
             arr = arr.copy()
             arr.flags.writeable = False
@@ -89,30 +88,29 @@ class Dataset:
         return len(self.times)
 
 
-def check_sampling(n_points: int, sigma: float, seed: int) -> None:
-    """Raise ConfigError unless the sampling arguments are in range.
+def check_sampling(n_points: int, sigma: float, seed: int) -> tuple[int, float, int]:
+    """The sampling arguments as (int, float, int); ConfigError unless they are in range.
 
     n_points must be an integer from 2 to MAX_POINTS, sigma a finite and
-    nonnegative real number but not a bool, and seed an unsigned 64-bit
-    integer; Python and NumPy numbers pass. The message opens with the
-    argument's name.
+    nonnegative real number (model.real), and seed an unsigned 64-bit
+    integer; Python and NumPy numbers pass, bools do not. The message opens
+    with the argument's name.
     """
     if not (isinstance(n_points, numbers.Integral) and 2 <= n_points <= MAX_POINTS):
         raise ConfigError(f"n_points: must be an integer from 2 to {MAX_POINTS}, got {n_points!r}")
-    real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
-    if not (real and math.isfinite(sigma) and sigma >= 0.0):
-        raise ConfigError(f"sigma: must be a finite nonnegative number, got {sigma!r}")
-    if not is_seed(seed):
-        raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
+    return int(n_points), real("sigma", sigma, nonnegative=True), check_seed(seed)
 
 
-def is_seed(value) -> bool:
-    """True if value, a Python or NumPy integer but not a bool, is an unsigned 64-bit noise seed."""
-    return (
-        isinstance(value, numbers.Integral)
-        and not isinstance(value, bool)
-        and 0 <= value < 2**64
-    )
+def check_seed(value, name: str = "seed") -> int:
+    """The noise seed value as a Python int.
+
+    Raises ConfigError, its message opening with name, unless value is a
+    Python or NumPy integer but not a bool, from 0 to 2**64 - 1.
+    """
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and 0 <= value < 2**64):
+        raise ConfigError(f"{name}: must be an unsigned 64-bit integer, got {value!r}")
+    return int(value)
 
 
 def generate_dataset(
@@ -131,8 +129,7 @@ def generate_dataset(
     allocated. Raises NonFiniteError if the noise of a huge sigma overflows a
     measurement.
     """
-    check_sampling(n_points, sigma, seed)
-    seed = int(seed)
+    n_points, sigma, seed = check_sampling(n_points, sigma, seed)
 
     traj = solve_dde(params, history, t0, t_end, steps_per_delay)
     times = np.linspace(t0, t_end, n_points)
@@ -229,17 +226,11 @@ def load_dataset(csv_path) -> tuple[Dataset, dict]:
             truth = ModelParams(flat.pop("alpha"), flat.pop("beta"), Constants(**flat))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"truth: malformed in {mp}: {exc!r}") from None
-    try:
-        noise_sigma = float(meta.get("noise_sigma", 0.0))
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"noise_sigma: must be a number, got {meta['noise_sigma']!r} in {mp}"
-        ) from None
     dataset = Dataset(
         times=raw[:, 0],
         x_obs=raw[:, 1],
         y_obs=raw[:, 2],
-        noise_sigma=noise_sigma,
+        noise_sigma=meta.get("noise_sigma", 0.0),
         seed=meta.get("seed"),
         truth=truth,
     )

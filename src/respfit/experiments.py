@@ -17,7 +17,6 @@ the byte format of ``_artifacts``, so identical invocations write identical byte
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from .data import check_sampling, generate_dataset, is_seed, save_dataset
+from .data import check_sampling, check_seed, generate_dataset, save_dataset
 from .errors import ConfigError, InvalidGridError, SolverError
 from .fitting import (
     FitResult,
@@ -35,7 +34,7 @@ from .fitting import (
     start_point,
     write_trace_csv,
 )
-from .model import Constants, ModelParams, State, equilibrium_solve
+from .model import Constants, ModelParams, State, equilibrium_solve, real
 from .solver import ConstantHistory, grid_steps, solve_dde_raw, time_slack
 
 ALGORITHMS = ("lm", "tr")
@@ -68,19 +67,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.truth, ModelParams):
             raise TypeError(f"truth must be a ModelParams, got {self.truth!r}")
+        t0, t_end = real("t0", self.t0), real("t_end", self.t_end)
         try:
-            grid_steps(self.t0, self.t_end, self.truth.constants.tau, self.steps_per_delay)
+            grid_steps(t0, t_end, self.truth.constants.tau, self.steps_per_delay)
         except InvalidGridError as exc:
             raise ConfigError(str(exc)) from None
-        check_sampling(self.n_points, self.sigma, self.seed)
-        spacing = (self.t_end - self.t0) / (self.n_points - 1)
-        if not spacing > time_slack(self.t0, self.t_end):
+        n_points, sigma, seed = check_sampling(self.n_points, self.sigma, self.seed)
+        spacing = (t_end - t0) / (n_points - 1)
+        if not spacing > time_slack(t0, t_end):
             raise ConfigError(
-                f"t_end: n_points = {self.n_points} measurement times on "
-                f"[{self.t0!r}, {self.t_end!r}] lie {spacing:g} apart, which does not "
+                f"t_end: n_points = {n_points} measurement times on "
+                f"[{t0!r}, {t_end!r}] lie {spacing:g} apart, which does not "
                 f"resolve times of that magnitude"
             )
-        p0 = start_point(self.p0)
+        p0 = tuple(start_point(self.p0).tolist())
         if not self.algorithms:
             raise ConfigError("algorithms: at least one of lm, tr required")
         for a in self.algorithms:
@@ -92,17 +92,10 @@ class ExperimentConfig:
         for key, text in (("name", self.name), ("out_dir", self.out_dir or "")):
             if "\x00" in text:
                 raise ConfigError(f"{key}: holds a NUL character, which no path may hold")
-        normalized = dict(
-            seed=int(self.seed),
-            n_points=int(self.n_points),
-            steps_per_delay=int(self.steps_per_delay),
-            sigma=float(self.sigma),
-            t0=float(self.t0),
-            t_end=float(self.t_end),
-            p0=tuple(p0.tolist()),
-        )
-        for key, value in normalized.items():
-            object.__setattr__(self, key, value)
+        spd = int(self.steps_per_delay)
+        names = ("seed", "n_points", "steps_per_delay", "sigma", "t0", "t_end", "p0")
+        for name, value in zip(names, (seed, n_points, spd, sigma, t0, t_end, p0)):
+            object.__setattr__(self, name, value)
 
 
 @contextmanager
@@ -139,16 +132,11 @@ def _constant_history(spec: str) -> ConstantHistory | None:
     if spec == "equilibrium":
         return None
     if spec.startswith("constant:"):
-        parts = spec[len("constant:") :].split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"history: expected constant:X,Y, got {spec!r}")
         try:
-            x, y = float(parts[0]), float(parts[1])
+            x, y = map(float, spec[len("constant:") :].split(","))
         except ValueError:
-            raise ConfigError(f"history: non-numeric constant values in {spec!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ConfigError(f"history: constant values must be finite, got {spec!r}")
-        return ConstantHistory(State(x, y))
+            raise ConfigError(f"history: expected constant:X,Y, got {spec!r}") from None
+        return ConstantHistory(State(real("history", x), real("history", y)))
     raise ConfigError(f"history: unknown spec {spec!r} (use constant:X,Y or equilibrium)")
 
 
@@ -344,8 +332,7 @@ def run_summary(seeds, out_dir) -> list[dict]:
     if not seeds:
         raise ConfigError("seeds: at least one seed required")
     for seed in seeds:
-        if not is_seed(seed):
-            raise ConfigError(f"seeds: each must be an unsigned 64-bit integer, got {seed!r}")
+        check_seed(seed, "seeds")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds: duplicate entries in {seeds!r}")
     out = Path(out_dir)

@@ -42,7 +42,7 @@ import numpy as np
 from ._artifacts import write_csv
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, SingularNormalEquationsError
-from .model import Constants
+from .model import Constants, real
 from .solver import ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -172,11 +172,13 @@ class FitResult:
 
 
 def start_point(p0) -> np.ndarray:
-    """p0 as a float array; raises ConfigError unless it is two finite numbers."""
-    p = np.array(p0, dtype=float)
-    if p.shape != (2,) or not np.all(np.isfinite(p)):
-        raise ConfigError(f"p0_alpha, p0_beta: must be two finite numbers, got {p0!r}")
-    return p
+    """p0 as a float array; raises ConfigError unless it is two numbers that pass model.real."""
+    name = "p0_alpha, p0_beta"
+    try:
+        alpha, beta = p0
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: must be two finite numbers, got {p0!r}") from None
+    return np.array([real(name, alpha), real(name, beta)])
 
 
 def _rel_step(step_norm: float, p: np.ndarray) -> float:

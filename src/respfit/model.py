@@ -21,6 +21,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError, NoRootError
@@ -30,20 +31,41 @@ from .errors import ConfigError, NoRootError
 EQUILIBRIUM_BRACKET = (1e-6, 1e3)
 
 
-def check_fields(obj, positive: tuple[str, ...], finite: tuple[str, ...] = ()) -> None:
-    """Raise ConfigError, naming the field, unless the fields are finite and the first positive."""
-    for name in positive + finite:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"{name}: must be finite, got {value!r}")
-    for name in positive:
-        if getattr(obj, name) <= 0.0:
-            raise ConfigError(f"{name}: must be positive, got {getattr(obj, name)!r}")
+def real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
+    """value as a Python float: the one number check of respfit's records and start points.
+
+    Raises ConfigError, its message opening with name, unless value is a
+    Python or NumPy real number but not a bool, is finite, and is positive
+    or nonnegative when asked.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name}: must be a real number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{name}: must be finite, got {value!r}")
+    if positive and not v > 0.0:
+        raise ConfigError(f"{name}: must be positive, got {value!r}")
+    if nonnegative and not v >= 0.0:
+        raise ConfigError(f"{name}: must be nonnegative, got {value!r}")
+    return v
+
+
+def hold_reals(obj, names: tuple[str, ...], **sign) -> None:
+    """Replace each named field of the frozen obj by real(name, value, **sign)."""
+    for name in names:
+        object.__setattr__(obj, name, real(name, getattr(obj, name), **sign))
 
 
 @dataclass(frozen=True)
 class Constants:
-    """Transport delay and ventilation constants, known and held fixed in a fit."""
+    """Transport delay and ventilation constants, known and held fixed in a fit.
+
+    Each is held as a Python float through real(): all four finite, all but
+    vent_offset positive.
+    """
 
     tau: float = 1.0
     vent_gain: float = 0.14
@@ -51,32 +73,33 @@ class Constants:
     vent_offset: float = 100.0
 
     def __post_init__(self):
-        check_fields(self, ("tau", "vent_gain", "vent_rate"), finite=("vent_offset",))
+        hold_reals(self, ("tau", "vent_gain", "vent_rate"), positive=True)
+        hold_reals(self, ("vent_offset",))
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Clearance gains plus the fixed constants of the model."""
+    """Clearance gains, positive and held as Python floats, plus the fixed constants."""
 
     alpha: float
     beta: float
     constants: Constants = Constants()
 
     def __post_init__(self):
-        check_fields(self, ("alpha", "beta"))
+        hold_reals(self, ("alpha", "beta"), positive=True)
         if not isinstance(self.constants, Constants):
             raise TypeError(f"constants must be a Constants, got {self.constants!r}")
 
 
 @dataclass(frozen=True)
 class State:
-    """Instantaneous (x, y) gas levels."""
+    """Instantaneous (x, y) gas levels, finite and held as Python floats."""
 
     x: float
     y: float
 
     def __post_init__(self):
-        check_fields(self, (), finite=("x", "y"))
+        hold_reals(self, ("x", "y"))
 
 
 @dataclass(frozen=True)

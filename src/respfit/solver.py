@@ -30,7 +30,6 @@ grid and the plan once.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from . import backend
 from ._artifacts import write_csv
 from .errors import ConfigError, InvalidGridError, NonFiniteError, OutOfDomainError
-from .model import Constants, ModelParams, State
+from .model import Constants, ModelParams, State, real
 
 # Largest RK4 step count a grid may hold. A trajectory holds five float64
 # arrays with one entry per step: 400 MB at this cap.
@@ -67,19 +66,14 @@ def history_from_description(desc: dict) -> ConstantHistory:
     """Inverse of ConstantHistory.describe().
 
     Raises ConfigError, its message opening with the field at fault, unless
-    desc is a constant history whose x and y are finite numbers.
+    desc is a constant history whose x and y pass model.real.
     """
     if not isinstance(desc, dict):
         raise ConfigError(f"history: must be a mapping, got {desc!r}")
     kind = desc.get("kind")
     if kind != "constant":
         raise ConfigError(f"history: unknown kind {kind!r}")
-    for name in ("x", "y"):
-        value = desc.get(name)
-        finite = isinstance(value, numbers.Real) and math.isfinite(value)
-        if isinstance(value, bool) or not finite:
-            raise ConfigError(f"history.{name}: must be a finite number, got {value!r}")
-    return ConstantHistory(State(float(desc["x"]), float(desc["y"])))
+    return ConstantHistory(State(*(real(f"history.{name}", desc.get(name)) for name in "xy")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,12 +287,13 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
     x[0] = grid.history.state.x
     y[0] = grid.history.state.y
 
+    # Constants holds Python floats already; a trial point may hold NumPy ones
     status = backend.active.integrate(
         float(alpha),
         float(beta),
-        float(c.vent_gain),
-        float(c.vent_rate),
-        float(c.vent_offset),
+        c.vent_gain,
+        c.vent_rate,
+        c.vent_offset,
         h,
         n,
         grid.steps_per_delay,

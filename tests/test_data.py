@@ -179,6 +179,9 @@ def test_load_refuses_a_malformed_csv(tmp_path, text):
         ('{"noise_sigma": -0.5}', "noise_sigma: "),
         ('{"seed": "abc"}', "seed: "),
         ('{"seed": 1.5}', "seed: "),
+        # float() loaded these as 1.0 and 0.2
+        ('{"noise_sigma": true}', "noise_sigma: "),
+        ('{"noise_sigma": "0.2"}', "noise_sigma: "),
     ],
 )
 def test_load_refuses_a_malformed_sidecar(tmp_path, sidecar, prefix):
@@ -242,6 +245,18 @@ def test_generate_refuses_out_of_range_sizes_before_allocating(args, key):
 def test_generate_takes_numpy_integers():
     ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, np.int64(11), 0.2, np.uint64(5))
     assert ds == generate_dataset(TRUTH, HIST, 0.0, 5.0, 11, 0.2, 5)
+
+
+def test_numpy_sampling_arguments_reach_the_sidecar_as_json(tmp_path):
+    # a float32 sigma and an int64 seed were held as given, so save_dataset
+    # wrote the CSV and then failed to serialize the sidecar
+    ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 11, np.float32(0.2), np.int64(1))
+    assert type(ds.noise_sigma) is float and type(ds.seed) is int
+    save_dataset(ds, tmp_path / "d.csv", history=HIST)
+    meta = json.loads((tmp_path / "d_meta.json").read_text())
+    assert meta["noise_sigma"] == float(np.float32(0.2)) and meta["seed"] == 1
+    loaded, _ = load_dataset(tmp_path / "d.csv")
+    assert loaded == ds
 
 
 def test_overflowing_noise_is_non_finite_error():

@@ -83,6 +83,16 @@ def test_run_example_writes_all_artifacts(tmp_path):
     assert record["lm"]["rel_err_pct"]["beta"] <= 2.0
 
 
+def test_a_float32_truth_runs_as_the_float_it_holds(tmp_path):
+    # ModelParams(np.float32(0.5), 0.8) wrote dataset.csv and then raised an
+    # uncaught TypeError from summary.json
+    base = replace(PRESETS["ex1"], algorithms=("lm",))
+    run_config(replace(base, truth=ModelParams(np.float32(0.5), 0.8)), out_dir=tmp_path / "f32")
+    run_config(base, out_dir=tmp_path / "f64")
+    for name in ("summary.json", "dataset_meta.json", "fit_lm.csv"):
+        assert (tmp_path / "f32" / name).read_bytes() == (tmp_path / "f64" / name).read_bytes()
+
+
 def test_run_example_rejects_unknown_name(tmp_path):
     with pytest.raises(ConfigError):
         run_example("ex9", out_dir=tmp_path)

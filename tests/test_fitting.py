@@ -407,6 +407,13 @@ def test_solvers_refuse_a_start_point_that_is_not_two_finite_numbers(noisy_probl
         solve(noisy_problem, p0)
 
 
+def test_a_start_point_is_not_parsed():
+    # np.array(p0, dtype=float) parsed "0.3" and took True as 1.0
+    for p0 in (("0.3", True), ("0.3", 0.5), (0.3, True)):
+        with pytest.raises(ConfigError, match="^p0_alpha, p0_beta: "):
+            fitting.start_point(p0)
+
+
 def test_fit_result_is_frozen(noisy_problem):
     res = solve_lm(noisy_problem, (0.3, 0.5))
     assert isinstance(res, FitResult)

@@ -126,6 +126,12 @@ def test_params_take_the_constants_as_one_object():
         ModelParams(0.5, 0.8, 1.0)
 
 
+def test_params_refuse_a_bool():
+    # ModelParams(True, 0.8) ran, and summary.json recorded "alpha": true
+    with pytest.raises(ConfigError, match="^alpha: "):
+        ModelParams(True, 0.8)
+
+
 def test_state_must_be_finite():
     with pytest.raises(ConfigError, match="^x: must be finite"):
         State(math.nan, 1.0)

@@ -289,6 +289,17 @@ def test_history_description_roundtrip():
         assert str(err.value).startswith(prefix), desc
 
 
+def test_a_float32_tau_solves_as_the_float_it_holds():
+    # tau = np.float32(1.0) once made the step np.float32(0.02), which moved
+    # the trajectory by 2.45e-5 without an error
+    truth = ModelParams(0.5, 0.8, Constants(tau=np.float32(1.0)))
+    traj = solve_dde(truth, HIST, 0.0, 5.0)
+    ref = solve_dde(ModelParams(0.5, 0.8), HIST, 0.0, 5.0)
+    assert type(traj.grid.step) is float
+    for got, want in zip((traj.x, traj.y, traj.dx, traj.dy), (ref.x, ref.y, ref.dx, ref.dy)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_trajectory_reports_grid_metadata():
     traj = solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0, steps_per_delay=25)
     assert traj.grid.step == pytest.approx(0.04)
