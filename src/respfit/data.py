@@ -14,7 +14,6 @@ history, and grid settings, enough to regenerate or refit it.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._artifacts import write_csv, write_json
 from .errors import ConfigError, NonFiniteError
-from .model import Constants, ModelParams, hold_reals, real
+from .model import Constants, ModelParams, count, hold_reals, real
 from .solver import ConstantHistory, solve_dde
 
 # Largest sample count a dataset may be generated with. At its peak a run
@@ -30,6 +29,7 @@ from .solver import ConstantHistory, solve_dde
 # residuals, Jacobian and temporaries; 240 B under tracemalloc):
 # 400 MB / (30 * 8 B) points.
 MAX_POINTS = 400_000_000 // (30 * 8)
+MAX_SEED = 2**64 - 1  # PCG64 takes an unsigned 64-bit seed
 
 @dataclass(frozen=True)
 class Dataset:
@@ -39,8 +39,8 @@ class Dataset:
     fault, unless times is a strictly increasing 1-d array of at least two
     values, x_obs and y_obs match its length, all three are finite,
     noise_sigma is finite and nonnegative (model.real) and seed, if given, is
-    an unsigned 64-bit integer. noise_sigma is held as a Python float and
-    seed as a Python int.
+    an integer from 0 to MAX_SEED (model.count). noise_sigma is held as a
+    Python float and seed as a Python int.
     """
 
     times: np.ndarray
@@ -68,7 +68,7 @@ class Dataset:
             raise ConfigError("times: must be strictly increasing")
         hold_reals(self, ("noise_sigma",), nonnegative=True)
         if self.seed is not None:
-            object.__setattr__(self, "seed", check_seed(self.seed))
+            object.__setattr__(self, "seed", count("seed", self.seed, 0, MAX_SEED))
         for name, arr in arrays:
             arr = arr.copy()
             arr.flags.writeable = False
@@ -91,26 +91,13 @@ class Dataset:
 def check_sampling(n_points: int, sigma: float, seed: int) -> tuple[int, float, int]:
     """The sampling arguments as (int, float, int); ConfigError unless they are in range.
 
-    n_points must be an integer from 2 to MAX_POINTS, sigma a finite and
-    nonnegative real number (model.real), and seed an unsigned 64-bit
-    integer; Python and NumPy numbers pass, bools do not. The message opens
-    with the argument's name.
+    n_points must be an integer from 2 to MAX_POINTS and seed one from 0 to
+    MAX_SEED (model.count), sigma a finite and nonnegative real number
+    (model.real); Python and NumPy numbers pass, bools do not. The message
+    opens with the argument's name.
     """
-    if not (isinstance(n_points, numbers.Integral) and 2 <= n_points <= MAX_POINTS):
-        raise ConfigError(f"n_points: must be an integer from 2 to {MAX_POINTS}, got {n_points!r}")
-    return int(n_points), real("sigma", sigma, nonnegative=True), check_seed(seed)
-
-
-def check_seed(value, name: str = "seed") -> int:
-    """The noise seed value as a Python int.
-
-    Raises ConfigError, its message opening with name, unless value is a
-    Python or NumPy integer but not a bool, from 0 to 2**64 - 1.
-    """
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not (integral and 0 <= value < 2**64):
-        raise ConfigError(f"{name}: must be an unsigned 64-bit integer, got {value!r}")
-    return int(value)
+    n_points = count("n_points", n_points, 2, MAX_POINTS)
+    return n_points, real("sigma", sigma, nonnegative=True), count("seed", seed, 0, MAX_SEED)
 
 
 def generate_dataset(
@@ -132,7 +119,7 @@ def generate_dataset(
     n_points, sigma, seed = check_sampling(n_points, sigma, seed)
 
     traj = solve_dde(params, history, t0, t_end, steps_per_delay)
-    times = np.linspace(t0, t_end, n_points)
+    times = np.linspace(traj.grid.t0, real("t_end", t_end), n_points)  # float64, as checked
     xs, ys = traj.eval_many(times)
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._artifacts import write_csv, write_json
-from .data import check_sampling, check_seed, generate_dataset, save_dataset
+from .data import MAX_SEED, check_sampling, generate_dataset, save_dataset
 from .errors import ConfigError, InvalidGridError, SolverError
 from .fitting import (
     FitResult,
@@ -34,7 +34,7 @@ from .fitting import (
     start_point,
     write_trace_csv,
 )
-from .model import Constants, ModelParams, State, equilibrium_solve, real
+from .model import Constants, ModelParams, State, count, equilibrium_solve, real
 from .solver import ConstantHistory, grid_steps, solve_dde_raw, time_slack
 
 ALGORITHMS = ("lm", "tr")
@@ -67,9 +67,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.truth, ModelParams):
             raise TypeError(f"truth must be a ModelParams, got {self.truth!r}")
-        t0, t_end = real("t0", self.t0), real("t_end", self.t_end)
         try:
-            grid_steps(t0, t_end, self.truth.constants.tau, self.steps_per_delay)
+            t0, t_end, spd, _ = grid_steps(
+                self.t0, self.t_end, self.truth.constants.tau, self.steps_per_delay
+            )
         except InvalidGridError as exc:
             raise ConfigError(str(exc)) from None
         n_points, sigma, seed = check_sampling(self.n_points, self.sigma, self.seed)
@@ -92,7 +93,6 @@ class ExperimentConfig:
         for key, text in (("name", self.name), ("out_dir", self.out_dir or "")):
             if "\x00" in text:
                 raise ConfigError(f"{key}: holds a NUL character, which no path may hold")
-        spd = int(self.steps_per_delay)
         names = ("seed", "n_points", "steps_per_delay", "sigma", "t0", "t_end", "p0")
         for name, value in zip(names, (seed, n_points, spd, sigma, t0, t_end, p0)):
             object.__setattr__(self, name, value)
@@ -328,11 +328,9 @@ def run_summary(seeds, out_dir) -> list[dict]:
     aggregate rows. The seeds, distinct unsigned 64-bit integers, are checked
     before anything is written.
     """
-    seeds = list(seeds)
+    seeds = [count("seeds", seed, 0, MAX_SEED) for seed in seeds]
     if not seeds:
         raise ConfigError("seeds: at least one seed required")
-    for seed in seeds:
-        check_seed(seed, "seeds")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds: duplicate entries in {seeds!r}")
     out = Path(out_dir)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -102,16 +103,22 @@ class ResidualProblem:
     def residuals(self, p) -> np.ndarray:
         """Stacked residual vector of length 2M at p = (alpha, beta).
 
-        Raises ConfigError unless p is two numbers.
+        Raises ConfigError unless p is two real numbers, not bools, and
+        NonFiniteError, as the kernel does, if one is not finite as a float.
         """
         try:
             two = len(p) == 2
-            alpha, beta = float(p[0]), float(p[1])
-        except (TypeError, ValueError, IndexError):
+            alpha, beta = p[0], p[1]
+        except (TypeError, LookupError):
             two = False
-        if not two:
+        if not two or any(
+            isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (alpha, beta)
+        ):
             raise ConfigError(f"p: must be two numbers, got {p!r}")
-        traj = solve_dde_raw(alpha, beta, self.grid)
+        try:
+            traj = solve_dde_raw(alpha, beta, self.grid)
+        except OverflowError:  # solve_dde_raw's float() of an int past the float range
+            raise NonFiniteError(f"p: {p!r} holds a gain past the float range") from None
         xs, ys = traj.eval_many(self.plan)
         return np.concatenate([xs - self.dataset.x_obs, ys - self.dataset.y_obs])
 

@@ -32,7 +32,7 @@ EQUILIBRIUM_BRACKET = (1e-6, 1e3)
 
 
 def real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
-    """value as a Python float: the one number check of respfit's records and start points.
+    """value as a Python float: the one check of the real numbers respfit holds, beside count.
 
     Raises ConfigError, its message opening with name, unless value is a
     Python or NumPy real number but not a bool, is finite, and is positive
@@ -51,6 +51,17 @@ def real(name: str, value, *, positive: bool = False, nonnegative: bool = False)
     if nonnegative and not v >= 0.0:
         raise ConfigError(f"{name}: must be nonnegative, got {value!r}")
     return v
+
+
+def count(name: str, value, lo: int, hi: int) -> int:
+    """value as a Python int: the one check of the integers respfit holds, beside real.
+
+    Raises ConfigError, its message opening with name, unless value is a
+    Python or NumPy integer but not a bool, from lo to hi.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ConfigError(f"{name}: must be an integer from {lo} to {hi}, got {value!r}")
+    return int(value)
 
 
 def hold_reals(obj, names: tuple[str, ...], **sign) -> None:

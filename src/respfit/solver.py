@@ -37,7 +37,7 @@ import numpy as np
 from . import backend
 from ._artifacts import write_csv
 from .errors import ConfigError, InvalidGridError, NonFiniteError, OutOfDomainError
-from .model import Constants, ModelParams, State, real
+from .model import Constants, ModelParams, State, count, real
 
 # Largest RK4 step count a grid may hold. A trajectory holds five float64
 # arrays with one entry per step: 400 MB at this cap.
@@ -158,24 +158,22 @@ class Trajectory:
         write_csv(path, ("t", "x", "y"), rows)
 
 
-def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int:
-    """Number of RK4 steps of tau/steps_per_delay from t0 to t_end.
+def grid_steps(t0, t_end, tau: float, steps_per_delay) -> tuple[float, float, int, int]:
+    """(t0, t_end, steps_per_delay) as checked, and n, the RK4 steps of tau/steps_per_delay.
 
-    Raises ConfigError unless t0 and t_end are finite with t_end > t0,
-    steps_per_delay is an integer from 2 to MAX_STEPS and the step count is
-    at most MAX_STEPS; a short window does not bound steps_per_delay, so it
-    has a cap of its own. Raises InvalidGridError unless the window is a
-    whole number of steps, up to a relative slack of 1e-9, and the step
-    exceeds the time_slack of the window's ends: a smaller step does not
-    resolve distinct node times at that magnitude. Each message opens with
-    the name of the argument at fault.
+    Raises ConfigError unless t0 and t_end pass model.real with t_end > t0,
+    steps_per_delay passes model.count from 2 to MAX_STEPS and the step
+    count is at most MAX_STEPS; a short window does not bound
+    steps_per_delay, so it has a cap of its own. Raises InvalidGridError
+    unless the window is a whole number of steps, up to a relative slack of
+    1e-9, and the step exceeds the time_slack of the window's ends: a
+    smaller step does not resolve distinct node times at that magnitude.
+    Each message opens with the name of the argument at fault.
     """
-    if not (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0):
-        raise ConfigError(f"t0, t_end: must be finite with t_end > t0, got [{t0!r}, {t_end!r}]")
-    if not 2 <= steps_per_delay <= MAX_STEPS or steps_per_delay != int(steps_per_delay):
-        raise ConfigError(
-            f"steps_per_delay: must be an integer from 2 to {MAX_STEPS}, got {steps_per_delay!r}"
-        )
+    t0, t_end = real("t0", t0), real("t_end", t_end)
+    if not t_end > t0:
+        raise ConfigError(f"t0, t_end: must have t_end > t0, got [{t0!r}, {t_end!r}]")
+    steps_per_delay = count("steps_per_delay", steps_per_delay, 2, MAX_STEPS)
     h = tau / steps_per_delay
     n_float = (t_end - t0) / h
     n = int(round(n_float)) if math.isfinite(n_float) else 0
@@ -195,14 +193,14 @@ def grid_steps(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int
             f"t_end: [{t0!r}, {t_end!r}] takes {n} RK4 steps of tau/steps_per_delay, "
             f"more than the {MAX_STEPS} allowed"
         )
-    return n
+    return t0, t_end, steps_per_delay, n
 
 
 @dataclass(frozen=True)
 class Grid:
     """Everything a solve holds fixed while (alpha, beta) vary.
 
-    Validates the window with grid_steps, and computes from it the step
+    Holds the window as grid_steps checked it, and computes from it the step
     count n, the step h = tau / steps_per_delay and the read-only node times
     t0 + k*h (t_end snaps to the last one). The history's state is also the
     state at t0, which solve_dde_raw hands the kernel as node 0.
@@ -218,14 +216,12 @@ class Grid:
     times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tau = self.constants.tau
-        n = grid_steps(self.t0, self.t_end, tau, self.steps_per_delay)
-        spd = int(self.steps_per_delay)
-        h = tau / spd
-        times = self.t0 + h * np.arange(n + 1)
+        t0, _, spd, n = grid_steps(self.t0, self.t_end, self.constants.tau, self.steps_per_delay)
+        h = self.constants.tau / spd
+        times = t0 + h * np.arange(n + 1)
         times.flags.writeable = False
-        names = ("steps_per_delay", "t_end", "n", "step", "times")
-        for name, value in zip(names, (spd, float(times[-1]), n, h, times)):
+        names = ("t0", "steps_per_delay", "t_end", "n", "step", "times")
+        for name, value in zip(names, (t0, spd, float(times[-1]), n, h, times)):
             object.__setattr__(self, name, value)
 
     def plan(self, times) -> SamplePlan:

@@ -247,6 +247,13 @@ def test_generate_takes_numpy_integers():
     assert ds == generate_dataset(TRUTH, HIST, 0.0, 5.0, 11, 0.2, 5)
 
 
+def test_a_float32_window_samples_float64_times():
+    # np.linspace of a float32 t0 gave float32 times: 0.60000002 for 0.6000000015
+    t0 = np.float32(0.1)
+    ds = generate_dataset(TRUTH, HIST, t0, 5.1, 11, 0.2, 1)
+    assert np.array_equal(ds.times, np.linspace(float(t0), 5.1, 11))
+
+
 def test_numpy_sampling_arguments_reach_the_sidecar_as_json(tmp_path):
     # a float32 sigma and an int64 seed were held as given, so save_dataset
     # wrote the CSV and then failed to serialize the sidecar

@@ -264,6 +264,13 @@ def test_validate_caps_steps_per_delay():
         replace(base, steps_per_delay=MAX_STEPS + 1, t_end=1e-6)
 
 
+@pytest.mark.parametrize("spd", [50.0, "50"], ids=["float", "str"])
+def test_config_refuses_a_steps_per_delay_that_is_not_an_integer(spd):
+    # 50.0 was held as 50; "50" raised TypeError from 2 <= "50"
+    with pytest.raises(ConfigError, match="^steps_per_delay: "):
+        replace(PRESETS["ex1"], steps_per_delay=spd)
+
+
 def test_validate_caps_the_sample_count():
     base = PRESETS["ex1"]
     replace(base, n_points=MAX_POINTS)

@@ -57,9 +57,23 @@ def test_residual_vector_layout(noisy_problem):
     assert np.array_equal(r[51:], ys - noisy_problem.dataset.y_obs)
 
 
-@pytest.mark.parametrize("p", [[0.5, 0.8, 99.0], [0.5], [], None, 0.5, ["a", "b"]])
+@pytest.mark.parametrize(
+    "p",
+    [
+        [0.5, 0.8, 99.0],
+        [0.5],
+        [],
+        None,
+        0.5,
+        ["a", "b"],
+        ("0.5", True),
+        (0.5, np.bool_(False)),
+        {"a": 0.5, "b": 0.8},
+    ],
+)
 def test_residuals_refuse_a_p_that_is_not_two_numbers(noisy_problem, p):
-    # [0.5, 0.8, 99] fitted the first two numbers; [0.5] raised IndexError
+    # [0.5, 0.8, 99] fitted the first two numbers; [0.5] raised IndexError;
+    # ("0.5", True) returned the residual at (0.5, 1.0); a dict raised KeyError
     with pytest.raises(ConfigError, match="^p: must be two numbers"):
         noisy_problem.residuals(p)
 

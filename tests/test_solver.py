@@ -233,14 +233,38 @@ def test_interval_validation():
 
 def test_grid_caps_its_step_counts():
     # one over each cap is refused before a node array is allocated
-    assert grid_steps(0.0, MAX_STEPS / 50, 1.0, 50) == MAX_STEPS
+    assert grid_steps(0.0, MAX_STEPS / 50, 1.0, 50)[3] == MAX_STEPS
     with pytest.raises(ConfigError, match="^t_end: .* more than the 10000000 allowed"):
         Grid(Constants(), HIST, 0.0, (MAX_STEPS + 1) / 50, 50)
     # a whole number of ten steps, so only the cap refuses it
     spd = MAX_STEPS + 1
     with pytest.raises(ConfigError, match="^steps_per_delay: "):
         Grid(Constants(), HIST, 0.0, 10 / spd, spd)
-    assert grid_steps(0.0, 10 / MAX_STEPS, 1.0, MAX_STEPS) == 10
+    assert grid_steps(0.0, 10 / MAX_STEPS, 1.0, MAX_STEPS)[3] == 10
+
+
+def test_grid_holds_its_window_as_checked_python_numbers():
+    # t0 = True integrated from 1.0; a float32 t0 was held as np.float32
+    p = ModelParams(0.5, 0.8)
+    with pytest.raises(ConfigError, match="^t0: "):
+        solve_dde(p, HIST, True, 6.0)
+    grid = Grid(Constants(), HIST, np.float32(0.1), 5.1, np.int64(50))
+    assert type(grid.t0) is float and grid.t0 == float(np.float32(0.1))
+    assert type(grid.steps_per_delay) is int and grid.steps_per_delay == 50
+    checked = grid_steps(np.float32(0.1), np.float64(5.1), 1.0, np.int64(50))
+    assert [type(v) for v in checked] == [float, float, int, int]
+    assert checked == (float(np.float32(0.1)), 5.1, 50, 250)
+
+
+@pytest.mark.parametrize(
+    "spd", [50.0, "50", True, np.float64(50.0)], ids=["float", "str", "bool", "float64"]
+)
+def test_grid_refuses_a_steps_per_delay_that_is_not_an_integer(spd):
+    # 50.0 was accepted, although n_points = 51.0 is not; "50" raised TypeError
+    with pytest.raises(ConfigError, match="^steps_per_delay: "):
+        Grid(Constants(), HIST, 0.0, 5.0, spd)
+    with pytest.raises(ConfigError, match="^steps_per_delay: "):
+        solve_dde(ModelParams(0.5, 0.8), HIST, 0.0, 5.0, spd)
 
 
 def test_negative_gain_blowup_is_reported():
