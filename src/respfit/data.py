@@ -21,7 +21,7 @@ import numpy as np
 
 from ._artifacts import write_csv, write_json
 from .errors import ConfigError, NonFiniteError
-from .model import Constants, ModelParams, count, hold_reals, real
+from .model import Constants, ModelParams, count, hold_reals, real, reals
 from .solver import ConstantHistory, solve_dde
 
 # Largest sample count a dataset may be generated with. At its peak a run
@@ -37,7 +37,8 @@ class Dataset:
 
     Construction raises ConfigError, its message opening with the field at
     fault, unless times is a strictly increasing 1-d array of at least two
-    values, x_obs and y_obs match its length, all three are finite,
+    values, x_obs and y_obs match its length, all three hold integers or
+    floats (model.reals) and are finite,
     noise_sigma is finite and nonnegative (model.real) and seed, if given, is
     an integer from 0 to MAX_SEED (model.count). noise_sigma is held as a
     Python float and seed as a Python int.
@@ -51,15 +52,13 @@ class Dataset:
     truth: ModelParams | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        x_obs = np.asarray(self.x_obs, dtype=float)
-        y_obs = np.asarray(self.y_obs, dtype=float)
-        arrays = (("times", times), ("x_obs", x_obs), ("y_obs", y_obs))
+        arrays = {name: reals(name, getattr(self, name)) for name in ("times", "x_obs", "y_obs")}
+        times = arrays["times"]
         if times.ndim != 1 or len(times) < 2:
             raise ConfigError(
                 f"times: must be a 1-d array of at least two values, got {times.shape}"
             )
-        for name, arr in arrays:
+        for name, arr in arrays.items():
             if arr.shape != times.shape:
                 raise ConfigError(f"{name}: must have the shape of times, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -69,7 +68,7 @@ class Dataset:
         hold_reals(self, ("noise_sigma",), nonnegative=True)
         if self.seed is not None:
             object.__setattr__(self, "seed", count("seed", self.seed, 0, MAX_SEED))
-        for name, arr in arrays:
+        for name, arr in arrays.items():
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -176,14 +175,14 @@ def load_dataset(csv_path) -> tuple[Dataset, dict]:
     """Read a CSV/sidecar pair back; returns (dataset, metadata).
 
     The metadata dict is empty if no sidecar exists. Round-trips written
-    datasets bit-exactly (17 significant digits reproduce any double). A CSV
-    that has no rows below its header or is not three columns of numbers, or
-    a sidecar that is not a JSON object or holds a malformed truth,
-    noise_sigma or seed, raises ConfigError naming the field.
+    datasets bit-exactly (17 significant digits reproduce any double). Both
+    files are read as UTF-8. A CSV that has no rows below its header or is not
+    three columns of numbers, or a sidecar that is not a JSON object or holds
+    a malformed truth, noise_sigma or seed, raises ConfigError naming the field.
     """
     csv_path = Path(csv_path)
     try:
-        rows = csv_path.read_text().splitlines()[1:]
+        rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
         # loadtxt warns before it returns no rows, so it only sees a body
         raw = np.loadtxt(rows, delimiter=",", ndmin=2) if any(r.strip() for r in rows) else None
     except ValueError as exc:
@@ -198,11 +197,11 @@ def load_dataset(csv_path) -> tuple[Dataset, dict]:
     meta: dict = {}
     mp = _meta_path(csv_path)
     if mp.exists():
-        with open(mp) as fh:
+        with open(mp, encoding="utf-8") as fh:
             try:
                 meta = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"meta: {mp} is not JSON: {exc}") from None
+            except ValueError as exc:  # undecodable bytes, or text that is not JSON
+                raise ConfigError(f"meta: {mp} is not UTF-8 JSON: {exc}") from None
         if not isinstance(meta, dict):
             raise ConfigError(f"meta: {mp} must hold a JSON object")
 

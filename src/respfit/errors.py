@@ -13,8 +13,8 @@ class SolverError(RespfitError):
     """Base class for numerical failures (integration, root finding, fitting)."""
 
 
-class InvalidGridError(SolverError):
-    """The requested interval is not an integer number of steps."""
+class InvalidGridError(ConfigError):
+    """The requested window is not a whole number of resolvable steps."""
 
 
 class NonFiniteError(SolverError):
@@ -25,7 +25,7 @@ class NoRootError(SolverError):
     """The equilibrium equation has no sign change on the search bracket."""
 
 
-class OutOfDomainError(SolverError):
+class OutOfDomainError(ConfigError):
     """A trajectory was evaluated at a time outside its domain, or at a non-finite one."""
 
 

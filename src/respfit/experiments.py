@@ -17,7 +17,8 @@ the byte format of ``_artifacts``, so identical invocations write identical byte
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from ._artifacts import write_csv, write_json
 from .data import MAX_SEED, check_sampling, generate_dataset, save_dataset
-from .errors import ConfigError, InvalidGridError, SolverError
+from .errors import ConfigError, SolverError
 from .fitting import (
     FitResult,
     ResidualProblem,
@@ -46,9 +47,10 @@ class ExperimentConfig:
 
     Construction, and so every ``dataclasses.replace``, raises ConfigError,
     its message opening with the config key at fault, and TypeError for a
-    truth that is not a ModelParams. Once checked, seed, n_points and
-    steps_per_delay are held as ints, sigma, t0 and t_end as floats and p0
-    as a tuple of two floats, so every field summary.json records is JSON.
+    truth that is not a ModelParams. name and history_spec are strings, and
+    out_dir None, a string or a path-like, held as a string. Once checked,
+    seed, n_points and steps_per_delay are held as ints, sigma, t0 and t_end
+    as floats and p0 as a tuple of two floats, so summary.json is JSON.
     """
 
     truth: ModelParams
@@ -67,12 +69,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.truth, ModelParams):
             raise TypeError(f"truth must be a ModelParams, got {self.truth!r}")
-        try:
-            t0, t_end, spd, _ = grid_steps(
-                self.t0, self.t_end, self.truth.constants.tau, self.steps_per_delay
-            )
-        except InvalidGridError as exc:
-            raise ConfigError(str(exc)) from None
+        t0, t_end, spd, _ = grid_steps(
+            self.t0, self.t_end, self.truth.constants.tau, self.steps_per_delay
+        )
         n_points, sigma, seed = check_sampling(self.n_points, self.sigma, self.seed)
         spacing = (t_end - t0) / (n_points - 1)
         if not spacing > time_slack(t0, t_end):
@@ -89,12 +88,15 @@ class ExperimentConfig:
                 raise ConfigError(f"algorithms: unknown algorithm {a!r}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError(f"algorithms: duplicate entries in {self.algorithms!r}")
+        out = os.fspath(self.out_dir) if isinstance(self.out_dir, os.PathLike) else self.out_dir
+        for key, text in (("name", self.name), ("history", self.history_spec), ("out_dir", out)):
+            if not isinstance(text, str) and not (key == "out_dir" and text is None):
+                raise ConfigError(f"{key}: must be a string, got {text!r}")
+            if "\x00" in (text or ""):
+                raise ConfigError(f"{key}: holds a NUL character")
         _constant_history(self.history_spec)  # raises ConfigError if malformed
-        for key, text in (("name", self.name), ("out_dir", self.out_dir or "")):
-            if "\x00" in text:
-                raise ConfigError(f"{key}: holds a NUL character, which no path may hold")
-        names = ("seed", "n_points", "steps_per_delay", "sigma", "t0", "t_end", "p0")
-        for name, value in zip(names, (seed, n_points, spd, sigma, t0, t_end, p0)):
+        names = ("seed", "n_points", "steps_per_delay", "sigma", "t0", "t_end", "p0", "out_dir")
+        for name, value in zip(names, (seed, n_points, spd, sigma, t0, t_end, p0, out)):
             object.__setattr__(self, name, value)
 
 
@@ -201,18 +203,16 @@ def _histogram(errors: np.ndarray, sigma: float, n_bins: int = 10):
     return zip(edges[:-1], edges[1:], counts)
 
 
-def run_config(config: ExperimentConfig, out_dir=None) -> dict:
-    """Run one experiment end to end and write its artifacts.
+def run_config(config: ExperimentConfig) -> dict:
+    """Run one experiment end to end and write its artifacts into config.out_dir.
 
-    out_dir overrides config.out_dir, which defaults to out_<name>. The
-    directory is created once the dataset has been generated, so a run that
-    fails before that leaves nothing behind. Returns the run's record, the
-    dict written as summary.json: the configuration, then one entry per
-    algorithm that ran, keyed by its name.
+    An out_dir that is None or empty means out_<name>. The directory is
+    created once the dataset has been generated, so a run that fails before
+    that leaves nothing behind. Returns the run's record, the dict written as
+    summary.json: the configuration, then one entry per algorithm that ran,
+    keyed by its name.
     """
-    if out_dir is None:
-        out_dir = config.out_dir or f"out_{config.name}"
-    out = Path(out_dir)
+    out = Path(config.out_dir or f"out_{config.name}")
     history = resolve_history(config.history_spec, config.truth)
     solver_settings = {
         "t0": config.t0,
@@ -299,14 +299,14 @@ def run_example(
     """Run a preset, optionally overriding its seed, noise level, and out_dir.
 
     Returns its summary.json record, as run_config does. The overrides are
-    checked as the config checks every field, not truncated or parsed: a seed
-    or sigma it refuses raises ConfigError ("seed: ..." or "sigma: ...")
-    before anything is written.
+    checked as the config checks every field, not truncated or parsed: a
+    seed, sigma or out_dir it refuses raises ConfigError ("seed: ...",
+    "sigma: ..." or "out_dir: ...") before anything is written.
     """
     if name not in PRESETS:
         raise ConfigError(f"example: unknown name {name!r} (choose from {sorted(PRESETS)})")
-    overrides = {key: v for key, v in (("seed", seed), ("sigma", sigma)) if v is not None}
-    return run_config(replace(PRESETS[name], **overrides), out_dir=out_dir)
+    overrides = (("seed", seed), ("sigma", sigma), ("out_dir", out_dir))
+    return run_config(replace(PRESETS[name], **{k: v for k, v in overrides if v is not None}))
 
 
 _PARAMETERS = ("alpha", "beta")
@@ -325,8 +325,8 @@ def run_summary(seeds, out_dir) -> list[dict]:
 
     Writes seed_<s>/<example>/ run directories plus summary.csv (machine
     readable) and summary.txt (aligned table) under out_dir. Returns the
-    aggregate rows. The seeds, distinct unsigned 64-bit integers, are checked
-    before anything is written.
+    aggregate rows. The seeds, distinct unsigned 64-bit integers, and every
+    run's config, out_dir included, are checked before anything is written.
     """
     seeds = [count("seeds", seed, 0, MAX_SEED) for seed in seeds]
     if not seeds:
@@ -334,13 +334,14 @@ def run_summary(seeds, out_dir) -> list[dict]:
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds: duplicate entries in {seeds!r}")
     out = Path(out_dir)
+    configs = [
+        replace(PRESETS[n], seed=s, out_dir=out / f"seed_{s}" / n) for s in seeds for n in PRESETS
+    ]
     out.mkdir(parents=True, exist_ok=True)
 
     records: dict[str, list[dict]] = {name: [] for name in PRESETS}
-    for seed in seeds:
-        for name in PRESETS:
-            record = run_example(name, seed=seed, out_dir=out / f"seed_{seed}" / name)
-            records[name].append(record)
+    for config in configs:
+        records[config.name].append(run_config(config))
 
     aggregates = []
     for name, runs in records.items():
@@ -377,27 +378,23 @@ def _write_text_table(path: Path, aggregates: list[dict]) -> None:
                 fh.write("  ".join("-" * w for w in widths) + "\n")
 
 
-# Keys accepted in a flat config file, with their coercions.
-_CONFIG_COERCIONS = {
-    "name": str,
-    "alpha": float,
-    "beta": float,
-    "tau": float,
-    "vent_gain": float,
-    "vent_rate": float,
-    "vent_offset": float,
-    "p0_alpha": float,
-    "p0_beta": float,
-    "sigma": float,
-    "seed": int,
-    "n_points": int,
-    "history": str,
-    "t0": float,
-    "t_end": float,
-    "steps_per_delay": int,
-    "algorithms": lambda text: tuple(a.strip().lower() for a in text.split(",") if a.strip()),
-    "out_dir": str,
-}
+# Keys accepted in a flat config file. A text key's value is kept as text, any
+# other's read as a number, for ModelParams and ExperimentConfig to check.
+_CONFIG_KEYS = (
+    "name", "alpha", "beta", "tau", "vent_gain", "vent_rate", "vent_offset", "p0_alpha",
+    "p0_beta", "sigma", "seed", "n_points", "history", "t0", "t_end", "steps_per_delay",
+    "algorithms", "out_dir",
+)
+_TEXT_KEYS = ("name", "history", "algorithms", "out_dir")
+
+
+def _number(key: str, text: str) -> int | float:
+    """text read as an int, or else as a float; ConfigError naming key if it is neither."""
+    for kind in (int, float):
+        with suppress(ValueError):
+            return kind(text)
+    raise ConfigError(f"{key}: cannot parse {text!r}")
+
 
 _REQUIRED_CONFIG_KEYS = ("alpha", "beta", "p0_alpha", "p0_beta", "sigma", "seed")
 
@@ -405,13 +402,16 @@ _REQUIRED_CONFIG_KEYS = ("alpha", "beta", "p0_alpha", "p0_beta", "sigma", "seed"
 def parse_config_file(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` experiment file.
 
-    Blank lines and ``#`` comments are ignored; unknown or duplicate keys are
-    configuration errors. See README for the key list.
+    The file is read as UTF-8. Blank lines and ``#`` comments are ignored;
+    unknown or duplicate keys are configuration errors. See README for the
+    key list.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
 
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -423,7 +423,7 @@ def parse_config_file(path) -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_COERCIONS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -433,12 +433,10 @@ def parse_config_file(path) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
 
-    values: dict = {}
-    for key, text_value in raw.items():
-        try:
-            values[key] = _CONFIG_COERCIONS[key](text_value)
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {text_value!r}") from None
+    values = {key: raw[key] if key in _TEXT_KEYS else _number(key, raw[key]) for key in raw}
+    if "algorithms" in raw:
+        algorithms = map(str.strip, raw["algorithms"].lower().split(","))
+        values["algorithms"] = tuple(a for a in algorithms if a)
 
     given = {f.name: values[f.name] for f in fields(Constants) if f.name in values}
     truth = ModelParams(values["alpha"], values["beta"], Constants(**given))

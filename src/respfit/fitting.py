@@ -43,7 +43,7 @@ import numpy as np
 from ._artifacts import write_csv
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, SingularNormalEquationsError
-from .model import Constants, real
+from .model import Constants, real, reals
 from .solver import ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -115,11 +115,7 @@ class ResidualProblem:
             isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (alpha, beta)
         ):
             raise ConfigError(f"p: must be two numbers, got {p!r}")
-        try:
-            traj = solve_dde_raw(alpha, beta, self.grid)
-        except OverflowError:  # solve_dde_raw's float() of an int past the float range
-            raise NonFiniteError(f"p: {p!r} holds a gain past the float range") from None
-        xs, ys = traj.eval_many(self.plan)
+        xs, ys = solve_dde_raw(alpha, beta, self.grid).eval_many(self.plan)
         return np.concatenate([xs - self.dataset.x_obs, ys - self.dataset.y_obs])
 
 
@@ -130,7 +126,7 @@ def fd_jacobian(problem, p, base_residual: np.ndarray | None = None):
     here: one per parameter, plus one more if base_residual was not supplied.
     Step delta_k = sqrt(eps) * max(|p_k|, 1).
     """
-    p = np.asarray(p, dtype=float)
+    p = reals("p", p)
     n_evals = 0
     if base_residual is None:
         base_residual = problem.residuals(p)

@@ -24,6 +24,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, NoRootError
 
 # Fixed search bracket for the equilibrium root (in x); generous on both
@@ -31,19 +33,27 @@ from .errors import ConfigError, NoRootError
 EQUILIBRIUM_BRACKET = (1e-6, 1e3)
 
 
-def real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
-    """value as a Python float: the one check of the real numbers respfit holds, beside count.
+def to_float(name: str, value) -> float:
+    """value as a Python float, or an infinity past the float range: the type half of real.
 
     Raises ConfigError, its message opening with name, unless value is a
-    Python or NumPy real number but not a bool, is finite, and is positive
-    or nonnegative when asked.
+    Python or NumPy real number but not a bool.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name}: must be a real number, got {value!r}")
     try:
-        v = float(value)
+        return float(value)
     except OverflowError:  # an int past the float range
-        v = math.inf
+        return math.inf if value > 0 else -math.inf
+
+
+def real(name: str, value, *, positive: bool = False, nonnegative: bool = False) -> float:
+    """value as a Python float: the one check of the real numbers respfit holds, beside count.
+
+    Raises ConfigError, its message opening with name, unless value passes
+    to_float, is finite, and is positive or nonnegative when asked.
+    """
+    v = to_float(name, value)
     if not math.isfinite(v):
         raise ConfigError(f"{name}: must be finite, got {value!r}")
     if positive and not v > 0.0:
@@ -62,6 +72,18 @@ def count(name: str, value, lo: int, hi: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
         raise ConfigError(f"{name}: must be an integer from {lo} to {hi}, got {value!r}")
     return int(value)
+
+
+def reals(name: str, values) -> np.ndarray:
+    """values as a float64 array, the check of the arrays respfit holds, beside real and count.
+
+    Raises ConfigError, its message opening with name, unless NumPy reads
+    values as integers or floats: not bools, text or other objects.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{name}: must hold real numbers, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=float)
 
 
 def hold_reals(obj, names: tuple[str, ...], **sign) -> None:

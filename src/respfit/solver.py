@@ -37,7 +37,7 @@ import numpy as np
 from . import backend
 from ._artifacts import write_csv
 from .errors import ConfigError, InvalidGridError, NonFiniteError, OutOfDomainError
-from .model import Constants, ModelParams, State, count, real
+from .model import Constants, ModelParams, State, count, real, reals, to_float
 
 # Largest RK4 step count a grid may hold. A trajectory holds five float64
 # arrays with one entry per step: 400 MB at this cap.
@@ -227,18 +227,17 @@ class Grid:
     def plan(self, times) -> SamplePlan:
         """Plan for sampling every trajectory on this grid at the 1-d array ``times``.
 
-        Raises ConfigError if times is not 1-d, and OutOfDomainError if a
-        time is not finite or lies outside [t0 - tau, t_end].
+        Raises ConfigError unless times is a 1-d array of integers or floats
+        (model.reals), and OutOfDomainError, a ConfigError too, if a time is
+        not finite or lies outside [t0 - tau, t_end].
         """
-        ts = np.asarray(times, dtype=float)
+        ts = reals("times", times)
         if ts.ndim != 1:
             raise ConfigError(f"times: must be a 1-d array, got shape {ts.shape}")
         lo = self.t0 - self.constants.tau
         tol = time_slack(lo, self.t_end)
         if not np.all((ts >= lo - tol) & (ts <= self.t_end + tol)):
-            raise OutOfDomainError(
-                f"evaluation time outside [{lo:g}, {self.t_end:g}]"
-            )
+            raise OutOfDomainError(f"times: evaluation time outside [{lo:g}, {self.t_end:g}]")
 
         in_history = ts <= self.t0
         hist_idx = np.flatnonzero(in_history)
@@ -270,9 +269,11 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
     """Integrate on grid with raw coefficients, without sign validation on alpha/beta.
 
     The fitting layer explores the unconstrained (alpha, beta) plane, so this
-    entry point accepts any finite gains; blow-ups surface as NonFiniteError.
-    Use solve_dde for validated ModelParams.
+    entry point accepts any real gains that model.to_float takes, and raises
+    its ConfigError for any other; blow-ups, and gains past the float range,
+    surface as NonFiniteError. Use solve_dde for validated ModelParams.
     """
+    alpha, beta = to_float("alpha", alpha), to_float("beta", beta)
     n, h, c = grid.n, grid.step, grid.constants
     x = np.empty(n + 1)
     y = np.empty(n + 1)
@@ -283,10 +284,9 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
     x[0] = grid.history.state.x
     y[0] = grid.history.state.y
 
-    # Constants holds Python floats already; a trial point may hold NumPy ones
     status = backend.active.integrate(
-        float(alpha),
-        float(beta),
+        alpha,
+        beta,
         c.vent_gain,
         c.vent_rate,
         c.vent_offset,

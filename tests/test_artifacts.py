@@ -207,13 +207,13 @@ def test_summary_csv_matches_reference(tmp_path, monkeypatch):
     # a stub run per preset whose relative errors are the extreme values
     errors = iter(EXTREMES * 3)
 
-    def stub_run_example(name, seed=None, sigma=None, out_dir=None):
-        record = {"example": name, "seed": seed, "sigma": -0.0}
+    def stub_run_config(config):
+        record = {"example": config.name, "seed": config.seed, "sigma": -0.0}
         for algo in ("lm", "tr"):
             record[algo] = {"rel_err_pct": {"alpha": next(errors), "beta": next(errors)}}
         return record
 
-    monkeypatch.setattr(experiments, "run_example", stub_run_example)
+    monkeypatch.setattr(experiments, "run_config", stub_run_config)
     aggregates = run_summary([1], tmp_path)
     _reference_write_summary_csv(tmp_path / "ref.csv", aggregates)
     _same_bytes(tmp_path / "summary.csv", tmp_path / "ref.csv")

@@ -127,6 +127,17 @@ def test_missing_config_file_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # a name line holding b"\xff\xfe" ended in a UnicodeDecodeError traceback
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(CONFIG_TEXT.encode() + b"name = \xff\xfe\n")
+    assert main(["run-config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"configuration error: config file {cfg} is not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
 def test_solver_failure_exit_two(tmp_path, capsys):
     # a valid but stiff truth: explicit RK4 at h = 0.02 blows up while the
     # dataset is generated

@@ -32,7 +32,7 @@ from respfit.cli import main  # noqa: E402
 from respfit.data import MAX_POINTS  # noqa: E402
 from respfit.solver import MAX_STEPS  # noqa: E402
 
-KEYS = tuple(experiments._CONFIG_COERCIONS)
+KEYS = experiments._CONFIG_KEYS
 STAGES = (
     "resolve_history",
     "generate_dataset",

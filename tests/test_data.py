@@ -295,3 +295,34 @@ def test_dataset_invariants():
     assert len(ds) == 3
     with pytest.raises(ValueError):
         ds.x_obs[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "times,x_obs,y_obs,field",
+    [
+        # NumPy's float conversion parsed the text and took True as 1.0
+        (["0", "1"], [1.5, 2.0], [1.0, 0.0], "times"),
+        ([0.0, 1.0], ["1.5", "2"], [1.0, 0.0], "x_obs"),
+        ([0.0, 1.0], [1.5, 2.0], [True, False], "y_obs"),
+        ([0.0, 1.0], [1.5, 2.0], np.array([1, None]), "y_obs"),
+    ],
+)
+def test_dataset_arrays_must_hold_numbers(times, x_obs, y_obs, field):
+    with pytest.raises(ConfigError, match=f"^{field}: must hold real numbers"):
+        Dataset(times, x_obs, y_obs, 0.1)
+    # integer arrays are numbers, held as float64
+    assert Dataset([0, 1], np.array([1, 2], dtype=np.int32), [1.5, 2.0], 0.1).x_obs.dtype == float
+
+
+def test_load_refuses_files_that_are_not_utf8(tmp_path):
+    ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 11, 0.0, 5)
+    save_dataset(ds, tmp_path / "d.csv", history=HIST)
+    meta_path = tmp_path / "d_meta.json"
+    meta_path.write_bytes(b"\xff\xfe" + meta_path.read_bytes())
+    with pytest.raises(ConfigError, match="^meta: .* is not UTF-8 JSON"):
+        load_dataset(tmp_path / "d.csv")
+    meta_path.unlink()
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(csv_path.read_bytes() + b"\xff\xfe,1,2\n")
+    with pytest.raises(ConfigError, match="^t,x_obs,y_obs: "):
+        load_dataset(csv_path)

@@ -7,6 +7,7 @@ import pytest
 
 from respfit import (
     ConfigError,
+    Constants,
     ModelParams,
     NonFiniteError,
     NoRootError,
@@ -87,8 +88,8 @@ def test_a_float32_truth_runs_as_the_float_it_holds(tmp_path):
     # ModelParams(np.float32(0.5), 0.8) wrote dataset.csv and then raised an
     # uncaught TypeError from summary.json
     base = replace(PRESETS["ex1"], algorithms=("lm",))
-    run_config(replace(base, truth=ModelParams(np.float32(0.5), 0.8)), out_dir=tmp_path / "f32")
-    run_config(base, out_dir=tmp_path / "f64")
+    run_config(replace(base, truth=ModelParams(np.float32(0.5), 0.8), out_dir=tmp_path / "f32"))
+    run_config(replace(base, out_dir=tmp_path / "f64"))
     for name in ("summary.json", "dataset_meta.json", "fit_lm.csv"):
         assert (tmp_path / "f32" / name).read_bytes() == (tmp_path / "f64" / name).read_bytes()
 
@@ -125,7 +126,7 @@ def test_run_config_returns_its_summary_json(tmp_path):
         replace(PRESETS["ex1"], seed=np.int64(2), n_points=np.int64(51)),
     )
     for k, cfg in enumerate(cases):
-        record = run_config(cfg, out_dir=tmp_path / str(k))
+        record = run_config(replace(cfg, out_dir=tmp_path / str(k)))
         assert record == json.loads((tmp_path / str(k) / "summary.json").read_text())
         assert [type(record[key]) for key in ("seed", "n_points", "sigma")] == [int, int, float]
     assert (record["seed"], record["n_points"]) == (2, 51)
@@ -182,7 +183,7 @@ def test_run_config_matches_preset_outputs(tmp_path):
     a = tmp_path / "preset"
     b = tmp_path / "config"
     run_example("ex1", out_dir=a)
-    run_config(PRESETS["ex1"], out_dir=b)
+    run_config(replace(PRESETS["ex1"], out_dir=b))
     for path in sorted(a.iterdir()):
         assert (b / path.name).read_bytes() == path.read_bytes()
 
@@ -191,7 +192,7 @@ def test_run_config_lm_only(tmp_path):
     from dataclasses import replace
 
     cfg = replace(PRESETS["ex1"], algorithms=("lm",))
-    record = run_config(cfg, out_dir=tmp_path)
+    record = run_config(replace(cfg, out_dir=tmp_path))
     assert "tr" not in record
     assert record["algorithms"] == ["lm"]
     assert not (tmp_path / "trace_tr.csv").exists()
@@ -206,7 +207,7 @@ def test_run_config_two_point_dataset(tmp_path):
     from dataclasses import replace
 
     cfg = replace(PRESETS["ex1"], n_points=2)
-    record = run_config(cfg, out_dir=tmp_path)
+    record = run_config(replace(cfg, out_dir=tmp_path))
     assert all(math.isfinite(v) for v in record["lm"]["best_fit"].values())
     assert all(math.isfinite(v) for v in record["tr"]["best_fit"].values())
     # minimal configuration stays identifiable: 2x2 normal equations well posed
@@ -238,6 +239,12 @@ def test_config_validation_names_the_field():
         (dict(algorithms=("lm", "newton")), "algorithms"),
         (dict(algorithms=("lm", "lm")), "algorithms"),
         (dict(history_spec="wavelet"), "history"),
+        # name=5 raised TypeError and history_spec=5 AttributeError
+        (dict(name=5), "name: must be a string"),
+        (dict(name=None), "name: must be a string"),
+        (dict(history_spec=5), "history: must be a string"),
+        (dict(out_dir=5), "out_dir: must be a string"),
+        (dict(out_dir=b"runs"), "out_dir: must be a string"),
     ]
     for changes, fieldname in cases:
         with pytest.raises(ConfigError) as err:
@@ -371,6 +378,57 @@ def test_parse_config_file_errors(tmp_path):
         parse_config_file(tmp_path / "missing.cfg")
 
 
+def test_config_file_numbers_are_read_as_int_else_float(tmp_path):
+    path = tmp_path / "exp.cfg"
+    base = CONFIG_TEXT.replace("seed = 1\n", "")
+    # the config checks what a number key takes: "seed = 1.0" read "seed: cannot parse '1.0'"
+    for extra, message in (
+        ("seed = 1.0", "^seed: must be an integer from 0 to "),
+        ("seed = 1\nn_points = 51.0", "^n_points: must be an integer from 2 to "),
+        ("seed = 1\nsteps_per_delay = 5e1", "^steps_per_delay: must be an integer from 2 to "),
+        ("seed = x", "^seed: cannot parse 'x'"),
+        ("seed = 1\nt_end = 5.0.0", r"^t_end: cannot parse '5\.0\.0'"),
+    ):
+        path.write_text(base + extra + "\n")
+        with pytest.raises(ConfigError, match=message):
+            parse_config_file(path)
+    # integer text for a real key reads as the same number as before
+    text = base.replace("alpha = 0.5", "alpha = 1").replace("name = ex1", "name = café")
+    path.write_text(text + "seed = 7\ntau = 2\n", encoding="utf-8")
+    cfg = parse_config_file(path)
+    assert cfg == replace(
+        PRESETS["ex1"], truth=ModelParams(1.0, 0.8, Constants(tau=2.0)), seed=7, name="café"
+    )
+    assert type(cfg.truth.alpha) is float and type(cfg.seed) is int
+
+
+def test_config_holds_a_path_like_out_dir_as_a_string(tmp_path):
+    # replace(PRESETS["ex1"], out_dir=Path(...)) raised TypeError
+    cfg = replace(PRESETS["ex1"], out_dir=tmp_path / "run")
+    assert type(cfg.out_dir) is str and cfg.out_dir == str(tmp_path / "run")
+    assert replace(cfg) == cfg
+
+
+def test_a_nul_in_a_path_is_a_config_error_before_anything_is_written(tmp_path, monkeypatch):
+    # run_example and run_summary ended in a bare ValueError: embedded null byte
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="^out_dir: holds a NUL character"):
+        run_example("ex1", out_dir="a\x00b")
+    with pytest.raises(ConfigError, match="^out_dir: holds a NUL character"):
+        run_summary([1], "s\x00")
+    with pytest.raises(ConfigError, match="^name: holds a NUL character"):
+        replace(PRESETS["ex1"], name="a\x00b")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_out_dir_means_the_default(tmp_path, monkeypatch):
+    # run_example("ex1", out_dir="") wrote into the working directory itself
+    monkeypatch.chdir(tmp_path)
+    run_example("ex1", out_dir="")
+    assert [p.name for p in tmp_path.iterdir()] == ["out_ex1"]
+    assert (tmp_path / "out_ex1" / "summary.json").exists()
+
+
 def test_experiment_config_is_frozen():
     with pytest.raises(AttributeError):
         PRESETS["ex1"].sigma = 0.5
@@ -398,7 +456,7 @@ def test_experiment_config_is_frozen():
 def test_a_stage_failure_keeps_its_class_and_cause(tmp_path, stage, config, error, leaves_out_dir):
     out = tmp_path / "run"
     with pytest.raises(error) as info:
-        run_config(config, out_dir=out)
+        run_config(replace(config, out_dir=out))
     exc = info.value
     assert type(exc) is error and type(exc.__cause__) is error
     assert str(exc) == f"{stage}: {exc.__cause__}"

@@ -78,6 +78,19 @@ def test_residuals_refuse_a_p_that_is_not_two_numbers(noisy_problem, p):
         noisy_problem.residuals(p)
 
 
+def test_residuals_report_a_gain_past_the_float_range_as_a_blow_up(noisy_problem):
+    # the message is the kernel's, from the gain as converted, not from p as given
+    with pytest.raises(NonFiniteError, match=r"\(alpha=inf, beta=0.8\)"):
+        noisy_problem.residuals((10**400, 0.8))
+
+
+@pytest.mark.parametrize("p", [("0.5", "0.8"), np.array([True, False]), np.array([0.5, None])])
+def test_fd_jacobian_refuses_a_p_that_is_not_numbers(noisy_problem, p):
+    # ("0.5", "0.8") was parsed and returned a Jacobian
+    with pytest.raises(ConfigError, match="^p: must hold real numbers"):
+        fd_jacobian(noisy_problem, p)
+
+
 def _fresh_residuals(problem, p):
     """Residuals of problem at p from a trajectory sampled without a stored plan."""
     traj = solve_dde_raw(p[0], p[1], problem.grid)

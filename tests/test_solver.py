@@ -11,7 +11,10 @@ from respfit import (
     InvalidGridError,
     ModelParams,
     NonFiniteError,
+    NoRootError,
     OutOfDomainError,
+    SingularNormalEquationsError,
+    SolverError,
     State,
     Trajectory,
     history_from_description,
@@ -331,3 +334,48 @@ def test_trajectory_reports_grid_metadata():
     assert len(traj.grid.times) == 126
     assert traj.grid.t_end == traj.grid.times[-1]
     assert isinstance(traj, Trajectory)
+
+
+def test_window_and_domain_mistakes_are_configuration_errors():
+    assert issubclass(InvalidGridError, ConfigError)
+    assert issubclass(OutOfDomainError, ConfigError)
+    assert not issubclass(InvalidGridError, SolverError)
+    assert not issubclass(OutOfDomainError, SolverError)
+    # SolverError keeps only the numerical failures
+    assert set(SolverError.__subclasses__()) == {
+        NonFiniteError,
+        NoRootError,
+        SingularNormalEquationsError,
+    }
+    with pytest.raises(OutOfDomainError, match=r"^times: evaluation time outside \[-1, 5\]"):
+        Grid(Constants(), HIST, 0.0, 5.0, 50).plan([6.0])
+
+
+@pytest.mark.parametrize("times", [["0.5", True], ["0.5"], [True, False], np.array([0.5, None])])
+def test_plan_refuses_times_that_are_not_numbers(times):
+    # ['0.5', True] was planned as [0.5, 1.0] and eval_many returned values there
+    grid = Grid(Constants(), HIST, 0.0, 5.0, 50)
+    with pytest.raises(ConfigError, match="^times: must hold real numbers"):
+        grid.plan(times)
+    traj = solve_dde_raw(0.5, 0.8, grid)
+    with pytest.raises(ConfigError, match="^times: must hold real numbers"):
+        traj.eval_many(times)
+    # integer times are numbers
+    assert np.array_equal(traj.eval_many([1, 2])[0], traj.eval_many([1.0, 2.0])[0])
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,name", [("0.5", 0.8, "alpha"), (0.5, True, "beta"), (0.5, None, "beta")]
+)
+def test_raw_entry_point_refuses_gains_that_are_not_numbers(alpha, beta, name):
+    # "0.5" was parsed and True integrated as 1.0
+    with pytest.raises(ConfigError, match=f"^{name}: must be a real number"):
+        solve_dde_raw(alpha, beta, Grid(Constants(), HIST, 0.0, 5.0, 50))
+
+
+@pytest.mark.parametrize("alpha", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+def test_raw_entry_point_reports_a_gain_past_the_float_range_as_a_blow_up(alpha):
+    # 10**400 ended in an uncaught OverflowError from float()
+    sign = "-" if alpha < 0 else ""
+    with pytest.raises(NonFiniteError, match=rf"\(alpha={sign}inf, beta=0.8\)"):
+        solve_dde_raw(alpha, 0.8, Grid(Constants(), HIST, 0.0, 5.0, 50))
