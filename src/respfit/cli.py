@@ -11,10 +11,9 @@ Exit codes: 0 success, 1 configuration error (including usage errors),
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, naming
 from .experiments import (
     ALGORITHMS,
     PRESETS,
@@ -52,17 +51,8 @@ def _print_record(record: dict) -> None:
         )
 
 
-@contextlib.contextmanager
-def _naming(key: str):
-    """Raise an OSError again with a message opening with key, the option that gave the path."""
-    try:
-        yield
-    except OSError as exc:
-        raise OSError(f"{key}: {exc}") from exc
-
-
 def _cmd_run_example(args) -> int:
-    with _naming("--out"):
+    with naming("--out", OSError):
         record = run_example(args.example, seed=args.seed, sigma=args.sigma, out_dir=args.out)
     _print_record(record)
     return 0
@@ -70,7 +60,7 @@ def _cmd_run_example(args) -> int:
 
 def _cmd_run_config(args) -> int:
     config = parse_config_file(args.config)
-    with _naming("out_dir"):
+    with naming("out_dir", OSError):
         record = run_config(config)
     _print_record(record)
     return 0
@@ -81,7 +71,7 @@ def _cmd_run_summary(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"seeds: expected comma-separated integers, got {args.seeds!r}") from None
-    with _naming("--out"):
+    with naming("--out", OSError):
         run_summary(seeds, args.out)
         with open(f"{args.out}/summary.txt") as fh:
             sys.stdout.write(fh.read())

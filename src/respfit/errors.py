@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and naming, which says where one arose."""
+
+from contextlib import contextmanager
 
 
 class RespfitError(Exception):
@@ -31,3 +33,12 @@ class OutOfDomainError(ConfigError):
 
 class SingularNormalEquationsError(SolverError):
     """A parameter direction leaves the residual unchanged, so the fit cannot resolve it."""
+
+
+@contextmanager
+def naming(name: str, kind: type[Exception]):
+    """Re-raise a kind error from the block as its own class, the message opening with name."""
+    try:
+        yield
+    except kind as exc:
+        raise type(exc)(f"{name}: {exc}") from exc

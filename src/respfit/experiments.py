@@ -18,15 +18,16 @@ the byte format of ``_artifacts``, so identical invocations write identical byte
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager, suppress
+from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._artifacts import write_csv, write_json
+from ._artifacts import write_csv, write_json, write_text
 from .data import MAX_SEED, check_sampling, generate_dataset, save_dataset
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, naming
 from .fitting import (
     FitResult,
     ResidualProblem,
@@ -50,7 +51,9 @@ class ExperimentConfig:
     truth that is not a ModelParams. name and history_spec are strings, and
     out_dir None, a string or a path-like, held as a string. Once checked,
     seed, n_points and steps_per_delay are held as ints, sigma, t0 and t_end
-    as floats and p0 as a tuple of two floats, so summary.json is JSON.
+    as floats, p0 as a tuple of two floats and algorithms, a sequence of
+    names but not a str, as a tuple in the given order, so summary.json is
+    JSON and the config hashable.
     """
 
     truth: ModelParams
@@ -81,13 +84,16 @@ class ExperimentConfig:
                 f"resolve times of that magnitude"
             )
         p0 = tuple(start_point(self.p0).tolist())
-        if not self.algorithms:
+        if isinstance(self.algorithms, str) or not isinstance(self.algorithms, Sequence):
+            raise ConfigError(f"algorithms: must be a sequence of names, got {self.algorithms!r}")
+        algorithms = tuple(self.algorithms)
+        if not algorithms:
             raise ConfigError("algorithms: at least one of lm, tr required")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
+        for a in algorithms:
+            if not isinstance(a, str) or a not in ALGORITHMS:
                 raise ConfigError(f"algorithms: unknown algorithm {a!r}")
-        if len(set(self.algorithms)) != len(self.algorithms):
-            raise ConfigError(f"algorithms: duplicate entries in {self.algorithms!r}")
+        if len(set(algorithms)) != len(algorithms):
+            raise ConfigError(f"algorithms: duplicate entries in {algorithms!r}")
         out = os.fspath(self.out_dir) if isinstance(self.out_dir, os.PathLike) else self.out_dir
         for key, text in (("name", self.name), ("history", self.history_spec), ("out_dir", out)):
             if not isinstance(text, str) and not (key == "out_dir" and text is None):
@@ -95,18 +101,15 @@ class ExperimentConfig:
             if "\x00" in (text or ""):
                 raise ConfigError(f"{key}: holds a NUL character")
         _constant_history(self.history_spec)  # raises ConfigError if malformed
-        names = ("seed", "n_points", "steps_per_delay", "sigma", "t0", "t_end", "p0", "out_dir")
-        for name, value in zip(names, (seed, n_points, spd, sigma, t0, t_end, p0, out)):
+        held = dict(seed=seed, n_points=n_points, steps_per_delay=spd, sigma=sigma, t0=t0,
+                    t_end=t_end, p0=p0, algorithms=algorithms, out_dir=out)
+        for name, value in held.items():
             object.__setattr__(self, name, value)
 
 
-@contextmanager
 def _stage(name: str):
     """Re-raise a SolverError from the block as its own class, the message opening with name."""
-    try:
-        yield
-    except SolverError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+    return naming(name, SolverError)
 
 
 def resolve_history(spec: str, truth: ModelParams) -> ConstantHistory:
@@ -371,11 +374,9 @@ def _write_text_table(path: Path, aggregates: list[dict]) -> None:
             + tuple(f"{agg[key]:.4f}" for key in _AGG_FIELDS[3:])
         )
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    with open(path, "w") as fh:
-        for r, row in enumerate(table):
-            fh.write("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
-            if r == 0:
-                fh.write("  ".join("-" * w for w in widths) + "\n")
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # Keys accepted in a flat config file. A text key's value is kept as text, any

@@ -78,12 +78,26 @@ def reals(name: str, values) -> np.ndarray:
     """values as a float64 array, the check of the arrays respfit holds, beside real and count.
 
     Raises ConfigError, its message opening with name, unless NumPy reads
-    values as integers or floats: not bools, text or other objects.
+    values as integers or floats: not bools, text or other objects. A list or
+    tuple that holds a bool at any depth is refused as a bool array is,
+    although NumPy reads [0.5, True] as floats; an ndarray is judged by its
+    dtype alone.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise ConfigError(f"{name}: must hold real numbers, got dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and _holds_bool(values):
+        raise ConfigError(f"{name}: must hold real numbers, got dtype bool")
     return np.asarray(arr, dtype=float)
+
+
+def _holds_bool(values) -> bool:
+    """Whether values is a bool or bool array, or a list or tuple holding one at any depth."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b"
+    return isinstance(values, (bool, np.bool_))
 
 
 def hold_reals(obj, names: tuple[str, ...], **sign) -> None:

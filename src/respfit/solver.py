@@ -20,8 +20,8 @@ grid, cubic Hermite in between.
 Evaluation is split in two. Grid.plan builds a SamplePlan holding
 everything about a set of sample times that depends only on the grid: the
 domain check, which times fall in the history, and for the others the
-enclosing grid interval and the four Hermite weights. Its gather then
-combines those weights with the node values and derivatives of any
+enclosing grid interval and the four Hermite weights. Trajectory.eval_many
+then combines those weights with the node values and derivatives of any
 trajectory solved on that Grid object, so a caller that samples the same
 times on many trajectories, such as a least-squares residual, builds the
 grid and the plan once.
@@ -101,31 +101,6 @@ class SamplePlan:
         """Number of sample times."""
         return len(self.hist_idx) + len(self.grid_idx)
 
-    def gather(self, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-        """Sample values of traj; ConfigError unless it lies on the plan's own Grid object."""
-        if traj.grid is not self.grid:
-            raise ConfigError("plan: built for another Grid object than the trajectory's")
-        n = len(self)
-        xs = np.empty(n)
-        ys = np.empty(n)
-        state = self.grid.history.state
-        xs[self.hist_idx] = state.x
-        ys[self.hist_idx] = state.y
-        j, j1 = self.j, self.j1
-        xs[self.grid_idx] = (
-            self.w00 * traj.x[j]
-            + self.w10 * traj.dx[j]
-            + self.w01 * traj.x[j1]
-            + self.w11 * traj.dx[j1]
-        )
-        ys[self.grid_idx] = (
-            self.w00 * traj.y[j]
-            + self.w10 * traj.dy[j]
-            + self.w01 * traj.y[j1]
-            + self.w11 * traj.dy[j1]
-        )
-        return xs, ys
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -147,10 +122,20 @@ class Trajectory:
         History value for t <= t0, stored node value on grid nodes, cubic
         Hermite between adjacent nodes otherwise. ``times`` is a 1-d array
         of times, or a SamplePlan built by this trajectory's grid.plan; an
-        array is planned on the spot and the plan discarded.
+        array is planned on the spot, and another Grid object's plan raises
+        ConfigError.
         """
         plan = times if isinstance(times, SamplePlan) else self.grid.plan(times)
-        return plan.gather(self)
+        if self.grid is not plan.grid:
+            raise ConfigError("plan: built for another Grid object than the trajectory's")
+        xs, ys = np.empty(len(plan)), np.empty(len(plan))
+        state = self.grid.history.state
+        xs[plan.hist_idx], ys[plan.hist_idx] = state.x, state.y
+        j, j1, w00, w10, w01, w11 = plan.j, plan.j1, plan.w00, plan.w10, plan.w01, plan.w11
+        g = plan.grid_idx
+        xs[g] = w00 * self.x[j] + w10 * self.dx[j] + w01 * self.x[j1] + w11 * self.dx[j1]
+        ys[g] = w00 * self.y[j] + w10 * self.dy[j] + w01 * self.y[j1] + w11 * self.dy[j1]
+        return xs, ys
 
     def to_csv(self, path) -> None:
         """Write the node grid as CSV (t,x,y) at full double precision."""

@@ -4,11 +4,14 @@ The ``_reference_*`` functions are the writers as they were before they shared
 one module, kept verbatim. Each test feeds both the same inputs, chosen from
 what the golden run never writes: negative zero, the smallest subnormal, the
 largest double, NumPy integers, integer-valued trace records and a history
-state at those extremes, and compares the files byte for byte.
+state at those extremes, and compares the files byte for byte. A last test
+reads the package's source and checks that only _artifacts opens a file for
+writing, never with newline translation.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -16,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import respfit
 from respfit import ResidualProblem, experiments, generate_dataset
 from respfit._artifacts import write_csv, write_json
 from respfit.data import Dataset, _meta_path, save_dataset
@@ -234,3 +238,37 @@ def test_json_matches_reference(tmp_path):
             write_json(tmp_path / "bad.json", {"v": bad})
         # raised before the file is opened, so no empty file is left behind
         assert not (tmp_path / "bad.json").exists()
+
+
+def _opens_for_writing(tree):
+    """Each call in tree that may open a file for writing.
+
+    That is open() with a mode that is not a constant or holds w, a, x or +,
+    and any x.open(), x.write_text() or x.write_bytes(), whose target this
+    test does not try to tell.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("open", "write_text", "write_bytes"):
+                yield node
+        elif isinstance(node.func, ast.Name) and node.func.id == "open":
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode", ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                yield node
+
+
+def test_only_artifacts_opens_a_file_for_writing_and_never_translates_newlines():
+    # summary.txt was opened with open(path, "w"), so its lines would end in \r\n on Windows
+    package = sorted(Path(respfit.__file__).parent.glob("*.py"))
+    calls = [
+        (path.name, node)
+        for path in package
+        for node in _opens_for_writing(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert {name for name, _ in calls} == {"_artifacts.py"}, [(n, ast.unparse(c)) for n, c in calls]
+    for _, node in calls:
+        newline = {kw.arg: kw.value for kw in node.keywords}.get("newline")
+        assert isinstance(newline, ast.Constant) and newline.value == "", ast.unparse(node)

@@ -9,7 +9,7 @@ import pytest
 
 from respfit import experiments, fitting
 from respfit.cli import main
-from respfit.errors import NonFiniteError
+from respfit.errors import NonFiniteError, naming
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -342,6 +342,21 @@ def test_io_failure_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("i/o failure: out_dir: ")
     assert str(target) in err
+
+
+def test_an_io_failure_keeps_its_class_and_cause(tmp_path):
+    # the option's name was put in front of a plain OSError
+    target = tmp_path / "blocked"
+    target.write_text("a file where the run directory should go")
+    with pytest.raises(FileExistsError, match="^--out: ") as err:
+        with naming("--out", OSError):
+            experiments.run_example("ex1", out_dir=target)
+    assert type(err.value.__cause__) is FileExistsError
+    assert str(err.value) == f"--out: {err.value.__cause__}"
+    # an error of another kind passes through as it is
+    with pytest.raises(NonFiniteError, match="^blow-up$"):
+        with naming("--out", OSError):
+            raise NonFiniteError("blow-up")
 
 
 def test_run_summary_io_failures_name_the_option_and_path(tmp_path, capsys):

@@ -305,6 +305,10 @@ def test_dataset_invariants():
         ([0.0, 1.0], ["1.5", "2"], [1.0, 0.0], "x_obs"),
         ([0.0, 1.0], [1.5, 2.0], [True, False], "y_obs"),
         ([0.0, 1.0], [1.5, 2.0], np.array([1, None]), "y_obs"),
+        # NumPy reads a list that mixes numbers and bools as floats
+        ([0, 1], [0.5, True], [1, 2], "x_obs"),
+        ([0, 1], [0.5, 1.0], (2.0, np.True_), "y_obs"),
+        ([[0], [np.bool_(False)]], [0.5, 1.0], [1, 2], "times"),
     ],
 )
 def test_dataset_arrays_must_hold_numbers(times, x_obs, y_obs, field):

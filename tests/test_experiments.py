@@ -238,6 +238,12 @@ def test_config_validation_names_the_field():
         (dict(algorithms=()), "algorithms"),
         (dict(algorithms=("lm", "newton")), "algorithms"),
         (dict(algorithms=("lm", "lm")), "algorithms"),
+        # 5 raised TypeError, "lm" read as ("l", "m") and {"lm"} had no order
+        (dict(algorithms=5), "algorithms: must be a sequence of names"),
+        (dict(algorithms="lm"), "algorithms: must be a sequence of names"),
+        (dict(algorithms={"lm"}), "algorithms: must be a sequence of names"),
+        (dict(algorithms=("lm", 5)), "algorithms: unknown algorithm 5"),
+        (dict(algorithms=(["lm"],)), "algorithms: unknown algorithm ['lm']"),
         (dict(history_spec="wavelet"), "history"),
         # name=5 raised TypeError and history_spec=5 AttributeError
         (dict(name=5), "name: must be a string"),
@@ -253,6 +259,13 @@ def test_config_validation_names_the_field():
     # a truth of another type is refused as ModelParams refuses its constants
     with pytest.raises(TypeError, match="^truth must be a ModelParams"):
         replace(base, truth=(0.5, 0.8))
+
+
+def test_config_holds_algorithms_as_a_tuple_in_the_given_order():
+    # a list was held as it was, so hash(config) raised TypeError
+    config = replace(PRESETS["ex1"], algorithms=["tr", "lm"])
+    assert config.algorithms == ("tr", "lm")
+    assert hash(config) == hash(replace(PRESETS["ex1"], algorithms=("tr", "lm")))
 
 
 def test_validate_caps_the_step_count():

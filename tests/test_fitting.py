@@ -84,9 +84,11 @@ def test_residuals_report_a_gain_past_the_float_range_as_a_blow_up(noisy_problem
         noisy_problem.residuals((10**400, 0.8))
 
 
-@pytest.mark.parametrize("p", [("0.5", "0.8"), np.array([True, False]), np.array([0.5, None])])
+@pytest.mark.parametrize(
+    "p", [("0.5", "0.8"), np.array([True, False]), np.array([0.5, None]), (True, 0.8)]
+)
 def test_fd_jacobian_refuses_a_p_that_is_not_numbers(noisy_problem, p):
-    # ("0.5", "0.8") was parsed and returned a Jacobian
+    # ("0.5", "0.8") was parsed and returned a Jacobian, and (True, 0.8) one at (1.0, 0.8)
     with pytest.raises(ConfigError, match="^p: must hold real numbers"):
         fd_jacobian(noisy_problem, p)
 
