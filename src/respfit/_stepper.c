@@ -3,15 +3,14 @@
  * integrate() is expression-for-expression identical to
  * _stepper_py.integrate (same operation order, same libm exp) so the two
  * backends produce bit-identical trajectories; see that module for the
- * contract. x[0], y[0] hold the history's state, whose ventilation is the
- * delayed one over the whole first delay interval, so that interval
+ * contract. Node 0 holds the history's state x0, y0, whose ventilation is
+ * the delayed one over the whole first delay interval, so that interval
  * evaluates no further exp. Build without FP contraction or -ffast-math
  * (see setup.py).
  *
- * The four arrays x, y, dx, dy arrive through the buffer protocol. Each is
- * checked for dtype, contiguity, writability and length before the loop
- * touches it, so a bad argument raises ValueError instead of reading or
- * writing out of bounds.
+ * The kernel allocates its four outputs x, y, dx, dy itself, as bytes
+ * objects of native doubles, so it takes no buffer that would need checking.
+ * The bound on n_steps keeps their size from overflowing.
  *
  * setup.py defines STEPPER_SOURCE_SHA256, the SHA-256 of this file, and the
  * module exposes it as SOURCE_SHA256, so a build can be checked against the
@@ -21,73 +20,40 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
-#include <string.h>
 
 #ifndef STEPPER_SOURCE_SHA256
 #error "STEPPER_SOURCE_SHA256 is undefined; build with setup.py"
 #endif
 
-#define N_ARRAYS 4
-
-static const char *const array_names[N_ARRAYS] = {"x", "y", "dx", "dy"};
-
-/* Acquire a writable 1-d C-contiguous float64 buffer of at least min_len
- * elements. */
-static int
-get_array(PyObject *obj, const char *name, Py_ssize_t min_len, Py_buffer *view)
-{
-    int flags = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE;
-
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
-        return -1;
-    if (view->ndim != 1 || view->itemsize != sizeof(double) ||
-        view->format == NULL || strcmp(view->format, "d") != 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "%s must be a 1-d C-contiguous float64 array", name);
-        PyBuffer_Release(view);
-        return -1;
-    }
-    if (view->shape[0] < min_len) {
-        PyErr_Format(PyExc_ValueError,
-                     "%s has %zd elements, needs at least %zd",
-                     name, view->shape[0], min_len);
-        PyBuffer_Release(view);
-        return -1;
-    }
-    return 0;
-}
-
 static PyObject *
 integrate(PyObject *self, PyObject *args)
 {
-    double alpha, beta, vent_gain, vent_rate, vent_offset, h;
-    Py_ssize_t n_steps, n_delay;
-    PyObject *objs[N_ARRAYS];
-    Py_buffer views[N_ARRAYS];
-    PyObject *result = NULL;
-    int held = 0;
+    double alpha, beta, vent_gain, vent_rate, vent_offset, h, x0, y0;
+    Py_ssize_t n_steps, n_delay, i;
+    PyObject *out[4] = {NULL, NULL, NULL, NULL};
 
-    if (!PyArg_ParseTuple(args, "ddddddnnOOOO:integrate",
+    if (!PyArg_ParseTuple(args, "ddddddnndd:integrate",
                           &alpha, &beta, &vent_gain, &vent_rate, &vent_offset,
-                          &h, &n_steps, &n_delay, &objs[0], &objs[1],
-                          &objs[2], &objs[3]))
+                          &h, &n_steps, &n_delay, &x0, &y0))
         return NULL;
-    /* No float64 buffer holds more than PY_SSIZE_T_MAX / 8 elements, so this
-     * bound also keeps the +1 length below from overflowing. */
-    if (n_steps < 0 || n_delay < 2 || n_steps > PY_SSIZE_T_MAX / 8) {
+    /* Below this bound the arrays' byte size, 8 * (n_steps + 1), cannot
+     * overflow. */
+    if (n_steps < 0 || n_delay < 2 || n_steps >= PY_SSIZE_T_MAX / 8) {
         PyErr_SetString(PyExc_ValueError,
                         "n_steps must be a non-negative count "
                         "and n_delay at least 2");
         return NULL;
     }
-    for (; held < N_ARRAYS; held++) {
-        if (get_array(objs[held], array_names[held], n_steps + 1,
-                      &views[held]) < 0)
-            goto done;
+    for (i = 0; i < 4; i++) {
+        out[i] = PyBytes_FromStringAndSize(NULL, (n_steps + 1) * (Py_ssize_t)sizeof(double));
+        if (out[i] == NULL)
+            goto fail;
     }
 
-    double *x = views[0].buf, *y = views[1].buf;
-    double *dx = views[2].buf, *dy = views[3].buf;
+    double *x = (double *)PyBytes_AS_STRING(out[0]);
+    double *y = (double *)PyBytes_AS_STRING(out[1]);
+    double *dx = (double *)PyBytes_AS_STRING(out[2]);
+    double *dy = (double *)PyBytes_AS_STRING(out[3]);
 
     Py_ssize_t k, i1;
     double xdm, ydm, xd4, yd4;
@@ -100,8 +66,10 @@ integrate(PyObject *self, PyObject *args)
     double nr = -vent_rate;
     Py_ssize_t status = 0;
 
-    /* The ventilation of the history's state x[0], y[0]: over the first
-     * delay interval every delayed node and midpoint reads it. */
+    /* The history's state x0, y0 is also node 0. Over the first delay
+     * interval every delayed node and midpoint reads its ventilation. */
+    x[0] = x0;
+    y[0] = y0;
     v0 = vent_gain * exp(nr * (vent_offset - y[0])) * x[0];
     vm = v4 = v0;
 
@@ -152,22 +120,30 @@ integrate(PyObject *self, PyObject *args)
         dx[n_steps] = 1.0 - av1 * x[n_steps];
         dy[n_steps] = 1.0 - bv1 * y[n_steps];
     }
-
-    result = PyLong_FromSsize_t(status);
-done:
-    while (held > 0)
-        PyBuffer_Release(&views[--held]);
-    return result;
+    else {
+        /* keep the nodes 0 .. status - 1 that the loop wrote */
+        for (i = 0; i < 4; i++) {
+            if (_PyBytes_Resize(&out[i], status * (Py_ssize_t)sizeof(double)) < 0)
+                goto fail;
+        }
+    }
+    return Py_BuildValue("nNNNN", status, out[0], out[1], out[2], out[3]);
+fail:
+    for (i = 0; i < 4; i++)
+        Py_XDECREF(out[i]);
+    return NULL;
 }
 
 static PyMethodDef stepper_methods[] = {
     {"integrate", integrate, METH_VARARGS,
      "integrate(alpha, beta, vent_gain, vent_rate, vent_offset, h, n_steps,\n"
-     "          n_delay, x, y, dx, dy, /)\n"
+     "          n_delay, x0, y0, /)\n"
      "--\n\n"
-     "Advance the delayed two-gas system over n_steps RK4 nodes of spacing h.\n"
-     "x[0], y[0] hold the history's state, which is also the state at t0.\n"
-     "Returns 0 on success, or the 1-based index of the first non-finite node."},
+     "Advance the delayed two-gas system over n_steps RK4 nodes of spacing h\n"
+     "from the history's state x0, y0, which is also the state at t0.\n"
+     "Returns (status, x, y, dx, dy): status is 0 on success, or the 1-based\n"
+     "index of the first non-finite node; each array is a bytes object of the\n"
+     "n_steps + 1 node doubles, or of the status nodes written before it."},
     {NULL, NULL, 0, NULL},
 };
 

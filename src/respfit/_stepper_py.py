@@ -10,8 +10,12 @@ The two differ only in when they look for a blow-up. The C kernel checks the
 state after every step; the twin checks it once per delay interval (n_delay
 steps), or once per window of n_delay - 1 steps on long delays, and then
 finds that stretch's first non-finite node. Both stop at the same node and
-write the same outputs, because a non-finite state stays non-finite: every
+return the same outputs, because a non-finite state stays non-finite: every
 step computes x[k+1] = x[k] + ...
+
+Like the C kernel, the twin allocates its outputs itself and returns them as
+read-only buffers of native doubles: bytes packed from its lists, or on long
+delays read-only memoryviews over the bytearrays its windows write into.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ from __future__ import annotations
 import math
 import operator
 import struct
+import sys
 
 import numpy as np
-
-_ARRAY_NAMES = ("x", "y", "dx", "dy")
 
 # Delays of at least this many steps run their later intervals in windows
 # (_step_windows). Each window pays for about thirty NumPy calls whatever its
@@ -41,23 +44,6 @@ def _exp(z):
         return math.inf
 
 
-def _float64_view(obj, name, min_len):
-    """A writable memoryview of obj, checked the way get_array in _stepper.c checks it.
-
-    The outputs are written as raw doubles, so anything other than a writable
-    1-d C-contiguous float64 buffer of at least min_len elements is refused
-    before a byte is written.
-    """
-    view = memoryview(obj)
-    if view.ndim != 1 or view.format != "d" or not view.c_contiguous:
-        raise ValueError(f"{name} must be a 1-d C-contiguous float64 array")
-    if view.readonly:
-        raise ValueError(f"{name} must be writable")
-    if view.shape[0] < min_len:
-        raise ValueError(f"{name} has {view.shape[0]} elements, needs at least {min_len}")
-    return view
-
-
 def integrate(
     alpha,
     beta,
@@ -67,32 +53,29 @@ def integrate(
     h,
     n_steps,
     n_delay,
-    x,
-    y,
-    dx,
-    dy,
+    x0,
+    y0,
 ):
     """Advance the delayed two-gas system over ``n_steps`` nodes of spacing ``h``.
 
-    x[0], y[0] hold the history's state, which is also the state at t0. Its
+    x0, y0 is the history's state, which is also the state at t0. Its
     ventilation, computed once per call, is the delayed ventilation over the
     whole first delay interval, so that interval evaluates no further exp.
-    Node values and node derivatives are written into x, y, dx, dy. Returns
-    0 on success, or the 1-based index s of the first node whose state is
-    non-finite; then only x[1:s], y[1:s], dx[:s] and dy[:s] are written.
+    Returns (status, x, y, dx, dy): status is 0 on success, or the 1-based
+    index s of the first node whose state is non-finite; x, y, dx, dy are
+    read-only buffers of the node values and node derivatives as native
+    doubles, n_steps + 1 of each, or after a blow-up the s of nodes 0 .. s - 1.
 
     n_delay must be at least 2. The midpoint of step k reads the derivative at
     node k + 1 - n_delay, which step k + 1 - n_delay writes; with n_delay = 1
     that is step k itself, so the value would be read before it is written.
     """
-    # integers only, as the C kernel's "n" format takes them (TypeError otherwise)
+    # integers only, as the C kernel's "n" format takes them (TypeError
+    # otherwise), and as the C kernel bounds them, so the outputs' byte size fits
     n = operator.index(n_steps)
     nd = operator.index(n_delay)
-    if n < 0 or nd < 2:
+    if n < 0 or nd < 2 or n >= sys.maxsize // 8:
         raise ValueError("n_steps must be a non-negative count and n_delay at least 2")
-    vx, vy, vdx, vdy = [
-        _float64_view(a, name, n + 1) for a, name in zip((x, y, dx, dy), _ARRAY_NAMES)
-    ]
     exp = math.exp
     isfinite = math.isfinite
     inf = math.inf
@@ -102,8 +85,8 @@ def integrate(
     h6 = h / 6.0
     nr = -vent_rate
 
-    xk = vx[0]
-    yk = vy[0]
+    xk = x0
+    yk = y0
     X = [xk]
     Y = [yk]
     DX = []
@@ -139,12 +122,10 @@ def integrate(
         X.append(xk)
         Y.append(yk)
 
-    views = (vx, vy, vdx, vdy)
     if nd >= _BATCH_MIN_DELAY and hi < n and isfinite(xk) and isfinite(yk):
-        _pack(views, 0, X, Y, DX, DY, hi + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             return _step_windows(
-                alpha, beta, vent_gain, nr, vent_offset, h, n, nd, views, hi, xk, yk, av1, bv1
+                alpha, beta, vent_gain, nr, vent_offset, h, n, nd, (X, Y, DX, DY), av1, bv1
             )
 
     # Later intervals: step k's delayed nodes are i1 = k - n_delay and i1 + 1,
@@ -198,22 +179,30 @@ def integrate(
         DX.append(1.0 - av1 * xk)
         DY.append(1.0 - bv1 * yk)
         end = n + 1
-    _pack(views, 0, X, Y, DX, DY, end)
-    return status
+    fmt = f"{end}d"
+    return (status, *(struct.pack(fmt, *values[:end]) for values in (X, Y, DX, DY)))
 
 
-def _step_windows(alpha, beta, vent_gain, nr, vent_offset, h, n, nd, views, s, xk, yk, av1, bv1):
-    """integrate's steps s .. n - 1, s >= n_delay, from nodes 0 .. s already in views.
+def _step_windows(alpha, beta, vent_gain, nr, vent_offset, h, n, nd, first, av1, bv1):
+    """integrate's steps s .. n - 1 after the s >= n_delay steps whose lists are first.
 
+    first holds the lists X, Y of nodes 0 .. s and DX, DY of nodes 0 .. s - 1,
+    which go into four bytearrays of n + 1 doubles before the windows run.
     Step k reads the derivative at node k + 1 - n_delay, which step
     k + 1 - n_delay writes, so the n_delay - 1 steps from s on read only nodes
     written before s. Each such window first evaluates its delayed midpoints,
     ventilations and gains elementwise in NumPy, each with the C kernel's
     operations in its order, and libm's exp through math.exp. Its RK4 loop
-    then runs on those gains, and its nodes go into views when it ends.
-    Returns integrate's status; xk, yk, av1, bv1 are its values at step s.
+    then runs on those gains, and its nodes go into the bytearrays when it
+    ends. Returns integrate's result, read-only views of the nodes written;
+    av1, bv1 are its values at step s.
     """
-    x, y, dx, dy = (np.frombuffer(v) for v in views)
+    buffers = [bytearray(8 * (n + 1)) for _ in first]
+    X, Y, DX, DY = first
+    s = len(DX)
+    xk, yk = X[s], Y[s]
+    _pack(buffers, 0, first, s + 1)
+    x, y, dx, dy = (np.frombuffer(b) for b in buffers)
     half_h = 0.5 * h
     h8 = 0.125 * h
     h6 = h / 6.0
@@ -254,14 +243,15 @@ def _step_windows(alpha, beta, vent_gain, nr, vent_offset, h, n, nd, views, s, x
 
         if not (math.isfinite(xk) and math.isfinite(yk)):
             stop = _first_nonfinite(X, Y, 1)
-            _pack(views, s, X, Y, DX, DY, stop)
-            return s + stop
+            _pack(buffers, s, (X, Y, DX, DY), stop)
+            status = s + stop
+            return (status, *(memoryview(b)[: 8 * status].toreadonly() for b in buffers))
         if end == n:
             DX.append(1.0 - av1 * xk)
             DY.append(1.0 - bv1 * yk)
-        _pack(views, s, X, Y, DX, DY, len(X))
+        _pack(buffers, s, (X, Y, DX, DY), len(X))
         s = end
-    return 0
+    return (0, *(memoryview(b).toreadonly() for b in buffers))
 
 
 def _exps(z):
@@ -283,17 +273,11 @@ def _first_nonfinite(X, Y, i):
     return i
 
 
-def _pack(views, s, X, Y, DX, DY, stop):
-    """Write X[1:stop], Y[1:stop] to nodes s + 1 on and DX[:stop], DY[:stop] to nodes s on.
+def _pack(buffers, s, lists, stop):
+    """Write the first stop values of each list, at most, to its buffer from node s on.
 
     The values go in as raw doubles, which struct packs faster than NumPy assigns.
     """
-    vx, vy, vdx, vdy = views
-    nodes = X[1:stop]
-    fmt = f"{len(nodes)}d"
-    struct.pack_into(fmt, vx, 8 * (s + 1), *nodes)
-    struct.pack_into(fmt, vy, 8 * (s + 1), *Y[1:stop])
-    derivs = DX[:stop]
-    fmt = f"{len(derivs)}d"
-    struct.pack_into(fmt, vdx, 8 * s, *derivs)
-    struct.pack_into(fmt, vdy, 8 * s, *DY[:stop])
+    for buf, values in zip(buffers, lists):
+        values = values[:stop]
+        struct.pack_into(f"{len(values)}d", buf, 8 * s, *values)

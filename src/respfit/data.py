@@ -21,7 +21,7 @@ import numpy as np
 
 from ._artifacts import write_csv, write_json
 from .errors import ConfigError, NonFiniteError
-from .model import Constants, ModelParams, count, hold_reals, real, reals
+from .model import Constants, ModelParams, count, hold_reals, instance, real, reals
 from .solver import ConstantHistory, solve_dde
 
 # Largest sample count a dataset may be generated with. At its peak a run
@@ -41,7 +41,8 @@ class Dataset:
     floats (model.reals) and are finite,
     noise_sigma is finite and nonnegative (model.real) and seed, if given, is
     an integer from 0 to MAX_SEED (model.count). noise_sigma is held as a
-    Python float and seed as a Python int.
+    Python float and seed as a Python int. A truth that is neither None nor
+    a ModelParams raises TypeError.
     """
 
     times: np.ndarray
@@ -68,6 +69,8 @@ class Dataset:
         hold_reals(self, ("noise_sigma",), nonnegative=True)
         if self.seed is not None:
             object.__setattr__(self, "seed", count("seed", self.seed, 0, MAX_SEED))
+        if self.truth is not None:
+            instance("truth", self.truth, ModelParams)
         for name, arr in arrays.items():
             arr = arr.copy()
             arr.flags.writeable = False
@@ -111,9 +114,10 @@ def generate_dataset(
 ) -> Dataset:
     """Solve the system and sample it at n_points uniform times with noise.
 
-    The arguments are checked (check_sampling, Grid) before anything is
-    allocated. Raises NonFiniteError if the noise of a huge sigma overflows a
-    measurement.
+    The arguments are checked (check_sampling, solve_dde) before anything is
+    allocated; a params that is not a ModelParams, or a history that is not
+    a ConstantHistory, raises TypeError. Raises NonFiniteError if the noise
+    of a huge sigma overflows a measurement.
     """
     n_points, sigma, seed = check_sampling(n_points, sigma, seed)
 

@@ -36,7 +36,7 @@ from .fitting import (
     start_point,
     write_trace_csv,
 )
-from .model import Constants, ModelParams, State, count, equilibrium_solve, real
+from .model import Constants, ModelParams, State, count, equilibrium_solve, instance, real
 from .solver import ConstantHistory, grid_steps, solve_dde_raw, time_slack
 
 ALGORITHMS = ("lm", "tr")
@@ -70,8 +70,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.truth, ModelParams):
-            raise TypeError(f"truth must be a ModelParams, got {self.truth!r}")
+        instance("truth", self.truth, ModelParams)
         t0, t_end, spd, _ = grid_steps(
             self.t0, self.t_end, self.truth.constants.tau, self.steps_per_delay
         )

@@ -43,7 +43,7 @@ import numpy as np
 from ._artifacts import write_csv
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, SingularNormalEquationsError
-from .model import Constants, real, reals
+from .model import Constants, instance, real, reals
 from .solver import ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -77,9 +77,8 @@ class ResidualProblem:
     plan: SamplePlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, kind in (("dataset", Dataset), ("grid", Grid)):
-            if not isinstance(getattr(self, name), kind):
-                raise TypeError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        instance("dataset", self.dataset, Dataset)
+        instance("grid", self.grid, Grid)
         object.__setattr__(self, "plan", self.grid.plan(self.dataset.times))
 
     @classmethod
@@ -193,7 +192,8 @@ class _Search:
 
     Holds the iterate p, its residual r, cost ||r||^2, forward-difference
     Jacobian J, half-gradient g = Jt r and gradient inf-norm opt, the residual
-    evaluation count and the trace. Construction checks the start point with
+    evaluation count and the trace. Construction raises TypeError for a
+    problem without a residuals method, checks the start point with
     start_point and evaluates it: one residual, then a Jacobian (two more
     evaluations), then the iteration-0 record, which gets the algorithm's
     extra fields (lam or trust_radius) from ``start``. ``run`` then iterates
@@ -201,6 +201,8 @@ class _Search:
     """
 
     def __init__(self, problem, p0, algorithm: str, **start):
+        if not callable(getattr(problem, "residuals", None)):
+            raise TypeError(f"problem must have a residuals method, got {problem!r}")
         self.problem = problem
         self.algorithm = algorithm
         self.p = start_point(p0)

@@ -33,6 +33,16 @@ from .errors import ConfigError, NoRootError
 EQUILIBRIUM_BRACKET = (1e-6, 1e3)
 
 
+def instance(name: str, value, kind: type):
+    """value, if it is a kind: the one check of object types, beside the number checks.
+
+    Raises TypeError, its message opening with name, for any other object.
+    """
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def to_float(name: str, value) -> float:
     """value as a Python float, or an infinity past the float range: the type half of real.
 
@@ -78,12 +88,15 @@ def reals(name: str, values) -> np.ndarray:
     """values as a float64 array, the check of the arrays respfit holds, beside real and count.
 
     Raises ConfigError, its message opening with name, unless NumPy reads
-    values as integers or floats: not bools, text or other objects. A list or
-    tuple that holds a bool at any depth is refused as a bool array is,
-    although NumPy reads [0.5, True] as floats; an ndarray is judged by its
-    dtype alone.
+    values as an array of integers or floats: not a ragged list, nor bools,
+    text or other objects. A list or tuple that holds a bool at any depth is
+    refused as a bool array is, although NumPy reads [0.5, True] as floats;
+    an ndarray is judged by its dtype alone.
     """
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # a ragged list, which NumPy cannot shape
+        raise ConfigError(f"{name}: must hold real numbers in a regular array: {exc}") from None
     if arr.dtype.kind not in "iuf":
         raise ConfigError(f"{name}: must hold real numbers, got dtype {arr.dtype}")
     if not isinstance(values, np.ndarray) and _holds_bool(values):
@@ -134,8 +147,7 @@ class ModelParams:
 
     def __post_init__(self):
         hold_reals(self, ("alpha", "beta"), positive=True)
-        if not isinstance(self.constants, Constants):
-            raise TypeError(f"constants must be a Constants, got {self.constants!r}")
+        instance("constants", self.constants, Constants)
 
 
 @dataclass(frozen=True)
@@ -187,6 +199,7 @@ def equilibrium_solve(params: ModelParams) -> EquilibriumPoint:
     |1 - gain*V*state| at y* = (alpha/beta) x*, taken in log space, where
     it cannot overflow.
     """
+    instance("params", params, ModelParams)
     lo, hi = EQUILIBRIUM_BRACKET
     g_lo = _log_equilibrium_residual(lo, params)
     g_hi = _log_equilibrium_residual(hi, params)

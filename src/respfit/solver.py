@@ -37,7 +37,7 @@ import numpy as np
 from . import backend
 from ._artifacts import write_csv
 from .errors import ConfigError, InvalidGridError, NonFiniteError, OutOfDomainError
-from .model import Constants, ModelParams, State, count, real, reals, to_float
+from .model import Constants, ModelParams, State, count, instance, real, reals, to_float
 
 # Largest RK4 step count a grid may hold. A trajectory holds five float64
 # arrays with one entry per step: 400 MB at this cap.
@@ -188,7 +188,8 @@ class Grid:
     Holds the window as grid_steps checked it, and computes from it the step
     count n, the step h = tau / steps_per_delay and the read-only node times
     t0 + k*h (t_end snaps to the last one). The history's state is also the
-    state at t0, which solve_dde_raw hands the kernel as node 0.
+    state at t0, which solve_dde_raw hands the kernel as node 0. Raises
+    TypeError unless constants is a Constants and history a ConstantHistory.
     """
 
     constants: Constants
@@ -201,6 +202,8 @@ class Grid:
     times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        instance("constants", self.constants, Constants)
+        instance("history", self.history, ConstantHistory)
         t0, _, spd, n = grid_steps(self.t0, self.t_end, self.constants.tau, self.steps_per_delay)
         h = self.constants.tau / spd
         times = t0 + h * np.arange(n + 1)
@@ -259,39 +262,28 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
     surface as NonFiniteError. Use solve_dde for validated ModelParams.
     """
     alpha, beta = to_float("alpha", alpha), to_float("beta", beta)
-    n, h, c = grid.n, grid.step, grid.constants
-    x = np.empty(n + 1)
-    y = np.empty(n + 1)
-    dx = np.empty(n + 1)
-    dy = np.empty(n + 1)
-    # the history's state at t0, which the kernel also reads as the delayed
-    # state over the first delay interval
-    x[0] = grid.history.state.x
-    y[0] = grid.history.state.y
-
-    status = backend.active.integrate(
+    h, c, state = grid.step, grid.constants, grid.history.state
+    # the history's state is node 0, and the delayed state over the first
+    # delay interval
+    status, *arrays = backend.active.integrate(
         alpha,
         beta,
         c.vent_gain,
         c.vent_rate,
         c.vent_offset,
         h,
-        n,
+        grid.n,
         grid.steps_per_delay,
-        x,
-        y,
-        dx,
-        dy,
+        state.x,
+        state.y,
     )
     if status:
         raise NonFiniteError(
             f"state became non-finite at t = {grid.t0 + status * h:.6g} "
             f"(alpha={alpha:g}, beta={beta:g})"
         )
-
-    for arr in (x, y, dx, dy):
-        arr.flags.writeable = False
-    return Trajectory(grid, x, y, dx, dy)
+    # the kernel's buffers are read-only, and so are these arrays over them
+    return Trajectory(grid, *map(np.frombuffer, arrays))
 
 
 def solve_dde(
@@ -301,6 +293,11 @@ def solve_dde(
     t_end: float,
     steps_per_delay: int = 50,
 ) -> Trajectory:
-    """Integrate the system for validated model parameters."""
-    grid = Grid(params.constants, history, t0, t_end, steps_per_delay)
+    """Integrate the system for validated model parameters.
+
+    Raises TypeError unless params is a ModelParams, and Grid's errors for
+    the history and the window.
+    """
+    constants = instance("params", params, ModelParams).constants
+    grid = Grid(constants, history, t0, t_end, steps_per_delay)
     return solve_dde_raw(params.alpha, params.beta, grid)

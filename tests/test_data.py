@@ -242,6 +242,20 @@ def test_generate_refuses_out_of_range_sizes_before_allocating(args, key):
         generate_dataset(TRUTH, HIST, *args)
 
 
+def test_generate_refuses_params_or_history_of_another_type():
+    # each raised AttributeError
+    for params, hist, name in (((0.5, 0.8), HIST, "params"), (TRUTH, None, "history")):
+        with pytest.raises(TypeError, match=f"^{name} must be a "):
+            generate_dataset(params, hist, 0.0, 5.0, 11, 0.2, 1)
+
+
+def test_dataset_refuses_a_truth_of_another_type():
+    # it was held, and save_dataset then wrote the CSV and raised
+    # AttributeError before the sidecar
+    with pytest.raises(TypeError, match="^truth must be a ModelParams"):
+        Dataset([0, 1], [1, 2], [1, 2], 0.1, truth=(0.5, 0.8))
+
+
 def test_generate_takes_numpy_integers():
     ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, np.int64(11), 0.2, np.uint64(5))
     assert ds == generate_dataset(TRUTH, HIST, 0.0, 5.0, 11, 0.2, 5)
@@ -309,6 +323,9 @@ def test_dataset_invariants():
         ([0, 1], [0.5, True], [1, 2], "x_obs"),
         ([0, 1], [0.5, 1.0], (2.0, np.True_), "y_obs"),
         ([[0], [np.bool_(False)]], [0.5, 1.0], [1, 2], "times"),
+        # a ragged list raised NumPy's bare ValueError, naming no field
+        ([0, 1], [[1.0], [2.0, 3.0]], [1, 2], "x_obs"),
+        ([[0.0], [1.0, 2.0]], [0.5, 1.0], [1, 2], "times"),
     ],
 )
 def test_dataset_arrays_must_hold_numbers(times, x_obs, y_obs, field):

@@ -150,6 +150,15 @@ def test_problem_refuses_a_dataset_or_grid_of_another_type():
             ResidualProblem(*args)
 
 
+@pytest.mark.parametrize("solver", [solve_lm, solve_trust_region])
+def test_solvers_refuse_a_problem_without_residuals(solver):
+    # solve_lm(None, p0) raised AttributeError; a problem is any object with
+    # a residuals method (see _NoSensitivity)
+    for problem in (None, TRUTH):
+        with pytest.raises(TypeError, match="^problem must have a residuals method"):
+            solver(problem, (0.3, 0.5))
+
+
 def test_non_finite_step_count_is_a_grid_error():
     # (t_end - t0) / h overflows to inf: no finite whole number of steps
     with pytest.raises(InvalidGridError):

@@ -126,6 +126,13 @@ def test_params_take_the_constants_as_one_object():
         ModelParams(0.5, 0.8, 1.0)
 
 
+def test_equilibrium_refuses_params_of_another_type():
+    # equilibrium_solve(None) raised AttributeError
+    for params in (None, (0.5, 0.8)):
+        with pytest.raises(TypeError, match="^params must be a ModelParams"):
+            equilibrium_solve(params)
+
+
 def test_params_refuse_a_bool():
     # ModelParams(True, 0.8) ran, and summary.json recorded "alpha": true
     with pytest.raises(ConfigError, match="^alpha: "):

@@ -15,6 +15,10 @@ is not finite raises NonFiniteError there. The rule is written out here by
 type, independently of the program: Python ints and floats and NumPy integer
 and floating scalars are numbers; bools, NumPy bools, strings, None and
 sequences are not.
+
+The second half draws whole calls of generate_dataset, equilibrium_solve,
+solve_lm and solve_trust_region, objects of the wrong type among their
+arguments (see the comment there).
 """
 
 from __future__ import annotations
@@ -39,13 +43,17 @@ from respfit import (  # noqa: E402
     Grid,
     ModelParams,
     NonFiniteError,
+    RespfitError,
     State,
     backend,
+    equilibrium_solve,
     history_from_description,
     solve_dde,
+    solve_lm,
+    solve_trust_region,
 )
-from respfit.data import MAX_POINTS, Dataset, check_sampling  # noqa: E402
-from respfit.fitting import ResidualProblem, start_point  # noqa: E402
+from respfit.data import MAX_POINTS, Dataset, check_sampling, generate_dataset  # noqa: E402
+from respfit.fitting import FitResult, ResidualProblem, Termination, start_point  # noqa: E402
 from respfit.solver import MAX_STEPS  # noqa: E402
 
 EDGES = (
@@ -305,3 +313,137 @@ def test_each_number_is_held_as_a_python_float_or_refused_by_name(call, field, r
     assert all(
         type(v) is (int if k in INTS else float) for k, v in held.items() if v is not None
     ), held
+
+
+# Item 2's calls: generate_dataset, equilibrium_solve, solve_lm and
+# solve_trust_region, with drawn arguments, start points of the wrong length
+# and windows off the step grid among them. Each test runs once with every
+# argument of its type and once per argument drawn from OBJECTS instead. A
+# call returns a result that holds what it says, or raises a RespfitError, or
+# a TypeError naming the argument of another type. Windows span at most 12
+# time units at 60 steps per delay and datasets hold at most 120 points, so a
+# draw costs milliseconds; the sizes past the caps are drawn as edges, which
+# the calls refuse before they allocate.
+
+OBJECTS = st.sampled_from(
+    (None, 0.5, (0.5, 0.8), [35.0, 35.0], "ex1", State(35.0, 35.0), Constants())
+)
+
+
+def _mostly(draw, ordinary, edges, one_in=10):
+    """A draw from ordinary, or in about one draw of one_in from edges.
+
+    The choice is a middle value of a range, since Hypothesis favours its ends.
+    """
+    return draw(edges) if draw(st.integers(1, one_in)) == one_in // 2 + 1 else draw(ordinary)
+
+
+@st.composite
+def _params(draw):
+    """ModelParams of ordinary or extreme gains and constants."""
+    def gain(lo, hi):
+        return _mostly(draw, st.floats(lo, hi), st.sampled_from((5e-324, 1e-12, 1e12, 1e308)))
+
+    c = Constants(draw(st.floats(0.05, 5.0)), gain(0.01, 1.0), gain(0.01, 0.2),
+                  _mostly(draw, st.floats(0.0, 200.0), st.floats(-1e3, 1e3)))
+    return ModelParams(gain(0.05, 5.0), gain(0.05, 5.0), c)
+
+
+LEVELS = st.floats(-50.0, 150.0)
+HISTORIES = st.builds(ConstantHistory, st.builds(State, LEVELS, LEVELS))
+
+
+def _outcome(call, wrong):
+    """call()'s result, or None for a RespfitError or a TypeError that names wrong.
+
+    With an argument of another type, wrong, the call must raise.
+    """
+    try:
+        result = call()
+    except RespfitError:
+        return None
+    except TypeError as exc:
+        assert wrong is not None and str(exc).startswith(f"{wrong} must "), exc
+        return None
+    assert wrong is None, result
+    return result
+
+
+@pytest.mark.parametrize("wrong", [None, "params"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_equilibrium_holds_its_root_or_raises_a_named_error(wrong, data):
+    params = data.draw(OBJECTS if wrong else _params())
+    eq = _outcome(lambda: equilibrium_solve(params), wrong)
+    if eq is not None:
+        assert math.isfinite(eq.x_star) and math.isfinite(eq.y_star) and eq.x_star > 0.0
+        assert eq.y_star == params.alpha / params.beta * eq.x_star
+        assert eq.residual_norm <= 1e-12
+
+
+@st.composite
+def _sampling_call(draw, wrong):
+    """generate_dataset's arguments: a window on the step grid or off it, and the sampling."""
+    params = draw(OBJECTS if wrong == "params" else _params())
+    tau = params.constants.tau if isinstance(params, ModelParams) else 1.0
+    spd = _mostly(draw, st.integers(2, 60), st.sampled_from((0, 1, 2.5, None, "50", True)))
+    t0 = draw(st.floats(-10.0, 10.0))
+    h = tau / spd if isinstance(spd, int) and spd > 0 else 0.1
+    steps = _mostly(draw, st.integers(1, int(12.0 / h)), st.integers(-2, 0))
+    off_grid = st.one_of(
+        st.just(t0 + (steps + 0.5) * h),
+        st.floats(t0 - 1.0, t0 + 12.0),
+        st.sampled_from((math.nan, 1e9)),
+    )
+    t_end = _mostly(draw, st.just(t0 + steps * h), off_grid, one_in=4)
+    n_points = _mostly(draw, st.integers(2, 120), st.sampled_from((-1, 0, 1, MAX_POINTS + 1, 2.0)))
+    sigma = _mostly(draw, st.floats(0.0, 10.0), st.one_of(st.floats(), st.just(1e200)))
+    seed = _mostly(draw, st.integers(0, 2**64 - 1), st.sampled_from((-1, 2**64, None, 1.5)))
+    history = draw(OBJECTS if wrong == "history" else HISTORIES)
+    return params, history, t0, t_end, n_points, sigma, seed, spd
+
+
+@pytest.mark.parametrize("wrong", [None, "params", "history"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generated_datasets_hold_their_arguments_or_raise_a_named_error(wrong, data):
+    args = data.draw(_sampling_call(wrong))
+    params, _, t0, t_end, n_points, sigma, seed, _ = args
+    ds = _outcome(lambda: generate_dataset(*args), wrong)
+    if ds is not None:
+        assert isinstance(ds, Dataset) and len(ds) == n_points and ds.truth is params
+        assert ds.times[0] == t0 and ds.times[-1] == t_end
+        assert ds.noise_sigma == sigma and ds.seed == seed
+        assert np.all(np.isfinite(ds.x_obs)) and np.all(np.isfinite(ds.y_obs))
+
+
+_FIT_DATA = Dataset(_T + 1.0, np.array([20.0, 24.0, 26.0]), np.array([30.0, 31.0, 29.0]), 0.1)
+_FIT_PROBLEM = ResidualProblem(_FIT_DATA, Grid(Constants(), _HIST, 0.0, 3.0, 10))
+
+
+@st.composite
+def _start_points(draw):
+    """Two coordinates, as a tuple or an array, or a start point of another length or type."""
+    def coord():
+        return _mostly(draw, st.floats(-3.0, 3.0), st.one_of(st.floats(), st.just(1e150)))
+
+    two = (coord(), coord())
+    other = st.one_of(st.lists(st.floats(-3.0, 3.0), max_size=3), VALUES)
+    return _mostly(draw, st.sampled_from((two, np.array(two))), other)
+
+
+@pytest.mark.parametrize("wrong", [None, "problem"])
+@pytest.mark.parametrize("solver", [solve_lm, solve_trust_region])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fits_report_their_optimum_or_raise_a_named_error(solver, wrong, data):
+    problem = data.draw(st.one_of(OBJECTS, st.just(_FIT_DATA)) if wrong else st.just(_FIT_PROBLEM))
+    p0 = data.draw(_start_points())
+    fit = _outcome(lambda: solver(problem, p0), wrong)
+    if fit is not None:
+        assert isinstance(fit, FitResult) and isinstance(fit.termination, Termination)
+        assert all(map(math.isfinite, (*fit.best_fit, fit.final_residual)))
+        # the reported cost is the cost at the reported point, bit for bit
+        r = problem.residuals(np.array(fit.best_fit))
+        assert fit.final_residual == float(r @ r) == fit.trace[-1].residual
+        assert [rec.iteration for rec in fit.trace] == list(range(len(fit.trace)))

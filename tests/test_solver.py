@@ -280,6 +280,20 @@ def test_raw_entry_point_accepts_negative_gains_short_horizon():
     assert np.all(np.isfinite(traj.x))
 
 
+def test_grid_and_solve_refuse_objects_of_another_type():
+    # each raised AttributeError, Grid's history only at its first solve
+    calls = {
+        "constants": lambda: Grid(1.0, HIST, 0.0, 5.0, 50),
+        "history": lambda: Grid(Constants(), None, 0.0, 5.0, 50),
+        "params": lambda: solve_dde((0.5, 0.8), HIST, 0.0, 5.0),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError, match=f"^{name} must be a "):
+            call()
+    with pytest.raises(TypeError, match="^history must be a ConstantHistory"):
+        solve_dde(ModelParams(0.5, 0.8), State(35.0, 35.0), 0.0, 5.0)
+
+
 def test_trajectory_arrays_are_read_only():
     traj = solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.0)
     with pytest.raises(ValueError):
