@@ -173,14 +173,13 @@ def integrate(
     if hi and not (isfinite(xk) and isfinite(yk)):
         # the interval [lo, hi) blew up: its first non-finite node is the status
         status = _first_nonfinite(X, Y, lo + 1)
-        end = status
-    else:
-        status = 0
-        DX.append(1.0 - av1 * xk)
-        DY.append(1.0 - bv1 * yk)
-        end = n + 1
-    fmt = f"{end}d"
-    return (status, *(struct.pack(fmt, *values[:end]) for values in (X, Y, DX, DY)))
+        fmt = f"{status}d"
+        return (status, *(struct.pack(fmt, *values[:status]) for values in (X, Y, DX, DY)))
+    DX.append(1.0 - av1 * xk)
+    DY.append(1.0 - bv1 * yk)
+    # each list now holds exactly the n + 1 nodes, packed without a copy
+    fmt = f"{n + 1}d"
+    return (0, *(struct.pack(fmt, *values) for values in (X, Y, DX, DY)))
 
 
 def _step_windows(alpha, beta, vent_gain, nr, vent_offset, h, n, nd, first, av1, bv1):

@@ -37,8 +37,16 @@ class SingularNormalEquationsError(SolverError):
 
 @contextmanager
 def naming(name: str, kind: type[Exception]):
-    """Re-raise a kind error from the block as its own class, the message opening with name."""
+    """Re-raise a kind error from the block as its own class, the message opening with name.
+
+    The original is the new error's __cause__. An OSError's errno carries
+    over too. Its strerror, filename and filename2 stay on the cause only:
+    OSError's str() prints them in place of the message once they are set.
+    """
     try:
         yield
     except kind as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+        named = type(exc)(f"{name}: {exc}")
+        if isinstance(exc, OSError):
+            named.errno = exc.errno
+        raise named from exc

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -43,7 +42,7 @@ import numpy as np
 from ._artifacts import write_csv
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, SingularNormalEquationsError
-from .model import Constants, instance, real, reals
+from .model import Constants, instance, is_real, real, reals
 from .solver import ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -69,17 +68,22 @@ class ResidualProblem:
 
     Every residual call integrates on the same grid (see solver.Grid) and
     samples the measurement times with the same plan, which construction
-    derives from the grid once, raising any error it finds.
+    derives from the grid once, raising any error it finds. Construction
+    also stacks the observations once, x_obs then y_obs, as obs.
     """
 
     dataset: Dataset
     grid: Grid
     plan: SamplePlan = field(init=False, repr=False, compare=False)
+    obs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         instance("dataset", self.dataset, Dataset)
         instance("grid", self.grid, Grid)
         object.__setattr__(self, "plan", self.grid.plan(self.dataset.times))
+        obs = np.concatenate([self.dataset.x_obs, self.dataset.y_obs])
+        obs.flags.writeable = False
+        object.__setattr__(self, "obs", obs)
 
     @classmethod
     def from_dataset(
@@ -104,18 +108,19 @@ class ResidualProblem:
 
         Raises ConfigError unless p is two real numbers, not bools, and
         NonFiniteError, as the kernel does, if one is not finite as a float.
+        The model's x and y rows come from eval_many in one buffer, and the
+        stacked observations are subtracted from it in place.
         """
         try:
             two = len(p) == 2
             alpha, beta = p[0], p[1]
         except (TypeError, LookupError):
             two = False
-        if not two or any(
-            isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (alpha, beta)
-        ):
+        if not (two and is_real(alpha) and is_real(beta)):
             raise ConfigError(f"p: must be two numbers, got {p!r}")
-        xs, ys = solve_dde_raw(alpha, beta, self.grid).eval_many(self.plan)
-        return np.concatenate([xs - self.dataset.x_obs, ys - self.dataset.y_obs])
+        r = solve_dde_raw(alpha, beta, self.grid).eval_many(self.plan).ravel()
+        r -= self.obs
+        return r
 
 
 def fd_jacobian(problem, p, base_residual: np.ndarray | None = None):
@@ -183,8 +188,13 @@ def start_point(p0) -> np.ndarray:
     return np.array([real(name, alpha), real(name, beta)])
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of the 1-d float array v, as np.linalg.norm computes it, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _rel_step(step_norm: float, p: np.ndarray) -> float:
-    return step_norm / max(float(np.linalg.norm(p)), 1.0)
+    return step_norm / max(_norm(p), 1.0)
 
 
 class _Search:
@@ -220,16 +230,18 @@ class _Search:
     def _linearize(self) -> None:
         self.J, k_evals = fd_jacobian(self.problem, self.p, base_residual=self.r)
         self.n_evals += k_evals
-        # a dead column would read as a zero gradient, i.e. as convergence
-        dead = ~(np.any(self.J, axis=0) & np.all(np.isfinite(self.J), axis=0))
-        if np.any(dead) and np.any(self.r):
+        # a dead column would read as a zero gradient, i.e. as convergence: its
+        # largest |entry| is 0, or not finite if it holds an inf or a NaN
+        peaks = abs(self.J).max(axis=0, initial=0.0).tolist()
+        dead = [not 0.0 < peak < math.inf for peak in peaks]
+        if any(dead) and self.r.any():
             raise SingularNormalEquationsError(
-                f"Jacobian column {np.argmax(dead)} is zero or non-finite at ({self.p[0]:g}, "
+                f"Jacobian column {dead.index(True)} is zero or non-finite at ({self.p[0]:g}, "
                 f"{self.p[1]:g}); a parameter direction leaves the residual unchanged"
             )
         self.g = self.J.T @ self.r
         # inf-norm of the gradient of ||r||^2, 2*Jt*r
-        self.opt = float(np.max(np.abs(2.0 * self.g)))
+        self.opt = float(abs(2.0 * self.g).max())
 
     def run(self, propose, judge, stop=None) -> FitResult:
         """Iterate with a minimizer's two rules until a tolerance or MAX_ITER stops it.
@@ -247,7 +259,7 @@ class _Search:
         for _ in range(MAX_ITER):
             while True:
                 step = propose()
-                step_norm = float(np.linalg.norm(step))
+                step_norm = _norm(step)
                 p = self.p + step
                 self.n_evals += 1
                 try:
@@ -303,10 +315,10 @@ def solve_lm(problem, p0) -> FitResult:
         nonlocal lam
         A = search.J.T @ search.J
         while True:
-            damped = A + lam * np.diag(np.diag(A))
+            damped = A + lam * np.diag(A.diagonal())
             try:
                 step = np.linalg.solve(damped, -search.g)
-                if np.all(np.isfinite(step)):
+                if np.isfinite(step).all():
                     return step
             except np.linalg.LinAlgError:
                 pass
@@ -334,14 +346,14 @@ def _dogleg(J: np.ndarray, r: np.ndarray, g: np.ndarray, radius: float):
     rank-deficient J degrades gracefully to the minimum-norm solution.
     """
     gn, *_ = np.linalg.lstsq(J, -r, rcond=None)
-    if float(np.linalg.norm(gn)) <= radius:
+    if _norm(gn) <= radius:
         return gn, False
 
     Jg = J @ g
     denom = float(Jg @ Jg)
     gg = float(g @ g)
     cauchy = -(gg / denom) * g
-    cauchy_norm = float(np.linalg.norm(cauchy))
+    cauchy_norm = _norm(cauchy)
     if cauchy_norm >= radius:
         return (-radius / math.sqrt(gg)) * g, True
 

@@ -43,13 +43,23 @@ def instance(name: str, value, kind: type):
     return value
 
 
+def is_real(value) -> bool:
+    """Whether value is a Python or NumPy real number but not a bool.
+
+    A float, np.float64 among them, passes on a plain isinstance test, so
+    the slower abstract numbers.Real test runs only for other objects.
+    """
+    return isinstance(value, float) or (
+        not isinstance(value, bool) and isinstance(value, numbers.Real)
+    )
+
+
 def to_float(name: str, value) -> float:
     """value as a Python float, or an infinity past the float range: the type half of real.
 
-    Raises ConfigError, its message opening with name, unless value is a
-    Python or NumPy real number but not a bool.
+    Raises ConfigError, its message opening with name, unless value is_real.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         raise ConfigError(f"{name}: must be a real number, got {value!r}")
     try:
         return float(value)

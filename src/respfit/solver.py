@@ -116,7 +116,7 @@ class Trajectory:
     dx: np.ndarray = field(repr=False)
     dy: np.ndarray = field(repr=False)
 
-    def eval_many(self, times) -> tuple[np.ndarray, np.ndarray]:
+    def eval_many(self, times) -> np.ndarray:
         """Vectorized evaluation at arbitrary times in [t0 - tau, t_end].
 
         History value for t <= t0, stored node value on grid nodes, cubic
@@ -124,18 +124,24 @@ class Trajectory:
         of times, or a SamplePlan built by this trajectory's grid.plan; an
         array is planned on the spot, and another Grid object's plan raises
         ConfigError.
+
+        Returns one new (2, M) array whose rows are x and y at the M times,
+        so ``xs, ys = traj.eval_many(times)`` unpacks it, and ravel() gives
+        the stacked 2M vector without a copy.
         """
         plan = times if isinstance(times, SamplePlan) else self.grid.plan(times)
         if self.grid is not plan.grid:
             raise ConfigError("plan: built for another Grid object than the trajectory's")
-        xs, ys = np.empty(len(plan)), np.empty(len(plan))
+        out = np.empty((2, len(plan)))
+        xs, ys = out[0], out[1]
         state = self.grid.history.state
-        xs[plan.hist_idx], ys[plan.hist_idx] = state.x, state.y
+        xs[plan.hist_idx] = state.x
+        ys[plan.hist_idx] = state.y
         j, j1, w00, w10, w01, w11 = plan.j, plan.j1, plan.w00, plan.w10, plan.w01, plan.w11
         g = plan.grid_idx
         xs[g] = w00 * self.x[j] + w10 * self.dx[j] + w01 * self.x[j1] + w11 * self.dx[j1]
         ys[g] = w00 * self.y[j] + w10 * self.dy[j] + w01 * self.y[j1] + w11 * self.dy[j1]
-        return xs, ys
+        return out
 
     def to_csv(self, path) -> None:
         """Write the node grid as CSV (t,x,y) at full double precision."""
@@ -233,8 +239,10 @@ class Grid:
         tq = np.minimum(ts[grid_idx], self.times[-1])
         # side='right' makes an exact node time fall in the interval whose
         # left endpoint it is (s = 0), so node values are returned bit-exact.
+        # Every tq exceeds t0 = times[0], so j >= 0; t_end, the last node,
+        # takes the last interval (s = 1).
         j = np.searchsorted(self.times, tq, side="right") - 1
-        j = np.clip(j, 0, len(self.times) - 2)
+        j = np.minimum(j, len(self.times) - 2)
         s = (tq - self.times[j]) / self.step
         h00 = (2.0 * s - 3.0) * s * s + 1.0
         h10 = ((s - 2.0) * s + 1.0) * s

@@ -351,8 +351,13 @@ def test_an_io_failure_keeps_its_class_and_cause(tmp_path):
     with pytest.raises(FileExistsError, match="^--out: ") as err:
         with naming("--out", OSError):
             experiments.run_example("ex1", out_dir=target)
-    assert type(err.value.__cause__) is FileExistsError
-    assert str(err.value) == f"--out: {err.value.__cause__}"
+    cause = err.value.__cause__
+    assert type(cause) is FileExistsError
+    assert str(err.value) == f"--out: {cause}"
+    # errno carries over; the file name is in the message and on the cause,
+    # since OSError's str() would print it in place of the message if set
+    assert cause.errno is not None and err.value.errno == cause.errno
+    assert cause.filename is not None and repr(cause.filename) in str(err.value)
     # an error of another kind passes through as it is
     with pytest.raises(NonFiniteError, match="^blow-up$"):
         with naming("--out", OSError):
