@@ -8,9 +8,9 @@
  * evaluates no further exp. Build without FP contraction or -ffast-math
  * (see setup.py).
  *
- * The kernel allocates its four outputs x, y, dx, dy itself, as bytes
- * objects of native doubles, so it takes no buffer that would need checking.
- * The bound on n_steps keeps their size from overflowing.
+ * The kernel allocates its outputs x, y, dx, dy as bytes objects of native
+ * doubles, so it takes no buffer that would need checking, and returns them
+ * only on success. The bound on n_steps keeps their size from overflowing.
  *
  * setup.py defines STEPPER_SOURCE_SHA256, the SHA-256 of this file, and the
  * module exposes it as SOURCE_SHA256, so a build can be checked against the
@@ -31,6 +31,7 @@ integrate(PyObject *self, PyObject *args)
     double alpha, beta, vent_gain, vent_rate, vent_offset, h, x0, y0;
     Py_ssize_t n_steps, n_delay, i;
     PyObject *out[4] = {NULL, NULL, NULL, NULL};
+    PyObject *result = NULL;
 
     if (!PyArg_ParseTuple(args, "ddddddnndd:integrate",
                           &alpha, &beta, &vent_gain, &vent_rate, &vent_offset,
@@ -47,7 +48,7 @@ integrate(PyObject *self, PyObject *args)
     for (i = 0; i < 4; i++) {
         out[i] = PyBytes_FromStringAndSize(NULL, (n_steps + 1) * (Py_ssize_t)sizeof(double));
         if (out[i] == NULL)
-            goto fail;
+            goto done;
     }
 
     double *x = (double *)PyBytes_AS_STRING(out[0]);
@@ -119,19 +120,14 @@ integrate(PyObject *self, PyObject *args)
     if (status == 0) {
         dx[n_steps] = 1.0 - av1 * x[n_steps];
         dy[n_steps] = 1.0 - bv1 * y[n_steps];
+        result = Py_BuildValue("nOOOO", status, out[0], out[1], out[2], out[3]);
     }
-    else {
-        /* keep the nodes 0 .. status - 1 that the loop wrote */
-        for (i = 0; i < 4; i++) {
-            if (_PyBytes_Resize(&out[i], status * (Py_ssize_t)sizeof(double)) < 0)
-                goto fail;
-        }
-    }
-    return Py_BuildValue("nNNNN", status, out[0], out[1], out[2], out[3]);
-fail:
+    else
+        result = Py_BuildValue("(n)", status);
+done:
     for (i = 0; i < 4; i++)
         Py_XDECREF(out[i]);
-    return NULL;
+    return result;
 }
 
 static PyMethodDef stepper_methods[] = {
@@ -141,9 +137,9 @@ static PyMethodDef stepper_methods[] = {
      "--\n\n"
      "Advance the delayed two-gas system over n_steps RK4 nodes of spacing h\n"
      "from the history's state x0, y0, which is also the state at t0.\n"
-     "Returns (status, x, y, dx, dy): status is 0 on success, or the 1-based\n"
-     "index of the first non-finite node; each array is a bytes object of the\n"
-     "n_steps + 1 node doubles, or of the status nodes written before it."},
+     "Returns (0, x, y, dx, dy), each array a bytes object of the n_steps + 1\n"
+     "node doubles, or after a blow-up (status,), the 1-based index of the\n"
+     "first non-finite node."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -9,9 +9,9 @@ explicitly selected.
 The two differ only in when they look for a blow-up. The C kernel checks the
 state after every step; the twin checks it once per delay interval (n_delay
 steps), or once per window of n_delay - 1 steps on long delays, and then
-finds that stretch's first non-finite node. Both stop at the same node and
-return the same outputs, because a non-finite state stays non-finite: every
-step computes x[k+1] = x[k] + ...
+finds that stretch's first non-finite node. Both return the same node,
+because a non-finite state stays non-finite: every step computes
+x[k+1] = x[k] + ...
 
 Like the C kernel, the twin allocates its outputs itself and returns them as
 read-only buffers of native doubles: bytes packed from its lists, or on long
@@ -61,10 +61,9 @@ def integrate(
     x0, y0 is the history's state, which is also the state at t0. Its
     ventilation, computed once per call, is the delayed ventilation over the
     whole first delay interval, so that interval evaluates no further exp.
-    Returns (status, x, y, dx, dy): status is 0 on success, or the 1-based
-    index s of the first node whose state is non-finite; x, y, dx, dy are
-    read-only buffers of the node values and node derivatives as native
-    doubles, n_steps + 1 of each, or after a blow-up the s of nodes 0 .. s - 1.
+    Returns (0, x, y, dx, dy), read-only buffers of the n_steps + 1 node
+    values and derivatives as native doubles, or after a blow-up (status,),
+    the 1-based index of the first node whose state is non-finite.
 
     n_delay must be at least 2. The midpoint of step k reads the derivative at
     node k + 1 - n_delay, which step k + 1 - n_delay writes; with n_delay = 1
@@ -172,9 +171,7 @@ def integrate(
 
     if hi and not (isfinite(xk) and isfinite(yk)):
         # the interval [lo, hi) blew up: its first non-finite node is the status
-        status = _first_nonfinite(X, Y, lo + 1)
-        fmt = f"{status}d"
-        return (status, *(struct.pack(fmt, *values[:status]) for values in (X, Y, DX, DY)))
+        return (_first_nonfinite(X, Y, lo + 1),)
     DX.append(1.0 - av1 * xk)
     DY.append(1.0 - bv1 * yk)
     # each list now holds exactly the n + 1 nodes, packed without a copy
@@ -193,14 +190,14 @@ def _step_windows(alpha, beta, vent_gain, nr, vent_offset, h, n, nd, first, av1,
     ventilations and gains elementwise in NumPy, each with the C kernel's
     operations in its order, and libm's exp through math.exp. Its RK4 loop
     then runs on those gains, and its nodes go into the bytearrays when it
-    ends. Returns integrate's result, read-only views of the nodes written;
-    av1, bv1 are its values at step s.
+    ends. Returns integrate's result, read-only views of the bytearrays on
+    success; av1, bv1 are its values at step s.
     """
     buffers = [bytearray(8 * (n + 1)) for _ in first]
     X, Y, DX, DY = first
     s = len(DX)
     xk, yk = X[s], Y[s]
-    _pack(buffers, 0, first, s + 1)
+    _pack(buffers, 0, first)
     x, y, dx, dy = (np.frombuffer(b) for b in buffers)
     half_h = 0.5 * h
     h8 = 0.125 * h
@@ -241,14 +238,11 @@ def _step_windows(alpha, beta, vent_gain, nr, vent_offset, h, n, nd, first, av1,
             Y.append(yk)
 
         if not (math.isfinite(xk) and math.isfinite(yk)):
-            stop = _first_nonfinite(X, Y, 1)
-            _pack(buffers, s, (X, Y, DX, DY), stop)
-            status = s + stop
-            return (status, *(memoryview(b)[: 8 * status].toreadonly() for b in buffers))
+            return (s + _first_nonfinite(X, Y, 1),)
         if end == n:
             DX.append(1.0 - av1 * xk)
             DY.append(1.0 - bv1 * yk)
-        _pack(buffers, s, (X, Y, DX, DY), len(X))
+        _pack(buffers, s, (X, Y, DX, DY))
         s = end
     return (0, *(memoryview(b).toreadonly() for b in buffers))
 
@@ -272,11 +266,10 @@ def _first_nonfinite(X, Y, i):
     return i
 
 
-def _pack(buffers, s, lists, stop):
-    """Write the first stop values of each list, at most, to its buffer from node s on.
+def _pack(buffers, s, lists):
+    """Write each list's values to its buffer from node s on.
 
     The values go in as raw doubles, which struct packs faster than NumPy assigns.
     """
     for buf, values in zip(buffers, lists):
-        values = values[:stop]
         struct.pack_into(f"{len(values)}d", buf, 8 * s, *values)

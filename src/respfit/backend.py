@@ -31,27 +31,22 @@ def available() -> dict:
     return out
 
 
-def _default():
-    if os.environ.get(PURE_PYTHON_ENV, "").strip() not in ("", "0"):
-        return "python"
-    return "compiled" if _stepper is not None else "python"
-
-
-_active_name = _default()
-active = available()[_active_name]
+if os.environ.get(PURE_PYTHON_ENV, "").strip() not in ("", "0"):
+    active = _stepper_py
+else:
+    active = _stepper or _stepper_py
 
 
 def select(name: str):
     """Switch the active backend ('compiled' or 'python'). Returns the module."""
-    global _active_name, active
+    global active
     backends = available()
     if name not in backends:
         raise ValueError(f"unknown backend {name!r}; available: {sorted(backends)}")
-    _active_name = name
     active = backends[name]
     return active
 
 
 def selected() -> str:
     """Name of the backend currently in use."""
-    return _active_name
+    return "python" if active is _stepper_py else "compiled"

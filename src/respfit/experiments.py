@@ -37,7 +37,7 @@ from .fitting import (
     write_trace_csv,
 )
 from .model import Constants, ModelParams, State, count, equilibrium_solve, instance, real
-from .solver import ConstantHistory, grid_steps, solve_dde_raw, time_slack
+from .solver import ConstantHistory, Grid, grid_steps, solve_dde_raw, time_slack
 
 ALGORITHMS = ("lm", "tr")
 
@@ -191,17 +191,17 @@ def _rel_err_pct(fit: tuple[float, float], truth: ModelParams) -> dict[str, floa
     }
 
 
-def _histogram(errors: np.ndarray, sigma: float, n_bins: int = 10):
-    """Rows (bin_lo, bin_hi, count) of equal-width bins on [-4 sigma, 4 sigma].
+def _histogram(errors: np.ndarray, sigma: float):
+    """Rows (bin_lo, bin_hi, count) of 10 equal-width bins on [-4 sigma, 4 sigma].
 
     Outliers land in the edge bins. With sigma = 0 the span degenerates, so it
     falls back to the error range itself (floored at 1e-12 so the edges stay
     distinct).
     """
     half = 4.0 * sigma if sigma > 0.0 else max(float(np.max(np.abs(errors))), 1e-12)
-    edges = np.linspace(-half, half, n_bins + 1)
-    idx = np.clip(np.searchsorted(edges, errors, side="right") - 1, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
+    edges = np.linspace(-half, half, 11)
+    idx = np.clip(np.searchsorted(edges, errors, side="right") - 1, 0, 9)
+    counts = np.bincount(idx, minlength=10)
     return zip(edges[:-1], edges[1:], counts)
 
 
@@ -236,13 +236,9 @@ def run_config(config: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out / "dataset.csv", history=history, solver_settings=solver_settings)
 
-    problem = ResidualProblem.from_dataset(
+    problem = ResidualProblem(
         dataset,
-        history,
-        constants=config.truth.constants,
-        t0=config.t0,
-        t_end=config.t_end,
-        steps_per_delay=config.steps_per_delay,
+        Grid(config.truth.constants, history, config.t0, config.t_end, config.steps_per_delay),
     )
 
     fits: dict[str, FitResult] = {}
@@ -260,12 +256,9 @@ def run_config(config: ExperimentConfig) -> dict:
         "n_points": config.n_points,
         "p0": list(config.p0),
         "truth": {"alpha": config.truth.alpha, "beta": config.truth.beta},
-        "tau": config.truth.constants.tau,
         "history": history.describe(),
-        "t0": config.t0,
-        "t_end": config.t_end,
-        "steps_per_delay": config.steps_per_delay,
         "algorithms": list(config.algorithms),
+        **solver_settings,
     }
 
     for algo, result in fits.items():

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -69,6 +70,12 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert build.returncode == 0, build.stderr
 
 
+def test_kernel_source_names_no_private_c_api():
+    # CPython's _Py names are internal and may change between releases
+    source = Path(backend.__file__).with_name("_stepper.c").read_text()
+    assert re.findall(r"\b_Py\w*", source) == []
+
+
 @pytest.mark.parametrize(
     "alpha,beta,spd,t_end",
     [
@@ -93,16 +100,24 @@ def test_backends_bit_identical(alpha, beta, spd, t_end):
     assert np.array_equal(a.dy, b.dy)
 
 
+@pytest.mark.parametrize(
+    "spd,when",
+    [
+        (50, "t = 4.76 "),
+        # the twin steps the later intervals in windows
+        (_BATCH_MIN_DELAY, "t = 4.59896 "),
+    ],
+)
 @needs_kernel
-def test_backends_blow_up_identically():
+def test_backends_blow_up_identically(spd, when):
     messages = []
     for name in ("compiled", "python"):
         backend.select(name)
         with pytest.raises(NonFiniteError) as err:
-            solve_dde_raw(-1.0, -1.0, Grid(Constants(), HIST, 0.0, 5.0, 50))
+            solve_dde_raw(-1.0, -1.0, Grid(Constants(), HIST, 0.0, 5.0, spd))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    assert "t = 4.76 " in messages[0]
+    assert when in messages[0]
 
 
 # The stepper as it was before each delayed node's ventilation was carried
@@ -274,16 +289,19 @@ def _kernel_call(args):
 def _assert_matches_reference(integrate, args, label):
     """Run integrate and the reference on a copy of args; return the common status.
 
-    The kernel's four arrays must be read-only and hold the reference's
-    nodes: all n + 1 of them, or after a blow-up at node s the s before it.
+    A blow-up must return its status alone. A success must return status 0
+    and four read-only arrays that hold all n + 1 of the reference's nodes.
     """
     ref_args = _copy_args(args)
-    status, *got = integrate(*_kernel_call(args))
-    assert status == _reference_integrate(*ref_args), label
-    nodes = status or args[6] + 1
-    for out, want in zip(got, ref_args[12:]):
+    result = integrate(*_kernel_call(args))
+    status = _reference_integrate(*ref_args)
+    if status:
+        assert result == (status,), label
+        return status
+    assert result[0] == 0 and len(result) == 5, label
+    for out, want in zip(result[1:], ref_args[12:]):
         assert memoryview(out).readonly, label
-        assert bytes(out) == want[:nodes].tobytes(), label
+        assert bytes(out) == want.tobytes(), label
     return status
 
 
@@ -316,9 +334,9 @@ def test_kernel_matches_reference_stepper(name):
 @pytest.mark.parametrize("name", BACKENDS)
 def test_blow_ups_at_delay_interval_edges_match_reference_stepper(name):
     # The twin looks for a blow-up once per delay interval of n_delay steps;
-    # wherever the first non-finite step falls, status and outputs must be
-    # those of the per-step reference. Short delays put many blow-ups on
-    # interval edges.
+    # wherever the first non-finite step falls, the status must be that of
+    # the per-step reference. Short delays put many blow-ups on interval
+    # edges.
     integrate = backend.available()[name].integrate
     rng = np.random.default_rng(70)
     seen = collections.Counter()
@@ -518,10 +536,11 @@ def test_select_unknown_backend():
         backend.select("fortran")
 
 
-def test_select_switches_active_module():
-    backend.select("python")
-    assert backend.selected() == "python"
-    assert backend.active is backend.available()["python"]
+@pytest.mark.parametrize("name", BACKENDS)
+def test_select_switches_active_module(name):
+    assert backend.select(name) is backend.available()[name]
+    assert backend.selected() == name
+    assert backend.active is backend.available()[name]
 
 
 def test_env_override_forces_python():
