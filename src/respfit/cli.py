@@ -21,6 +21,7 @@ from .experiments import (
     run_config,
     run_example,
     run_summary,
+    summary_table,
 )
 
 
@@ -72,9 +73,8 @@ def _cmd_run_summary(args) -> int:
     except ValueError:
         raise ConfigError(f"seeds: expected comma-separated integers, got {args.seeds!r}") from None
     with naming("--out", OSError):
-        run_summary(seeds, args.out)
-        with open(f"{args.out}/summary.txt") as fh:
-            sys.stdout.write(fh.read())
+        aggregates = run_summary(seeds, args.out)
+    sys.stdout.write(summary_table(aggregates))
     return 0
 
 
@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
 
     p_sum = sub.add_parser("run-summary", help="replay all presets over several seeds")
     p_sum.add_argument("--seeds", default="1", help="comma-separated seed list (default 1)")
-    p_sum.add_argument("--out", default="out_summary", help="output directory")
+    p_sum.add_argument("--out", help="output directory (default out_summary)")
     p_sum.set_defaults(func=_cmd_run_summary)
     return parser
 

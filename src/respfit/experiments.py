@@ -315,20 +315,21 @@ _AGG_FIELDS = ("example", "n_seeds", "sigma") + tuple(
 )
 
 
-def run_summary(seeds, out_dir) -> list[dict]:
+def run_summary(seeds, out_dir=None) -> list[dict]:
     """Replay every preset for every seed and aggregate the relative errors.
 
     Writes seed_<s>/<example>/ run directories plus summary.csv (machine
-    readable) and summary.txt (aligned table) under out_dir. Returns the
-    aggregate rows. The seeds, distinct unsigned 64-bit integers, and every
-    run's config, out_dir included, are checked before anything is written.
+    readable) and summary.txt (summary_table) under out_dir, or under
+    out_summary when that is None or empty. Returns the aggregate rows. The
+    seeds, distinct unsigned 64-bit integers, and every run's config,
+    out_dir included, are checked before anything is written.
     """
     seeds = [count("seeds", seed, 0, MAX_SEED) for seed in seeds]
     if not seeds:
         raise ConfigError("seeds: at least one seed required")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds: duplicate entries in {seeds!r}")
-    out = Path(out_dir)
+    out = Path(out_dir or "out_summary")
     configs = [
         replace(PRESETS[n], seed=s, out_dir=out / f"seed_{s}" / n) for s in seeds for n in PRESETS
     ]
@@ -351,11 +352,12 @@ def run_summary(seeds, out_dir) -> list[dict]:
     rows = ([agg[key] for key in _AGG_FIELDS] for agg in aggregates)
     write_csv(out / "summary.csv", _AGG_FIELDS, rows)
 
-    _write_text_table(out / "summary.txt", aggregates)
+    write_text(out / "summary.txt", summary_table(aggregates))
     return aggregates
 
 
-def _write_text_table(path: Path, aggregates: list[dict]) -> None:
+def summary_table(aggregates: list[dict]) -> str:
+    """The aligned text table of run_summary's aggregate rows, as summary.txt holds it."""
     headers = ("example", "seeds", "sigma") + tuple(
         f"{algo.upper()} {stat} {param[0]}%" for algo, param, stat in _ERR_COLUMNS
     )
@@ -368,7 +370,7 @@ def _write_text_table(path: Path, aggregates: list[dict]) -> None:
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     lines.insert(1, "  ".join("-" * w for w in widths))
-    write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # Keys accepted in a flat config file. A text key's value is kept as text, any
@@ -395,12 +397,12 @@ _REQUIRED_CONFIG_KEYS = ("alpha", "beta", "p0_alpha", "p0_beta", "sigma", "seed"
 def parse_config_file(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` experiment file.
 
-    The file is read as UTF-8. Blank lines and ``#`` comments are ignored;
-    unknown or duplicate keys are configuration errors. See README for the
-    key list.
+    The file is read as UTF-8, a leading byte-order mark skipped. Blank
+    lines and ``#`` comments are ignored; unknown or duplicate keys are
+    configuration errors. See README for the key list.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:

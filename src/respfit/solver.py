@@ -19,12 +19,13 @@ grid, cubic Hermite in between.
 
 Evaluation is split in two. Grid.plan builds a SamplePlan holding
 everything about a set of sample times that depends only on the grid: the
-domain check, which times fall in the history, and for the others the
-enclosing grid interval and the four Hermite weights. Trajectory.eval_many
-then combines those weights with the node values and derivatives of any
-trajectory solved on that Grid object, so a caller that samples the same
-times on many trajectories, such as a least-squares residual, builds the
-grid and the plan once.
+domain check, which times fall in the history, and for every time, clamped
+into the grid, the enclosing grid interval and the four Hermite weights.
+Trajectory.eval_many then combines those weights with the node values and
+derivatives of any trajectory solved on that Grid object, one whole-row
+expression per state, and writes the history's state over the history
+samples. A caller that samples the same times on many trajectories, such as
+a least-squares residual, builds the grid and the plan once.
 """
 
 from __future__ import annotations
@@ -80,16 +81,15 @@ def history_from_description(desc: dict) -> ConstantHistory:
 class SamplePlan:
     """The (alpha, beta)-independent part of sampling trajectories on one grid.
 
-    Built by Grid.plan and bound to that Grid object. hist_idx lists the
-    sample times at or before t0, which take the history's state;
-    grid_idx lists the others, j and j1 the nodes of each one's grid
-    interval and w00..w11 its Hermite weights, w10 and w11 already
-    multiplied by the step.
+    Built by Grid.plan and bound to that Grid object. Every sample time,
+    clamped into the grid, has j and j1, the nodes of its grid interval, and
+    w00..w11, its Hermite weights, w10 and w11 already multiplied by the
+    step. hist_idx lists the times at or before t0, which take the history's
+    state.
     """
 
     grid: Grid = field(repr=False)
     hist_idx: np.ndarray = field(repr=False)
-    grid_idx: np.ndarray = field(repr=False)
     j: np.ndarray = field(repr=False)
     j1: np.ndarray = field(repr=False)
     w00: np.ndarray = field(repr=False)
@@ -99,7 +99,7 @@ class SamplePlan:
 
     def __len__(self) -> int:
         """Number of sample times."""
-        return len(self.hist_idx) + len(self.grid_idx)
+        return len(self.j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,22 +125,24 @@ class Trajectory:
         array is planned on the spot, and another Grid object's plan raises
         ConfigError.
 
-        Returns one new (2, M) array whose rows are x and y at the M times,
-        so ``xs, ys = traj.eval_many(times)`` unpacks it, and ravel() gives
-        the stacked 2M vector without a copy.
+        Each row is one whole-row expression of the plan's weights, and
+        then takes the history's state at plan.hist_idx. Returns one new
+        (2, M) array whose rows are x and y at the M times, so
+        ``xs, ys = traj.eval_many(times)`` unpacks it, and ravel() gives the
+        stacked 2M vector without a copy.
         """
         plan = times if isinstance(times, SamplePlan) else self.grid.plan(times)
         if self.grid is not plan.grid:
             raise ConfigError("plan: built for another Grid object than the trajectory's")
+        j, j1, w00, w10, w01, w11 = plan.j, plan.j1, plan.w00, plan.w10, plan.w01, plan.w11
         out = np.empty((2, len(plan)))
         xs, ys = out[0], out[1]
+        xs[:] = w00 * self.x[j] + w10 * self.dx[j] + w01 * self.x[j1] + w11 * self.dx[j1]
+        ys[:] = w00 * self.y[j] + w10 * self.dy[j] + w01 * self.y[j1] + w11 * self.dy[j1]
+        # never weights times node 0: -0.0 + 0.0 would turn a -0.0 state into 0.0
         state = self.grid.history.state
         xs[plan.hist_idx] = state.x
         ys[plan.hist_idx] = state.y
-        j, j1, w00, w10, w01, w11 = plan.j, plan.j1, plan.w00, plan.w10, plan.w01, plan.w11
-        g = plan.grid_idx
-        xs[g] = w00 * self.x[j] + w10 * self.dx[j] + w01 * self.x[j1] + w11 * self.dx[j1]
-        ys[g] = w00 * self.y[j] + w10 * self.dy[j] + w01 * self.y[j1] + w11 * self.dy[j1]
         return out
 
     def to_csv(self, path) -> None:
@@ -223,7 +225,9 @@ class Grid:
 
         Raises ConfigError unless times is a 1-d array of integers or floats
         (model.reals), and OutOfDomainError, a ConfigError too, if a time is
-        not finite or lies outside [t0 - tau, t_end].
+        not finite or lies outside [t0 - tau, t_end]. Every time is clamped
+        into [t0, t_end] and planned alike: a history time reads node 0 at
+        s = 0 until eval_many restores the history's state.
         """
         ts = reals("times", times)
         if ts.ndim != 1:
@@ -233,31 +237,22 @@ class Grid:
         if not np.all((ts >= lo - tol) & (ts <= self.t_end + tol)):
             raise OutOfDomainError(f"times: evaluation time outside [{lo:g}, {self.t_end:g}]")
 
-        in_history = ts <= self.t0
-        hist_idx = np.flatnonzero(in_history)
-        grid_idx = np.flatnonzero(~in_history)
-        tq = np.minimum(ts[grid_idx], self.times[-1])
+        tq = np.clip(ts, self.t0, self.times[-1])
         # side='right' makes an exact node time fall in the interval whose
-        # left endpoint it is (s = 0), so node values are returned bit-exact.
-        # Every tq exceeds t0 = times[0], so j >= 0; t_end, the last node,
-        # takes the last interval (s = 1).
+        # left endpoint it is (s = 0), so node values are returned bit-exact;
+        # t_end, the last node, takes the last interval (s = 1).
         j = np.searchsorted(self.times, tq, side="right") - 1
         j = np.minimum(j, len(self.times) - 2)
         s = (tq - self.times[j]) / self.step
-        h00 = (2.0 * s - 3.0) * s * s + 1.0
-        h10 = ((s - 2.0) * s + 1.0) * s
-        h01 = (3.0 - 2.0 * s) * s * s
-        h11 = (s - 1.0) * s * s
         return SamplePlan(
             grid=self,
-            hist_idx=hist_idx,
-            grid_idx=grid_idx,
+            hist_idx=np.flatnonzero(ts <= self.t0),
             j=j,
             j1=j + 1,
-            w00=h00,
-            w10=h10 * self.step,
-            w01=h01,
-            w11=h11 * self.step,
+            w00=(2.0 * s - 3.0) * s * s + 1.0,
+            w10=((s - 2.0) * s + 1.0) * s * self.step,
+            w01=(3.0 - 2.0 * s) * s * s,
+            w11=(s - 1.0) * s * s * self.step,
         )
 
 

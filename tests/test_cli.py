@@ -395,6 +395,19 @@ def test_run_summary_and_determinism(tmp_path, capsys):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def test_run_summary_with_an_empty_out_writes_to_out_summary(tmp_path, capsys, monkeypatch):
+    # --out "" wrote the runs into the working directory, then exited 3 on
+    # re-reading the table from "/summary.txt"
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-summary", "--seeds", "1", "--out", ""]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["out_summary"]
+    table = (tmp_path / "out_summary" / "summary.txt").read_text()
+    assert out == table and out.startswith("example")
+    assert (tmp_path / "out_summary" / "seed_1" / "ex1" / "summary.json").exists()
+
+
 def test_run_summary_bad_seed_list(tmp_path, capsys):
     # every seed is checked before the first run, so a bad one leaves no run
     # directory, and a repeated one no summary that counts one run twice

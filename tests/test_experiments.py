@@ -357,6 +357,18 @@ def test_parse_config_file_round_trips_preset(tmp_path):
     assert cfg == PRESETS["ex1"]
 
 
+def test_parse_config_file_skips_a_leading_byte_order_mark(tmp_path):
+    # a file saved with a BOM read "line 1: unknown key '\ufeffalpha'"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(CONFIG_TEXT.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + CONFIG_TEXT.encode("utf-8"))
+    assert parse_config_file(marked) == parse_config_file(plain) == PRESETS["ex1"]
+    # undecodable bytes after the mark are still refused as text
+    marked.write_bytes(b"\xef\xbb\xbf" + CONFIG_TEXT.encode("utf-8") + b"name = \xff\xfe\n")
+    with pytest.raises(ConfigError, match=r"^config file .* is not UTF-8 text: "):
+        parse_config_file(marked)
+
+
 def test_parse_config_file_defaults_are_the_dataclass_defaults(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("alpha = 0.6\nbeta = 0.7\np0_alpha = 0.2\np0_beta = 0.4\nsigma = 0.1\nseed = 9")

@@ -133,14 +133,22 @@ def _reference_eval_many(traj, times):
     [
         HIST,
         ConstantHistory(State(41.0, 29.0)),
+        # node 0 holds -0.0, and weights times node 0 would read 0.0 there
+        ConstantHistory(State(-0.0, -0.0)),
     ],
 )
 def test_planned_sampling_matches_reference_bit_for_bit(hist):
     rng = np.random.default_rng(11)
     first = solve_dde(ModelParams(alpha=0.5, beta=0.8), hist, 0.0, 5.0)
-    # unsorted times: history, node times, the endpoints with roundoff, between nodes
+    t0, tau = first.grid.t0, first.grid.constants.tau
+    # unsorted times: history, node times, exactly t0 - tau and t0, the end
+    # with roundoff, between nodes
     ts = np.concatenate(
-        [rng.uniform(-1.0, 5.0, 200), first.grid.times[::7], [-1.0, 0.0, 5.0 - 1e-12, 5.0 + 1e-12]]
+        [
+            rng.uniform(-1.0, 5.0, 200),
+            first.grid.times[::7],
+            [t0 - tau, t0, 5.0 - 1e-12, 5.0 + 1e-12],
+        ]
     )
     rng.shuffle(ts)
     plan = first.grid.plan(ts)
@@ -151,6 +159,10 @@ def test_planned_sampling_matches_reference_bit_for_bit(hist):
         for xs, ys in (traj.eval_many(ts), traj.eval_many(plan)):
             assert xs.tobytes() == want_x.tobytes()
             assert ys.tobytes() == want_y.tobytes()
+    empty = first.grid.plan(np.array([]))
+    assert len(empty) == 0
+    for times in (empty, np.array([])):
+        assert first.eval_many(times).shape == (2, 0)
 
 
 def test_sample_plan_is_bound_to_its_grid():
