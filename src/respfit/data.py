@@ -22,7 +22,7 @@ import numpy as np
 from ._artifacts import write_csv, write_json
 from .errors import ConfigError, NonFiniteError
 from .model import Constants, ModelParams, count, hold_reals, instance, real, reals
-from .solver import ConstantHistory, solve_dde
+from .solver import STEPS_PER_DELAY, ConstantHistory, solve_dde
 
 # Largest sample count a dataset may be generated with. At its peak a run
 # holds about 30 float64 values per sample point (dataset, sample plan,
@@ -110,7 +110,7 @@ def generate_dataset(
     n_points: int,
     sigma: float,
     seed: int,
-    steps_per_delay: int = 50,
+    steps_per_delay: int = STEPS_PER_DELAY,
 ) -> Dataset:
     """Solve the system and sample it at n_points uniform times with noise.
 

@@ -1,13 +1,8 @@
 """End-to-end experiment harness: generate data, fit, and write artifacts.
 
-Five preset configurations (ex1..ex5) cover the combinations of starting
-point, noise level, and history that the toolkit is built to study:
-
-    ex1  p0=(0.3, 0.5)    sigma=0.20  constant history (35, 35)
-    ex2  p0=(0.01, 0.01)  sigma=0.20  constant history (35, 35)
-    ex3  p0=(0.3, 0.5)    sigma=0.40  constant history (35, 35)
-    ex4  p0=(0.01, 0.01)  sigma=0.40  constant history (35, 35)
-    ex5  p0=(0.01, 0.01)  sigma=0.20  history held at the equilibrium point
+Five preset configurations (ex1..ex5, PRESETS) cover the combinations of
+starting point, noise level, and history that the toolkit is built to study;
+_PRESET_TABLE lists what each one sets.
 
 Each run writes, into its output directory: the dataset CSV and its JSON
 sidecar, one iteration-trace CSV per algorithm, the fitted trajectory at the
@@ -37,7 +32,7 @@ from .fitting import (
     write_trace_csv,
 )
 from .model import Constants, ModelParams, State, count, equilibrium_solve, instance, real
-from .solver import ConstantHistory, Grid, grid_steps, solve_dde_raw, time_slack
+from .solver import STEPS_PER_DELAY, ConstantHistory, Grid, grid_steps, solve_dde_raw, time_slack
 
 ALGORITHMS = ("lm", "tr")
 
@@ -64,7 +59,7 @@ class ExperimentConfig:
     history_spec: str = "constant:35,35"
     t0: float = 0.0
     t_end: float = 5.0
-    steps_per_delay: int = 50
+    steps_per_delay: int = STEPS_PER_DELAY
     algorithms: tuple[str, ...] = ALGORITHMS
     name: str = "custom"
     out_dir: str | None = None
@@ -144,43 +139,18 @@ def _constant_history(spec: str) -> ConstantHistory | None:
     raise ConfigError(f"history: unknown spec {spec!r} (use constant:X,Y or equilibrium)")
 
 
+# What the presets vary: start point, noise level and history. They share
+# the truth and seed that PRESETS gives each, and every other field's default.
+_PRESET_TABLE = {
+    "ex1": ((0.3, 0.5), 0.20, "constant:35,35"),
+    "ex2": ((0.01, 0.01), 0.20, "constant:35,35"),
+    "ex3": ((0.3, 0.5), 0.40, "constant:35,35"),
+    "ex4": ((0.01, 0.01), 0.40, "constant:35,35"),
+    "ex5": ((0.01, 0.01), 0.20, "equilibrium"),
+}
 PRESETS: dict[str, ExperimentConfig] = {
-    "ex1": ExperimentConfig(
-        truth=ModelParams(alpha=0.5, beta=0.8),
-        p0=(0.3, 0.5),
-        sigma=0.20,
-        seed=1,
-        name="ex1",
-    ),
-    "ex2": ExperimentConfig(
-        truth=ModelParams(alpha=0.5, beta=0.8),
-        p0=(0.01, 0.01),
-        sigma=0.20,
-        seed=1,
-        name="ex2",
-    ),
-    "ex3": ExperimentConfig(
-        truth=ModelParams(alpha=0.5, beta=0.8),
-        p0=(0.3, 0.5),
-        sigma=0.40,
-        seed=1,
-        name="ex3",
-    ),
-    "ex4": ExperimentConfig(
-        truth=ModelParams(alpha=0.5, beta=0.8),
-        p0=(0.01, 0.01),
-        sigma=0.40,
-        seed=1,
-        name="ex4",
-    ),
-    "ex5": ExperimentConfig(
-        truth=ModelParams(alpha=0.5, beta=0.8),
-        p0=(0.01, 0.01),
-        sigma=0.20,
-        seed=1,
-        history_spec="equilibrium",
-        name="ex5",
-    ),
+    name: ExperimentConfig(ModelParams(0.5, 0.8), p0, sigma, 1, history_spec=history, name=name)
+    for name, (p0, sigma, history) in _PRESET_TABLE.items()
 }
 
 
@@ -209,10 +179,10 @@ def run_config(config: ExperimentConfig) -> dict:
     """Run one experiment end to end and write its artifacts into config.out_dir.
 
     An out_dir that is None or empty means out_<name>. The directory is
-    created once the dataset has been generated, so a run that fails before
-    that leaves nothing behind. Returns the run's record, the dict written as
-    summary.json: the configuration, then one entry per algorithm that ran,
-    keyed by its name.
+    created, and the dataset saved, once every fit has returned, so a run
+    that fails before that writes nothing. Returns the run's record, the dict
+    written as summary.json: the configuration, then one entry per algorithm
+    that ran, keyed by its name.
     """
     out = Path(config.out_dir or f"out_{config.name}")
     history = resolve_history(config.history_spec, config.truth)
@@ -233,8 +203,6 @@ def run_config(config: ExperimentConfig) -> dict:
             config.seed,
             config.steps_per_delay,
         )
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(dataset, out / "dataset.csv", history=history, solver_settings=solver_settings)
 
     problem = ResidualProblem(
         dataset,
@@ -248,6 +216,9 @@ def run_config(config: ExperimentConfig) -> dict:
         solver = solve_lm if algo == "lm" else solve_trust_region
         with _stage(f"fit_{algo}"):
             fits[algo] = solver(problem, config.p0)
+
+    out.mkdir(parents=True, exist_ok=True)
+    save_dataset(dataset, out / "dataset.csv", history=history, solver_settings=solver_settings)
 
     summary: dict = {
         "example": config.name,
@@ -342,11 +313,9 @@ def run_summary(seeds, out_dir=None) -> list[dict]:
     aggregates = []
     for name, runs in records.items():
         agg = {"example": name, "n_seeds": len(runs), "sigma": runs[0]["sigma"]}
-        for algo in ALGORITHMS:
-            for param in _PARAMETERS:
-                errs = [r[algo]["rel_err_pct"][param] for r in runs]
-                agg[f"{algo}_mean_{param}_pct"] = sum(errs) / len(errs)
-                agg[f"{algo}_max_{param}_pct"] = max(errs)
+        for key, (algo, param, stat) in zip(_AGG_FIELDS[3:], _ERR_COLUMNS):
+            errs = [r[algo]["rel_err_pct"][param] for r in runs]
+            agg[key] = sum(errs) / len(errs) if stat == "mean" else max(errs)
         aggregates.append(agg)
 
     rows = ([agg[key] for key in _AGG_FIELDS] for agg in aggregates)

@@ -43,7 +43,7 @@ from ._artifacts import write_csv
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, SingularNormalEquationsError
 from .model import Constants, instance, is_real, real, reals
-from .solver import ConstantHistory, Grid, SamplePlan, solve_dde_raw
+from .solver import STEPS_PER_DELAY, ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -87,21 +87,15 @@ class ResidualProblem:
 
     @classmethod
     def from_dataset(
-        cls,
-        dataset: Dataset,
-        history: ConstantHistory,
-        *,
-        constants: Constants = Constants(),
-        t0: float | None = None,
-        t_end: float | None = None,
-        steps_per_delay: int = 50,
+        cls, dataset: Dataset, history: ConstantHistory, *, steps_per_delay: int = STEPS_PER_DELAY
     ) -> "ResidualProblem":
-        """Build a problem whose integration window defaults to the measurements' span."""
-        if t0 is None:
-            t0 = float(dataset.times[0])
-        if t_end is None:
-            t_end = float(dataset.times[-1])
-        return cls(dataset, Grid(constants, history, t0, t_end, steps_per_delay))
+        """The problem on the grid of Constants() over the measurements' span.
+
+        Any other window or constants is a Grid of its own:
+        ResidualProblem(dataset, Grid(constants, history, t0, t_end, steps_per_delay)).
+        """
+        times = dataset.times
+        return cls(dataset, Grid(Constants(), history, times[0], times[-1], steps_per_delay))
 
     def residuals(self, p) -> np.ndarray:
         """Stacked residual vector of length 2M at p = (alpha, beta).

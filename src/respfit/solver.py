@@ -40,6 +40,9 @@ from ._artifacts import write_csv
 from .errors import ConfigError, InvalidGridError, NonFiniteError, OutOfDomainError
 from .model import Constants, ModelParams, State, count, instance, real, reals, to_float
 
+# RK4 steps per delay where none is given: solve_dde, generate_dataset,
+# ResidualProblem.from_dataset and ExperimentConfig all default to it.
+STEPS_PER_DELAY = 50
 # Largest RK4 step count a grid may hold. A trajectory holds five float64
 # arrays with one entry per step: 400 MB at this cap.
 MAX_STEPS = 10_000_000
@@ -294,7 +297,7 @@ def solve_dde(
     history: ConstantHistory,
     t0: float,
     t_end: float,
-    steps_per_delay: int = 50,
+    steps_per_delay: int = STEPS_PER_DELAY,
 ) -> Trajectory:
     """Integrate the system for validated model parameters.
 

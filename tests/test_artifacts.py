@@ -4,9 +4,10 @@ The ``_reference_*`` functions are the writers as they were before they shared
 one module, kept verbatim. Each test feeds both the same inputs, chosen from
 what the golden run never writes: negative zero, the smallest subnormal, the
 largest double, NumPy integers, integer-valued trace records and a history
-state at those extremes, and compares the files byte for byte. A last test
-reads the package's source and checks that only _artifacts opens a file for
-writing, never with newline translation.
+state at those extremes, and compares the files byte for byte. The last
+tests read the package's source: only _artifacts opens a file for writing,
+never with newline translation, and no module keeps an import or a private
+name that nothing uses.
 """
 
 from __future__ import annotations
@@ -272,3 +273,47 @@ def test_only_artifacts_opens_a_file_for_writing_and_never_translates_newlines()
     for _, node in calls:
         newline = {kw.arg: kw.value for kw in node.keywords}.get("newline")
         assert isinstance(newline, ast.Constant) and newline.value == "", ast.unparse(node)
+
+
+def _loads(tree) -> set[str]:
+    """The names tree reads, with each name listed in its __all__."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_every_import_and_private_name_of_the_package_is_used():
+    # what a removal leaves behind: an import, or a private helper, nothing reads
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(Path(respfit.__file__).parent.glob("*.py"))}
+    unused = []
+    referenced = set()
+    for name, tree in trees.items():
+        loads = _loads(tree)
+        referenced |= loads
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    referenced.add(alias.name)
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loads:
+                        unused.append(f"{name}: import {alias.name}")
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for d in defined:
+                if d.startswith("_") and not d.startswith("__") and d not in referenced:
+                    unused.append(f"{name}: {d}")
+    assert not unused, unused

@@ -9,6 +9,7 @@ import pytest
 
 from respfit import experiments, fitting
 from respfit.cli import main
+from respfit.data import generate_dataset, save_dataset
 from respfit.errors import NonFiniteError, naming
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -274,14 +275,20 @@ def test_overflowing_noise_is_solver_failure(tmp_path, capsys):
 
 def test_non_finite_start_cost_is_solver_failure(tmp_path, capsys):
     # observations at the 1e300 scale square to an infinite cost at p0; the
-    # fit must fail instead of reporting convergence
+    # fit must fail instead of reporting convergence, and write nothing
     out = tmp_path / "out"
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(CONFIG_TEXT.replace("sigma = 0.2", "sigma = 1e300") + f"out_dir = {out}\n")
     assert main(["run-config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "solver failure" in err and "fit_lm" in err
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
+    # its dataset, saved on its own, is standard JSON and a finite CSV
+    c = experiments.parse_config_file(cfg)
+    history = experiments.resolve_history(c.history_spec, c.truth)
+    dataset = generate_dataset(c.truth, history, c.t0, c.t_end, c.n_points, c.sigma, c.seed)
+    out.mkdir()
+    save_dataset(dataset, out / "dataset.csv", history=history)
     written = sorted(out.iterdir())
     assert [p.name for p in written] == ["dataset.csv", "dataset_meta.json"]
     for path in written:

@@ -474,7 +474,7 @@ def test_experiment_config_is_frozen():
             "fit_lm",
             replace(PRESETS["ex1"], sigma=1e150),
             SingularNormalEquationsError,
-            True,
+            False,
         ),
     ],
 )
@@ -487,3 +487,13 @@ def test_a_stage_failure_keeps_its_class_and_cause(tmp_path, stage, config, erro
     assert str(exc) == f"{stage}: {exc.__cause__}"
     assert out.exists() == leaves_out_dir
     assert not (out / "summary.json").exists()
+
+
+def test_a_rerun_that_fails_in_a_fit_leaves_the_earlier_run_as_it_was(tmp_path):
+    # the failed rerun saved its own dataset.csv and dataset_meta.json over the first run's
+    out = tmp_path / "run"
+    run_config(replace(PRESETS["ex1"], out_dir=out))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(NonFiniteError, match="^fit_lm: "):
+        run_config(replace(PRESETS["ex1"], seed=2, p0=(1e6, 1e6), out_dir=out))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

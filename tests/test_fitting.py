@@ -120,7 +120,7 @@ def test_residuals_sample_the_history_before_t0():
     times = np.linspace(-0.9, 5.0, 60)
     rng = np.random.default_rng(3)
     ds = Dataset(times, rng.uniform(20.0, 40.0, 60), rng.uniform(20.0, 40.0, 60), 0.0)
-    problem = ResidualProblem.from_dataset(ds, hist, t0=0.0)
+    problem = ResidualProblem(ds, Grid(Constants(), hist, 0.0, 5.0, 50))
     for p in ((0.5, 0.8), (1.3, 0.2), (0.4, 0.9)):
         r = problem.residuals(p)
         assert r.tobytes() == _fresh_residuals(problem, p).tobytes()
@@ -134,12 +134,13 @@ def test_window_errors_surface_from_construction():
     ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
     # not a whole number of steps: the grid is rejected before any sampling
     with pytest.raises(InvalidGridError):
-        ResidualProblem.from_dataset(ds, HIST, t_end=5.013)
-    # a valid grid that ends before the last measurement, through either constructor
-    with pytest.raises(OutOfDomainError):
-        ResidualProblem.from_dataset(ds, HIST, t_end=4.0)
+        ResidualProblem(ds, Grid(Constants(), HIST, 0.0, 5.013, 50))
+    # a valid grid that ends before the last measurement
     with pytest.raises(OutOfDomainError):
         ResidualProblem(ds, Grid(Constants(), HIST, 0.0, 4.0, 50))
+    # from_dataset's window, the measurements' span, meets the same check
+    with pytest.raises(InvalidGridError):
+        ResidualProblem.from_dataset(Dataset(ds.times * 1.0026, ds.x_obs, ds.y_obs, 0.0), HIST)
 
 
 def test_problem_refuses_a_dataset_or_grid_of_another_type():
@@ -165,7 +166,7 @@ def test_non_finite_step_count_is_a_grid_error():
         solve_dde(TRUTH, HIST, 0.0, 1e308)
     ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
     with pytest.raises(InvalidGridError):
-        ResidualProblem.from_dataset(ds, HIST, t_end=1e308).residuals((0.5, 0.8))
+        ResidualProblem(ds, Grid(Constants(), HIST, 0.0, 1e308, 50))
 
 
 def test_zero_residual_at_truth_without_noise(clean_problem):
@@ -480,10 +481,8 @@ def _path_fits():
                 cfg.truth, hist, cfg.t0, cfg.t_end, cfg.n_points, cfg.sigma, seed,
                 cfg.steps_per_delay,
             )
-            problem = ResidualProblem.from_dataset(
-                ds, hist, constants=cfg.truth.constants, t0=cfg.t0, t_end=cfg.t_end,
-                steps_per_delay=cfg.steps_per_delay,
-            )
+            grid = Grid(cfg.truth.constants, hist, cfg.t0, cfg.t_end, cfg.steps_per_delay)
+            problem = ResidualProblem(ds, grid)
             for p0 in (cfg.p0, (5.0, 0.05), (-0.2, 3.0)):
                 for solve in (solve_lm, solve_trust_region):
                     yield solve(problem, p0)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from respfit import backend, history_from_description
+from respfit import Grid, backend, history_from_description
 from respfit.cli import main as cli_main
 from respfit.data import load_dataset
 from respfit.fitting import ResidualProblem, solve_lm, solve_trust_region
@@ -102,14 +102,14 @@ def test_every_run_replays_from_its_own_files(golden_runs):
                 summary = json.loads((run / "summary.json").read_text())
                 solver = meta["solver"]
                 assert dataset.truth.constants.tau == solver["tau"]
-                problem = ResidualProblem.from_dataset(
-                    dataset,
+                grid = Grid(
+                    dataset.truth.constants,
                     history_from_description(meta["history"]),
-                    constants=dataset.truth.constants,
-                    t0=solver["t0"],
-                    t_end=solver["t_end"],
-                    steps_per_delay=solver["steps_per_delay"],
+                    solver["t0"],
+                    solver["t_end"],
+                    solver["steps_per_delay"],
                 )
+                problem = ResidualProblem(dataset, grid)
                 for algo, solve in (("lm", solve_lm), ("tr", solve_trust_region)):
                     fit = solve(problem, summary["p0"])
                     got = {
