@@ -16,7 +16,7 @@ class SolverError(RespfitError):
 
 
 class InvalidGridError(ConfigError):
-    """The requested window is not a whole number of resolvable steps."""
+    """The step does not resolve the window's times: it is not above their float noise."""
 
 
 class NonFiniteError(SolverError):

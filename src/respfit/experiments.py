@@ -66,9 +66,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         instance("truth", self.truth, ModelParams)
-        t0, t_end, spd, _ = grid_steps(
-            self.t0, self.t_end, self.truth.constants.tau, self.steps_per_delay
-        )
+        tau = self.truth.constants.tau
+        t0, t_end, spd, _ = grid_steps(self.t0, self.t_end, tau, self.steps_per_delay)
         n_points, sigma, seed = check_sampling(self.n_points, self.sigma, self.seed)
         spacing = (t_end - t0) / (n_points - 1)
         if not spacing > time_slack(t0, t_end):
@@ -204,10 +203,8 @@ def run_config(config: ExperimentConfig) -> dict:
             config.steps_per_delay,
         )
 
-    problem = ResidualProblem(
-        dataset,
-        Grid(config.truth.constants, history, config.t0, config.t_end, config.steps_per_delay),
-    )
+    grid = Grid(config.truth.constants, history, config.t0, config.t_end, config.steps_per_delay)
+    problem = ResidualProblem(dataset, grid)
 
     fits: dict[str, FitResult] = {}
     for algo in ALGORITHMS:

@@ -50,10 +50,11 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # The fixed settings of both minimizers. Both stop on a relative step below
 # STEP_TOL, a gradient inf-norm below GRAD_TOL or after MAX_ITER accepted
 # iterations; solve_trust_region also on a relative cost decrease below
-# FUN_TOL. solve_lm damps from LAMBDA0 up to LAMBDA_MAX, and
-# solve_trust_region's radius starts at RADIUS0 and is capped at RADIUS_MAX.
+# FUN_TOL with a relative offset below OFFSET_TOL. solve_lm damps from LAMBDA0
+# up to LAMBDA_MAX, solve_trust_region's radius starts at RADIUS0, capped at RADIUS_MAX.
 STEP_TOL = 1e-6
 FUN_TOL = 1e-6
+OFFSET_TOL = 1e-3
 GRAD_TOL = 1e-10
 MAX_ITER = 100
 LAMBDA0 = 0.01
@@ -369,7 +370,10 @@ def solve_trust_region(problem, p0) -> FitResult:
     shrinks by 4 when rho < 0.25 and doubles (capped at RADIUS_MAX) when
     rho > 0.75 with the step on the boundary. An accepted step that lowers
     the cost by less than FUN_TOL relative to it also stops the search, ahead
-    of the step and gradient tolerances. Raises
+    of the step and gradient tolerances, if Bates and Watts' relative offset
+    (Technometrics 23:179, 1981) is below OFFSET_TOL at the new point: the
+    Gauss-Newton step still to go is below OFFSET_TOL * sqrt(2) standard
+    errors. Raises
     SingularNormalEquationsError if a Jacobian column vanishes, and
     NonFiniteError if the cost at p0 is not finite or a forward-difference
     probe blows up, at p0 or after an accepted step.
@@ -394,7 +398,16 @@ def solve_trust_region(problem, p0) -> FitResult:
             radius = min(2.0 * radius, RADIUS_MAX)
         return {"trust_radius": radius} if rho > 1e-4 else None
 
-    return search.run(propose, judge, lambda old, new: abs(old - new) / max(old, 1.0) < FUN_TOL)
+    def stop(old, new):
+        if not abs(old - new) / max(old, 1.0) < FUN_TOL:
+            return False
+        # ||t||^2 / P < OFFSET_TOL^2 ||e||^2 / (N - P), from the thin QR of J, P = 2
+        Q = np.linalg.qr(search.J)[0]
+        t = Q.T @ search.r
+        e = search.r - Q @ t
+        return (len(e) - 2) * float(t @ t) < OFFSET_TOL**2 * 2 * float(e @ e)
+
+    return search.run(propose, judge, stop)
 
 
 # Trace layouts: the (header, IterationRecord attribute) of each column.

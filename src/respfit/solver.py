@@ -1,12 +1,12 @@
 """Fixed-step method-of-steps integrator for the delayed two-gas system.
 
 The delay tau is constant, so the system is integrated with classical RK4 on
-a grid whose step h divides tau exactly (h = tau / steps_per_delay). Delayed
-full-step samples then always land on already-computed grid nodes, the
-derivative kinks at multiples of tau sit on step boundaries, and only the
-half-step stage times need interpolation, done with cubic Hermite using the
-stored node derivatives. That combination keeps the classical 4th-order
-accuracy of the scheme.
+a grid whose step h divides tau exactly (h = tau / steps_per_delay), up to
+the first node at or past t_end. Delayed full-step samples then always land
+on already-computed grid nodes, the derivative kinks at multiples of tau sit
+on step boundaries, and only the half-step stage times need interpolation,
+done with cubic Hermite using the stored node derivatives. That combination
+keeps the classical 4th-order accuracy of the scheme.
 
 The history is a constant state (ConstantHistory), the setting of every
 experiment here; it is also the state at t0, so the kernel reads it at node
@@ -157,39 +157,34 @@ class Trajectory:
 def grid_steps(t0, t_end, tau: float, steps_per_delay) -> tuple[float, float, int, int]:
     """(t0, t_end, steps_per_delay) as checked, and n, the RK4 steps of tau/steps_per_delay.
 
-    Raises ConfigError unless t0 and t_end pass model.real with t_end > t0,
-    steps_per_delay passes model.count from 2 to MAX_STEPS and the step
-    count is at most MAX_STEPS; a short window does not bound
+    n is the fewest steps, at least one, whose last node t0 + n*h reaches
+    t_end less its time_slack: the first node at or past t_end, so a window
+    of any width runs. Raises ConfigError unless t0 and t_end pass
+    model.real with t_end > t0, steps_per_delay passes model.count from 2 to
+    MAX_STEPS and n is at most MAX_STEPS; a short window does not bound
     steps_per_delay, so it has a cap of its own. Raises InvalidGridError
-    unless the window is a whole number of steps, up to a relative slack of
-    1e-9, and the step exceeds the time_slack of the window's ends: a
-    smaller step does not resolve distinct node times at that magnitude.
-    Each message opens with the name of the argument at fault.
+    unless the step exceeds that slack: a smaller step does not resolve
+    distinct node times at that magnitude. Each message opens with the name
+    of the argument at fault.
     """
     t0, t_end = real("t0", t0), real("t_end", t_end)
     if not t_end > t0:
         raise ConfigError(f"t0, t_end: must have t_end > t0, got [{t0!r}, {t_end!r}]")
     steps_per_delay = count("steps_per_delay", steps_per_delay, 2, MAX_STEPS)
     h = tau / steps_per_delay
-    n_float = (t_end - t0) / h
-    n = int(round(n_float)) if math.isfinite(n_float) else 0
-    if n < 1 or abs(n_float - n) > _EDGE_TOL * max(1.0, n_float):
-        raise InvalidGridError(
-            f"t_end: interval [{t0:g}, {t_end:g}] is not a positive, finite, whole number of steps "
-            f"h = tau/steps_per_delay = {h:g}"
-        )
     slack = time_slack(t0, t_end)
     if not h > slack:
         raise InvalidGridError(
             f"t_end: step h = tau/steps_per_delay = {h:g} does not resolve times on "
             f"[{t0!r}, {t_end!r}], where the float noise is {slack:g}"
         )
-    if n > MAX_STEPS:
+    n_float = (t_end - t0 - slack) / h
+    if not n_float <= MAX_STEPS:
         raise ConfigError(
-            f"t_end: [{t0!r}, {t_end!r}] takes {n} RK4 steps of tau/steps_per_delay, "
-            f"more than the {MAX_STEPS} allowed"
+            f"t_end: [{t0!r}, {t_end!r}] spans {n_float:.17g} RK4 steps of "
+            f"tau/steps_per_delay, more than the {MAX_STEPS} allowed"
         )
-    return t0, t_end, steps_per_delay, n
+    return t0, t_end, steps_per_delay, max(1, math.ceil(n_float))
 
 
 @dataclass(frozen=True)
@@ -198,9 +193,10 @@ class Grid:
 
     Holds the window as grid_steps checked it, and computes from it the step
     count n, the step h = tau / steps_per_delay and the read-only node times
-    t0 + k*h (t_end snaps to the last one). The history's state is also the
-    state at t0, which solve_dde_raw hands the kernel as node 0. Raises
-    TypeError unless constants is a Constants and history a ConstantHistory.
+    t0 + k*h; t_end becomes the last one, up to a step past the t_end given.
+    The history's state is also the state at t0, which solve_dde_raw hands
+    the kernel as node 0. Raises TypeError unless constants is a Constants
+    and history a ConstantHistory.
     """
 
     constants: Constants

@@ -11,6 +11,7 @@ from respfit import experiments, fitting
 from respfit.cli import main
 from respfit.data import generate_dataset, save_dataset
 from respfit.errors import NonFiniteError, naming
+from respfit.solver import Grid, solve_dde_raw, time_slack
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -217,19 +218,31 @@ def test_run_config_solves_the_equilibrium_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("extra", ["t_end = 5.01", "tau = 0.7"])
-def test_window_off_the_step_grid_is_config_error(tmp_path, capsys, monkeypatch, extra):
-    # [t0, t_end] must be a whole number of steps tau/steps_per_delay
-    def unreachable(*args, **kwargs):
-        raise AssertionError("generate_dataset called for an off-grid window")
-
-    monkeypatch.setattr("respfit.experiments.generate_dataset", unreachable)
+@pytest.mark.parametrize(
+    "extra", ["t_end = 5.01", "tau = 0.7", "t0 = -10.0\nt_end = 10.000000015"],
+    ids=["t_end = 5.01", "tau = 0.7", "t_end past a whole count by 1.5 time slacks"],
+)
+def test_window_off_the_step_grid_runs(tmp_path, capsys, extra):
+    # The grid ends at the first node at or past t_end, less its time slack.
+    # The last window lies 1.5e-8 past 1,000 steps: 7.5e-7 steps, within a
+    # slack of 1e-9 * 1,000 steps, but past the 1e-8 a time of 10 may be off.
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(CONFIG_TEXT + f"{extra}\nout_dir = {tmp_path / 'out'}\n")
-    assert main(["run-config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert "configuration error" in err and "t_end" in err
-    assert not (tmp_path / "out").exists()
+    assert main(["run-config", str(cfg)]) == 0
+    capsys.readouterr()
+    config = experiments.parse_config_file(cfg)
+    constants, t0, t_end = config.truth.constants, config.t0, config.t_end
+    h = constants.tau / config.steps_per_delay
+    last = float(np.loadtxt(tmp_path / "out" / "fit_lm.csv", delimiter=",", skiprows=1)[-1, 0])
+    assert t_end - time_slack(t0, t_end) <= last < t_end + h
+    # the fitted trajectory is a solve on the whole window [t0, last node]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["t0"], summary["t_end"]) == (t0, t_end)
+    grid = Grid(constants, experiments.resolve_history(config.history_spec, config.truth), t0,
+                last, config.steps_per_delay)
+    fit = summary["lm"]["best_fit"]
+    solve_dde_raw(fit["alpha"], fit["beta"], grid).to_csv(tmp_path / "reference.csv")
+    assert filecmp.cmp(tmp_path / "out" / "fit_lm.csv", tmp_path / "reference.csv", shallow=False)
 
 
 @pytest.mark.parametrize("t0", ["1e15", "-1e15", "1e16"])

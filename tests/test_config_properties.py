@@ -2,8 +2,8 @@
 
 Each example starts from a config file of ordinary values over all 18 keys
 and spoils up to four of them with values from the edges: non-finite, huge
-(|t0| up to 1e16, sigma up to 1e308), negative, zero, off the step grid,
-unparsable, or absent. Windows stay within 20 time units and valid sample
+(|t0| up to 1e16, sigma up to 1e308), negative, zero, off the step grid
+(which runs), unparsable, or absent. Windows stay within 20 time units and valid sample
 counts within 60, so an example that runs end to end stays cheap. A
 deterministic pass runs each edge value of the five keys that set the
 equilibrium with history = equilibrium.

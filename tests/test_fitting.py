@@ -132,15 +132,22 @@ def test_residuals_sample_the_history_before_t0():
 
 def test_window_errors_surface_from_construction():
     ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
-    # not a whole number of steps: the grid is rejected before any sampling
-    with pytest.raises(InvalidGridError):
-        ResidualProblem(ds, Grid(Constants(), HIST, 0.0, 5.013, 50))
-    # a valid grid that ends before the last measurement
+    # a grid that ends before the last measurement
     with pytest.raises(OutOfDomainError):
         ResidualProblem(ds, Grid(Constants(), HIST, 0.0, 4.0, 50))
-    # from_dataset's window, the measurements' span, meets the same check
-    with pytest.raises(InvalidGridError):
-        ResidualProblem.from_dataset(Dataset(ds.times * 1.0026, ds.x_obs, ds.y_obs, 0.0), HIST)
+    # Windows that are no whole number of steps run: the grid ends at the
+    # first node past t_end, 5.02, and samples as the whole window to it does.
+    # from_dataset's window is the measurements' span, 0 to 5.013 here.
+    wide = Dataset(ds.times * 1.0026, ds.x_obs, ds.y_obs, 0.0)
+    for problem, data in (
+        (ResidualProblem(ds, Grid(Constants(), HIST, 0.0, 5.013, 50)), ds),
+        (ResidualProblem.from_dataset(wide, HIST), wide),
+    ):
+        assert problem.grid.n == 251 and problem.grid.t_end == problem.grid.times[-1]
+        assert 5.013 <= problem.grid.t_end < 5.013 + 0.02
+        whole = ResidualProblem(data, Grid(Constants(), HIST, 0.0, problem.grid.t_end, 50))
+        for p in ((0.5, 0.8), (0.3, 0.5)):
+            assert problem.residuals(p).tobytes() == whole.residuals(p).tobytes()
 
 
 def test_problem_refuses_a_dataset_or_grid_of_another_type():
@@ -161,7 +168,7 @@ def test_solvers_refuse_a_problem_without_residuals(solver):
 
 
 def test_non_finite_step_count_is_a_grid_error():
-    # (t_end - t0) / h overflows to inf: no finite whole number of steps
+    # a step of 0.02 does not resolve times near 1e308, where the noise is 1e299
     with pytest.raises(InvalidGridError):
         solve_dde(TRUTH, HIST, 0.0, 1e308)
     ds = generate_dataset(TRUTH, HIST, 0.0, 5.0, 51, 0.0, 1)
@@ -344,6 +351,23 @@ def test_vanishing_jacobian_column_is_an_error(solver):
     # not be reported as GradientTolerance
     with pytest.raises(SingularNormalEquationsError, match="column 0"):
         solver(_NoSensitivity(), (1.0, 1.0))
+
+
+class _FlatLine:
+    """Noiseless straight line with a small slope: the exact fit (0, 0) leaves no residual."""
+
+    def residuals(self, p):
+        return np.array([1e-5 * float(p[0]), 1e-5 * float(p[1]), 0.0, 0.0])
+
+
+def test_tr_function_tolerance_waits_for_the_relative_offset():
+    # From (100, 100) the first steps, of radius 1, lower a cost of 2e-6 by
+    # less than FUN_TOL, while the Gauss-Newton step still to go is the whole
+    # way. The residual lies in J's columns, so e = r - Q Qt r is exactly 0,
+    # and cost - ||Qt r||^2 rounds to 0 as well.
+    res = solve_trust_region(_FlatLine(), (100.0, 100.0))
+    assert res.termination is not Termination.FUNCTION_TOLERANCE
+    assert max(map(abs, res.best_fit)) < 1e-6
 
 
 class _Walled:

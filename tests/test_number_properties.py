@@ -305,7 +305,7 @@ def test_each_number_is_held_as_a_python_float_or_refused_by_name(call, field, r
         return
     try:
         held = call(**{field: value})
-    except ConfigError as exc:  # an off-grid window is one too
+    except ConfigError as exc:  # a window whose step does not resolve its times is one too
         assert call in WINDOWS and not str(exc).startswith(f"{field}: must be"), str(exc)
         return
     assert _same(held[field], expected), (held, expected)

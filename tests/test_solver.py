@@ -215,9 +215,17 @@ def test_time_shift_invariance():
     assert np.array_equal(a.y, b.y)
 
 
-def test_interval_must_be_whole_number_of_steps():
-    with pytest.raises(InvalidGridError):
-        solve_dde(ModelParams(alpha=0.5, beta=0.8), HIST, 0.0, 5.013)
+def test_window_off_the_step_grid_ends_at_the_first_node_past_t_end():
+    p = ModelParams(alpha=0.5, beta=0.8)
+    traj = solve_dde(p, HIST, 0.0, 5.013)
+    assert traj.grid.n == 251 and traj.grid.t_end == traj.grid.times[-1]
+    assert 5.013 <= traj.grid.t_end < 5.013 + 0.02
+    # the same nodes as the whole window to that last node
+    whole = solve_dde(p, HIST, 0.0, traj.grid.t_end)
+    assert np.array_equal(traj.grid.times, whole.grid.times)
+    assert np.array_equal(traj.x, whole.x) and np.array_equal(traj.y, whole.y)
+    ts = np.linspace(0.0, 5.013, 51)
+    assert np.array_equal(traj.eval_many(ts), whole.eval_many(ts))
 
 
 @pytest.mark.parametrize("t0", [1e15, -1e15, 1e16, 2e7])
@@ -251,7 +259,10 @@ def test_grid_caps_its_step_counts():
     assert grid_steps(0.0, MAX_STEPS / 50, 1.0, 50)[3] == MAX_STEPS
     with pytest.raises(ConfigError, match="^t_end: .* more than the 10000000 allowed"):
         Grid(Constants(), HIST, 0.0, (MAX_STEPS + 1) / 50, 50)
-    # a whole number of ten steps, so only the cap refuses it
+    # t_end - t0 overflows to inf, with a step that resolves times near 1e308
+    with pytest.raises(ConfigError, match="^t_end: .* spans inf RK4 steps"):
+        Grid(Constants(tau=1e300), HIST, -1e308, 1e308, 2)
+    # ten steps, so only the cap refuses it
     spd = MAX_STEPS + 1
     with pytest.raises(ConfigError, match="^steps_per_delay: "):
         Grid(Constants(), HIST, 0.0, 10 / spd, spd)
