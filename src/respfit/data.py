@@ -22,7 +22,7 @@ import numpy as np
 from ._artifacts import write_csv, write_json
 from .errors import ConfigError, NonFiniteError
 from .model import Constants, ModelParams, count, hold_reals, instance, real, reals
-from .solver import STEPS_PER_DELAY, ConstantHistory, solve_dde
+from .solver import STEPS_PER_DELAY, ConstantHistory, solve_dde, time_slack
 
 # Largest sample count a dataset may be generated with. At its peak a run
 # holds about 30 float64 values per sample point (dataset, sample plan,
@@ -102,6 +102,19 @@ def check_sampling(n_points: int, sigma: float, seed: int) -> tuple[int, float, 
     return n_points, real("sigma", sigma, nonnegative=True), count("seed", seed, 0, MAX_SEED)
 
 
+def check_spacing(t0: float, t_end: float, n_points: int) -> None:
+    """ConfigError naming t_end unless n_points uniform times on [t0, t_end] are distinct.
+
+    The window is one a grid has checked; the times must lie over its time_slack apart.
+    """
+    spacing = (t_end - t0) / (n_points - 1)
+    if not spacing > time_slack(t0, t_end):
+        raise ConfigError(
+            f"t_end: n_points = {n_points} measurement times on [{t0!r}, {t_end!r}] lie "
+            f"{spacing:g} apart, which does not resolve times of that magnitude"
+        )
+
+
 def generate_dataset(
     params: ModelParams,
     history: ConstantHistory,
@@ -114,15 +127,17 @@ def generate_dataset(
 ) -> Dataset:
     """Solve the system and sample it at n_points uniform times with noise.
 
-    The arguments are checked (check_sampling, solve_dde) before anything is
-    allocated; a params that is not a ModelParams, or a history that is not
-    a ConstantHistory, raises TypeError. Raises NonFiniteError if the noise
-    of a huge sigma overflows a measurement.
+    The arguments are checked (check_sampling, solve_dde, then check_spacing)
+    before the samples are allocated; a params that is not a ModelParams, or a
+    history not a ConstantHistory, raises TypeError. Raises NonFiniteError if
+    the noise of a huge sigma overflows a measurement.
     """
     n_points, sigma, seed = check_sampling(n_points, sigma, seed)
 
     traj = solve_dde(params, history, t0, t_end, steps_per_delay)
-    times = np.linspace(traj.grid.t0, real("t_end", t_end), n_points)  # float64, as checked
+    t0, t_end = traj.grid.t0, real("t_end", t_end)
+    check_spacing(t0, t_end, n_points)
+    times = np.linspace(t0, t_end, n_points)  # float64, as checked
     xs, ys = traj.eval_many(times)
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -131,14 +146,7 @@ def generate_dataset(
         y_obs = ys + rng.standard_normal(n_points) * sigma
     if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(y_obs))):
         raise NonFiniteError(f"noise of sigma = {sigma!r} overflows the measurements")
-    return Dataset(
-        times=times,
-        x_obs=x_obs,
-        y_obs=y_obs,
-        noise_sigma=sigma,
-        seed=seed,
-        truth=params,
-    )
+    return Dataset(times, x_obs, y_obs, noise_sigma=sigma, seed=seed, truth=params)
 
 
 def _meta_path(csv_path: Path) -> Path:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._artifacts import write_csv, write_json, write_text
-from .data import MAX_SEED, check_sampling, generate_dataset, save_dataset
+from .data import MAX_SEED, check_sampling, check_spacing, generate_dataset, save_dataset
 from .errors import ConfigError, SolverError, naming
 from .fitting import (
     FitResult,
@@ -32,7 +32,7 @@ from .fitting import (
     write_trace_csv,
 )
 from .model import Constants, ModelParams, State, count, equilibrium_solve, instance, real
-from .solver import STEPS_PER_DELAY, ConstantHistory, Grid, grid_steps, solve_dde_raw, time_slack
+from .solver import STEPS_PER_DELAY, ConstantHistory, Grid, grid_steps, solve_dde_raw
 
 ALGORITHMS = ("lm", "tr")
 
@@ -69,13 +69,7 @@ class ExperimentConfig:
         tau = self.truth.constants.tau
         t0, t_end, spd, _ = grid_steps(self.t0, self.t_end, tau, self.steps_per_delay)
         n_points, sigma, seed = check_sampling(self.n_points, self.sigma, self.seed)
-        spacing = (t_end - t0) / (n_points - 1)
-        if not spacing > time_slack(t0, t_end):
-            raise ConfigError(
-                f"t_end: n_points = {n_points} measurement times on "
-                f"[{t0!r}, {t_end!r}] lie {spacing:g} apart, which does not "
-                f"resolve times of that magnitude"
-            )
+        check_spacing(t0, t_end, n_points)
         p0 = tuple(start_point(self.p0).tolist())
         if isinstance(self.algorithms, str) or not isinstance(self.algorithms, Sequence):
             raise ConfigError(f"algorithms: must be a sequence of names, got {self.algorithms!r}")

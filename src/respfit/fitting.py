@@ -42,7 +42,7 @@ import numpy as np
 from ._artifacts import write_csv
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, SingularNormalEquationsError
-from .model import Constants, instance, is_real, real, reals
+from .model import Constants, instance, real, to_float
 from .solver import STEPS_PER_DELAY, ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -61,6 +61,22 @@ LAMBDA0 = 0.01
 LAMBDA_MAX = 1e10
 RADIUS0 = 1.0
 RADIUS_MAX = 100.0
+_POINTS = (list, tuple, np.ndarray)  # what a point may be, and neither of its items
+
+
+def _pair(name: str, p) -> tuple:
+    """The items (alpha, beta) of the point p, a list, tuple or 1-d ndarray of two scalars.
+
+    Raises ConfigError opening with name for a set or mapping, whose order is not the
+    caller's, a str, a generator, a 2-d array, a list of lists or any other p.
+    """
+    # tolist unpacks faster, into floats for the quick test; a 2-d array's rows become lists
+    items = p.tolist() if isinstance(p, np.ndarray) else p
+    if isinstance(items, (list, tuple)) and len(items) == 2:
+        alpha, beta = items
+        if type(alpha) is type(beta) is float or not any(isinstance(v, _POINTS) for v in items):
+            return alpha, beta
+    raise ConfigError(f"{name}: must be two numbers in a list, a tuple or a 1-d array, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -99,33 +115,25 @@ class ResidualProblem:
         return cls(dataset, Grid(Constants(), history, times[0], times[-1], steps_per_delay))
 
     def residuals(self, p) -> np.ndarray:
-        """Stacked residual vector of length 2M at p = (alpha, beta).
+        """Stacked residual vector of length 2M at the point p = (alpha, beta), see _pair.
 
-        Raises ConfigError unless p is two real numbers, not bools, and
-        NonFiniteError, as the kernel does, if one is not finite as a float.
-        The model's x and y rows come from eval_many in one buffer, and the
-        stacked observations are subtracted from it in place.
+        solve_dde_raw checks the gains, naming alpha or beta. The model's x and y rows
+        come from eval_many in one buffer, and the stacked observations are subtracted in place.
         """
-        try:
-            two = len(p) == 2
-            alpha, beta = p[0], p[1]
-        except (TypeError, LookupError):
-            two = False
-        if not (two and is_real(alpha) and is_real(beta)):
-            raise ConfigError(f"p: must be two numbers, got {p!r}")
+        alpha, beta = _pair("p", p)
         r = solve_dde_raw(alpha, beta, self.grid).eval_many(self.plan).ravel()
         r -= self.obs
         return r
 
 
 def fd_jacobian(problem, p, base_residual: np.ndarray | None = None):
-    """Forward-difference Jacobian of problem.residuals at p.
+    """Forward-difference Jacobian of problem.residuals at p, a point (_pair) of two real numbers.
 
     Returns (J, n_evals) where n_evals counts residual evaluations performed
     here: one per parameter, plus one more if base_residual was not supplied.
-    Step delta_k = sqrt(eps) * max(|p_k|, 1).
+    Step delta_k = sqrt(eps) * max(|p_k|, 1). Any other p raises ConfigError first.
     """
-    p = reals("p", p)
+    p = np.array([to_float("p", v) for v in _pair("p", p)])
     n_evals = 0
     if base_residual is None:
         base_residual = problem.residuals(p)
@@ -174,13 +182,9 @@ class FitResult:
 
 
 def start_point(p0) -> np.ndarray:
-    """p0 as a float array; raises ConfigError unless it is two numbers that pass model.real."""
+    """The point p0 (see _pair) as a float array; ConfigError unless both items pass model.real."""
     name = "p0_alpha, p0_beta"
-    try:
-        alpha, beta = p0
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: must be two finite numbers, got {p0!r}") from None
-    return np.array([real(name, alpha), real(name, beta)])
+    return np.array([real(name, v) for v in _pair(name, p0)])
 
 
 def _norm(v: np.ndarray) -> float:

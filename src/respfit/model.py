@@ -21,7 +21,7 @@ across threads.
 from __future__ import annotations
 
 import math
-import numbers
+from numbers import Integral, Real
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,23 +43,14 @@ def instance(name: str, value, kind: type):
     return value
 
 
-def is_real(value) -> bool:
-    """Whether value is a Python or NumPy real number but not a bool.
-
-    A float, np.float64 among them, passes on a plain isinstance test, so
-    the slower abstract numbers.Real test runs only for other objects.
-    """
-    return isinstance(value, float) or (
-        not isinstance(value, bool) and isinstance(value, numbers.Real)
-    )
-
-
 def to_float(name: str, value) -> float:
     """value as a Python float, or an infinity past the float range: the type half of real.
 
-    Raises ConfigError, its message opening with name, unless value is_real.
+    Raises ConfigError, its message opening with name, unless value is a
+    Python or NumPy real number but not a bool; a float, np.float64 among
+    them, passes on a plain isinstance test before the slower abstract Real.
     """
-    if not is_real(value):
+    if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, Real)):
         raise ConfigError(f"{name}: must be a real number, got {value!r}")
     try:
         return float(value)
@@ -89,7 +80,7 @@ def count(name: str, value, lo: int, hi: int) -> int:
     Raises ConfigError, its message opening with name, unless value is a
     Python or NumPy integer but not a bool, from lo to hi.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+    if isinstance(value, bool) or not isinstance(value, Integral) or not lo <= value <= hi:
         raise ConfigError(f"{name}: must be an integer from {lo} to {hi}, got {value!r}")
     return int(value)
 

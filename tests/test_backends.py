@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import BACKENDS, needs_kernel
 from respfit import ConstantHistory, Constants, ModelParams, State, solve_dde
 from respfit import backend
 from respfit._stepper_py import _BATCH_MIN_DELAY
@@ -23,17 +24,6 @@ from respfit.errors import NonFiniteError
 from respfit.solver import Grid, solve_dde_raw
 
 HIST = ConstantHistory(State(35.0, 35.0))
-
-needs_kernel = pytest.mark.skipif(
-    "compiled" not in backend.available(), reason="extension not built"
-)
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    name = backend.selected()
-    yield
-    backend.select(name)
 
 
 def test_python_backend_always_available():
@@ -303,9 +293,6 @@ def _assert_matches_reference(integrate, args, label):
         assert memoryview(out).readonly, label
         assert bytes(out) == want.tobytes(), label
     return status
-
-
-BACKENDS = ["python", pytest.param("compiled", marks=needs_kernel)]
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -16,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_backends import BACKENDS  # noqa: E402
+from conftest import BACKENDS  # noqa: E402
 from test_solver import _reference_eval_many  # noqa: E402
 
 from respfit import (  # noqa: E402
@@ -31,13 +31,6 @@ from respfit import (  # noqa: E402
 from respfit.data import Dataset  # noqa: E402
 from respfit.fitting import ResidualProblem, _norm, _Search  # noqa: E402
 from respfit.solver import Grid, solve_dde_raw  # noqa: E402
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    name = backend.selected()
-    yield
-    backend.select(name)
 
 
 def _reference_residuals(problem, alpha, beta):

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from respfit.data import (
     load_dataset,
     save_dataset,
 )
+from respfit.experiments import PRESETS
 from respfit.solver import MAX_STEPS
 
 TRUTH = ModelParams(alpha=0.5, beta=0.8)
@@ -240,6 +243,27 @@ def test_generate_validation():
 def test_generate_refuses_out_of_range_sizes_before_allocating(args, key):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         generate_dataset(TRUTH, HIST, *args)
+
+
+@pytest.mark.parametrize(
+    "t0,t_end,message",
+    [
+        # generate_dataset returned 1,000 times 1e-10 apart, which the config refused
+        (0.0, 1e-7, "t_end: n_points = 1000 measurement times on [0.0, 1e-07] lie 1.001e-10"),
+        # and here raised "times: must be strictly increasing", not an argument
+        (1e6, 1e6 + 1e-8, "t_end: n_points = 1000 measurement times on [1000000.0, "),
+        # a window that is reversed or not finite is the window's error first
+        (1e-7, 0.0, "t0, t_end: must have t_end > t0"),
+        (math.nan, 1e-7, "t0: must be finite"),
+        (0.0, math.inf, "t_end: must be finite"),
+    ],
+    ids=["1e-10 apart", "at 1e6", "reversed", "nan t0", "inf t_end"],
+)
+def test_library_and_config_share_the_measurement_spacing_rule(t0, t_end, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        generate_dataset(TRUTH, HIST, t0, t_end, 1000, 0.2, 1)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        replace(PRESETS["ex1"], t0=t0, t_end=t_end, n_points=1000)
 
 
 def test_generate_refuses_params_or_history_of_another_type():

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,24 +59,29 @@ def test_residual_vector_layout(noisy_problem):
     assert np.array_equal(r[51:], ys - noisy_problem.dataset.y_obs)
 
 
+_NOT_A_POINT = "p: must be two numbers"
+
+
 @pytest.mark.parametrize(
-    "p",
+    "p,message",
     [
-        [0.5, 0.8, 99.0],
-        [0.5],
-        [],
-        None,
-        0.5,
-        ["a", "b"],
-        ("0.5", True),
-        (0.5, np.bool_(False)),
-        {"a": 0.5, "b": 0.8},
+        ([0.5, 0.8, 99.0], _NOT_A_POINT),
+        ([0.5], _NOT_A_POINT),
+        ([], _NOT_A_POINT),
+        (None, _NOT_A_POINT),
+        (0.5, _NOT_A_POINT),
+        # the gains are solve_dde_raw's to check, and its message names the gain
+        (["a", "b"], "alpha: must be a real number"),
+        (("0.5", True), "alpha: must be a real number"),
+        ((0.5, np.bool_(False)), "beta: must be a real number"),
+        ({"a": 0.5, "b": 0.8}, _NOT_A_POINT),
     ],
+    ids=[f"p{i}" for i in range(9)],
 )
-def test_residuals_refuse_a_p_that_is_not_two_numbers(noisy_problem, p):
+def test_residuals_refuse_a_p_that_is_not_two_numbers(noisy_problem, p, message):
     # [0.5, 0.8, 99] fitted the first two numbers; [0.5] raised IndexError;
     # ("0.5", True) returned the residual at (0.5, 1.0); a dict raised KeyError
-    with pytest.raises(ConfigError, match="^p: must be two numbers"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         noisy_problem.residuals(p)
 
 
@@ -85,12 +92,84 @@ def test_residuals_report_a_gain_past_the_float_range_as_a_blow_up(noisy_problem
 
 
 @pytest.mark.parametrize(
-    "p", [("0.5", "0.8"), np.array([True, False]), np.array([0.5, None]), (True, 0.8)]
+    "p",
+    [
+        ("0.5", "0.8"),
+        np.array([True, False]),
+        np.array([0.5, None]),
+        (True, 0.8),
+        # NumPy reads two ranges as a 2-d array, which raised a bare ValueError
+        (range(2), range(2)),
+    ],
 )
 def test_fd_jacobian_refuses_a_p_that_is_not_numbers(noisy_problem, p):
     # ("0.5", "0.8") was parsed and returned a Jacobian, and (True, 0.8) one at (1.0, 0.8)
-    with pytest.raises(ConfigError, match="^p: must hold real numbers"):
+    with pytest.raises(ConfigError, match="^p: must be a real number"):
         fd_jacobian(noisy_problem, p)
+
+
+# Objects that are not a point (alpha, beta), each made afresh: a set's or a
+# mapping's order is not the caller's and a generator is used up, so
+# unpacking them read a point the caller never wrote; the others do not
+# hold two numbers in one dimension.
+NOT_POINTS = {
+    "set": lambda: {0.5, 0.3},
+    "frozenset": lambda: frozenset({0.3, 0.01}),
+    "dict": lambda: {0.5: "alpha", 0.3: "beta"},
+    "str": lambda: "ab",
+    "generator": lambda: (v for v in (0.5, 0.3)),
+    "2-d array": lambda: np.array([[0.5, 0.8], [0.5, 0.8]]),
+    "list of lists": lambda: [[0.5, 0.8], [0.5, 0.8]],
+    "0-d array": lambda: np.array(0.5),
+    "object array of lists": lambda: np.array([[0.5], [0.8, 0.1]], dtype=object),
+}
+
+
+class _CountingProblem:
+    """A problem that counts its residual evaluations."""
+
+    def __init__(self, problem):
+        self.problem, self.calls = problem, 0
+
+    def residuals(self, p):
+        self.calls += 1
+        return self.problem.residuals(p)
+
+
+@pytest.mark.parametrize("make", NOT_POINTS.values(), ids=NOT_POINTS.keys())
+def test_a_start_point_is_a_point(noisy_problem, make):
+    # start_point({0.5, 0.3}) returned [0.5, 0.3] and a dict its keys, in
+    # their iteration order, and a generator was consumed
+    message = "^p0_alpha, p0_beta: must be two numbers in a list, a tuple or a 1-d array"
+    with pytest.raises(ConfigError, match=message):
+        fitting.start_point(make())
+    with pytest.raises(ConfigError, match=message):
+        replace(PRESETS["ex1"], p0=make())
+    for solve in (solve_lm, solve_trust_region):
+        counting = _CountingProblem(noisy_problem)
+        with pytest.raises(ConfigError, match=message):
+            solve(counting, make())
+        assert counting.calls == 0
+
+
+@pytest.mark.parametrize("make", NOT_POINTS.values(), ids=NOT_POINTS.keys())
+def test_residuals_and_fd_jacobian_take_only_a_point(noisy_problem, make):
+    # fd_jacobian raised a bare ValueError for a 2-d p, from max(abs(p[k]), 1.0)
+    with pytest.raises(ConfigError, match=f"^{_NOT_A_POINT}"):
+        noisy_problem.residuals(make())
+    base = noisy_problem.residuals((0.5, 0.8))
+    for base_residual in (None, base):
+        counting = _CountingProblem(noisy_problem)
+        with pytest.raises(ConfigError, match=f"^{_NOT_A_POINT}"):
+            fd_jacobian(counting, make(), base_residual=base_residual)
+        assert counting.calls == 0
+
+
+def test_fd_jacobian_names_the_p_it_was_given(noisy_problem):
+    # a third item failed inside a probe, naming the perturbed point
+    base = noisy_problem.residuals((0.5, 0.8))
+    with pytest.raises(ConfigError, match=rf"^{_NOT_A_POINT}.*got \(0\.5, 0\.8, 0\.1\)$"):
+        fd_jacobian(noisy_problem, (0.5, 0.8, 0.1), base_residual=base)
 
 
 def _fresh_residuals(problem, p):

@@ -11,7 +11,8 @@ The call either holds the value as a Python float equal to it bit for bit
 opens with the field's name; no drawn value raises TypeError, which README
 keeps for an object of the wrong type, such as a constants that is not a
 Constants. A trial gain is held by the kernel it is handed to, and one that
-is not finite raises NonFiniteError there. The rule is written out here by
+is not finite raises NonFiniteError there; one that is a sequence makes
+(alpha, beta) no point, and the message names p. The rule is written out here by
 type, independently of the program: Python ints and floats and NumPy integer
 and floating scalars are numbers; bools, NumPy bools, strings, None and
 sequences are not.
@@ -33,7 +34,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from respfit import (  # noqa: E402
@@ -269,12 +270,12 @@ TARGETS = [
 WINDOWS = (_grid, _solve)
 
 
-def _prefix(call, field) -> str:
-    """How the ConfigError for field opens."""
+def _prefix(call, field, value) -> str:
+    """How the ConfigError for field opens when it is value."""
     if call is _start_point:
         return "p0_alpha, p0_beta: "
-    if call is _residuals:
-        return "p: "
+    if call is _residuals and isinstance(value, (list, tuple)):
+        return "p: "  # a point whose item is a sequence is no point
     return ("history." if call is _history else "") + f"{field}: "
 
 
@@ -292,6 +293,9 @@ def _same(held, expected) -> bool:
 )
 @settings(max_examples=100, deadline=None)
 @given(value=VALUES)
+# sequences among the edges, which 100 derandomized draws did not reach for every call
+@example(value=[1.0])
+@example(value=(0.5,))
 def test_each_number_is_held_as_a_python_float_or_refused_by_name(call, field, rule, value):
     expected = rule(value)
     if expected == NONFINITE:
@@ -301,7 +305,7 @@ def test_each_number_is_held_as_a_python_float_or_refused_by_name(call, field, r
     if expected == REFUSED:
         with pytest.raises(ConfigError) as err:
             call(**{field: value})
-        assert str(err.value).startswith(_prefix(call, field)), str(err.value)
+        assert str(err.value).startswith(_prefix(call, field, value)), str(err.value)
         return
     try:
         held = call(**{field: value})
