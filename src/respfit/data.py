@@ -103,10 +103,7 @@ def check_sampling(n_points: int, sigma: float, seed: int) -> tuple[int, float, 
 
 
 def check_spacing(t0: float, t_end: float, n_points: int) -> None:
-    """ConfigError naming t_end unless n_points uniform times on [t0, t_end] are distinct.
-
-    The window is one a grid has checked; the times must lie over its time_slack apart.
-    """
+    """ConfigError naming t_end unless n_points times on the window lie over time_slack apart."""
     spacing = (t_end - t0) / (n_points - 1)
     if not spacing > time_slack(t0, t_end):
         raise ConfigError(
@@ -146,7 +143,14 @@ def generate_dataset(
         y_obs = ys + rng.standard_normal(n_points) * sigma
     if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(y_obs))):
         raise NonFiniteError(f"noise of sigma = {sigma!r} overflows the measurements")
-    return Dataset(times, x_obs, y_obs, noise_sigma=sigma, seed=seed, truth=params)
+    return Dataset(
+        times=times,
+        x_obs=x_obs,
+        y_obs=y_obs,
+        noise_sigma=sigma,
+        seed=seed,
+        truth=params,
+    )
 
 
 def _meta_path(csv_path: Path) -> Path:

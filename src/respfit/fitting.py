@@ -65,16 +65,12 @@ _POINTS = (list, tuple, np.ndarray)  # what a point may be, and neither of its i
 
 
 def _pair(name: str, p) -> tuple:
-    """The items (alpha, beta) of the point p, a list, tuple or 1-d ndarray of two scalars.
-
-    Raises ConfigError opening with name for a set or mapping, whose order is not the
-    caller's, a str, a generator, a 2-d array, a list of lists or any other p.
-    """
-    # tolist unpacks faster, into floats for the quick test; a 2-d array's rows become lists
-    items = p.tolist() if isinstance(p, np.ndarray) else p
+    """The items (alpha, beta) of p, a list, tuple or 1-d array of two scalars; else ConfigError."""
+    # tolist unpacks faster; an array of any other shape is read no further
+    items = p.tolist() if isinstance(p, np.ndarray) and p.shape == (2,) else p
     if isinstance(items, (list, tuple)) and len(items) == 2:
         alpha, beta = items
-        if type(alpha) is type(beta) is float or not any(isinstance(v, _POINTS) for v in items):
+        if not any(isinstance(v, _POINTS) for v in items):
             return alpha, beta
     raise ConfigError(f"{name}: must be two numbers in a list, a tuple or a 1-d array, got {p!r}")
 

@@ -43,9 +43,8 @@ from .model import Constants, ModelParams, State, count, instance, real, reals, 
 # RK4 steps per delay where none is given: solve_dde, generate_dataset,
 # ResidualProblem.from_dataset and ExperimentConfig all default to it.
 STEPS_PER_DELAY = 50
-# Largest RK4 step count a grid may hold. A trajectory holds five float64 arrays,
-# 40 B per step: 400 MB at this cap. tracemalloc peaks while integrating, beside the
-# grid's times: compiled 32 B/step; the twin 170 at 50 steps per delay, 32 at 400.
+# Largest RK4 step count a grid may hold. A trajectory's five float64 arrays take 40 B per step,
+# 400 MB here; integrating peaks at 32 B/step compiled, the twin 170 at 50 per delay, 32 at 400.
 MAX_STEPS = 10_000_000
 # Relative slack for time-domain boundary checks; absorbs float noise in
 # externally constructed sample times (e.g. linspace endpoints).
@@ -159,14 +158,14 @@ def grid_steps(t0, t_end, tau: float, steps_per_delay) -> tuple[float, float, in
     """(t0, t_end, steps_per_delay) as checked, and n, the RK4 steps of tau/steps_per_delay.
 
     n is the fewest steps, at least one, whose last node t0 + n*h reaches
-    t_end less its time_slack: the first node at or past t_end, so a window
-    of any width runs. Raises ConfigError unless t0 and t_end pass
-    model.real with t_end > t0, steps_per_delay passes model.count from 2 to
-    MAX_STEPS and n is at most MAX_STEPS; a short window does not bound
-    steps_per_delay, so it has a cap of its own. Raises InvalidGridError
-    unless the step exceeds that slack: a smaller step does not resolve
-    distinct node times at that magnitude. Each message opens with the name
-    of the argument at fault.
+    t_end less its time_slack, compared exactly by math.fsum: the first
+    node at or past t_end, so a window of any width runs. Raises ConfigError
+    unless t0 and t_end pass model.real with t_end > t0, steps_per_delay
+    passes model.count from 2 to MAX_STEPS and n is at most MAX_STEPS; a
+    short window does not bound steps_per_delay, so it has a cap of its
+    own. Raises InvalidGridError unless the step exceeds that slack: a
+    smaller step does not resolve distinct node times at that magnitude.
+    Each message opens with the name of the argument at fault.
     """
     t0, t_end = real("t0", t0), real("t_end", t_end)
     if not t_end > t0:
@@ -180,12 +179,15 @@ def grid_steps(t0, t_end, tau: float, steps_per_delay) -> tuple[float, float, in
             f"[{t0!r}, {t_end!r}], where the float noise is {slack:g}"
         )
     n_float = (t_end - t0 - slack) / h
-    if not n_float <= MAX_STEPS:
+    n = max(1, math.ceil(n_float)) if n_float <= MAX_STEPS else MAX_STEPS + 1
+    n -= 1 < n <= MAX_STEPS and math.fsum((t0 + (n - 1) * h, slack, -t_end)) >= 0
+    n += n <= MAX_STEPS and math.fsum((t0 + n * h, slack, -t_end)) < 0
+    if not n <= MAX_STEPS:
         raise ConfigError(
             f"t_end: [{t0!r}, {t_end!r}] spans {n_float:.17g} RK4 steps of "
             f"tau/steps_per_delay, more than the {MAX_STEPS} allowed"
         )
-    return t0, t_end, steps_per_delay, max(1, math.ceil(n_float))
+    return t0, t_end, steps_per_delay, n
 
 
 @dataclass(frozen=True)

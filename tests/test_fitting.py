@@ -108,6 +108,13 @@ def test_fd_jacobian_refuses_a_p_that_is_not_numbers(noisy_problem, p):
         fd_jacobian(noisy_problem, p)
 
 
+class _Unlisted(np.ndarray):
+    """An array that must not be read whole: a large one would fill memory first."""
+
+    def tolist(self):
+        raise AssertionError("an array that is not a pair was read whole")
+
+
 # Objects that are not a point (alpha, beta), each made afresh: a set's or a
 # mapping's order is not the caller's and a generator is used up, so
 # unpacking them read a point the caller never wrote; the others do not
@@ -122,6 +129,8 @@ NOT_POINTS = {
     "list of lists": lambda: [[0.5, 0.8], [0.5, 0.8]],
     "0-d array": lambda: np.array(0.5),
     "object array of lists": lambda: np.array([[0.5], [0.8, 0.1]], dtype=object),
+    # 10**8 items, a view of one: listing them would take gigabytes
+    "large array": lambda: np.broadcast_to(0.5, 10**8).view(_Unlisted),
 }
 
 

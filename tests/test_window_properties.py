@@ -7,7 +7,7 @@ steps a delay at a time, and a window holds at most 400 steps, so a draw
 costs milliseconds, an LM fit on each backend included.
 """
 
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,21 +61,24 @@ def windows(draw):
 # t0 + h was stored as 0.5, so grid.t_end - h gives 0.0, past a subnormal
 # negative t_end, although the stored node before it, t0, lies before t_end
 @example(window=(1.0, 2, -2.2250738585e-313, -2.22507385847e-313, None))
-# t_end - slack rounds down to the node 2.0, which exactly lies below it
+# the float t_end - slack rounds down to the node 2.0, which exactly lies below it
 @example(window=(1.0, 2, 1.0, 2.000000002, None))
+# the grid's (t_end - t0 - slack) / h rounds to whole step counts, although the
+# node 1.0 lies below t_end - slack, and the node 2.25 does reach it
+@example(window=(1.0, 2, 0.0, 1.000000001, None))
+@example(window=(0.7, 2, -3.0, 2.250000003, None))
 def test_the_grid_ends_at_the_first_node_at_or_past_t_end(window):
     tau, spd, t0, t_end, n = window
     grid = Grid(Constants(tau=tau), HIST, t0, t_end, spd)
     h, slack = tau / spd, time_slack(t0, t_end)
     assert grid.t_end == grid.times[-1] == t0 + grid.n * h
-    # t_end - slack is a float sum here and the grid's is (t_end - t0 - slack)
-    # / h, so at the slack's edge the two round apart, by at most 4 ulps
-    edge = 4 * math.ulp(max(abs(t0), abs(t_end), abs(grid.t_end)))
+    # t_end less the slack, exactly: the float t_end - slack rounds onto a node
+    edge = Fraction(t_end) - Fraction(slack)
     # in [t_end - slack, t_end + h), the upper end read on the stored node
     # before the last, since grid.t_end - h rounds
-    assert t_end - slack - edge <= grid.t_end and grid.times[-2] < t_end
+    assert edge <= grid.t_end and grid.times[-2] < t_end
     # the node before it does not reach t_end less the slack
-    assert grid.n == 1 or t0 + (grid.n - 1) * h < t_end - slack + edge
+    assert grid.n == 1 or t0 + (grid.n - 1) * h < edge
     if n is not None:
         # a whole window keeps the step count that rounding gave it
         assert grid.n == n == round((t_end - t0) / h)
