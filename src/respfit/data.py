@@ -168,6 +168,7 @@ def save_dataset(
     history and solver_settings (t0/t_end/steps_per_delay and friends) are
     recorded when given so the file pair is self-describing.
     """
+    instance("dataset", dataset, Dataset)
     csv_path = Path(csv_path)
     rows = zip(dataset.times.tolist(), dataset.x_obs.tolist(), dataset.y_obs.tolist())
     write_csv(csv_path, ("t", "x_obs", "y_obs"), rows)

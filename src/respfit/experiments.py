@@ -32,7 +32,7 @@ from .fitting import (
     write_trace_csv,
 )
 from .model import Constants, ModelParams, State, count, equilibrium_solve, instance, real
-from .solver import STEPS_PER_DELAY, ConstantHistory, Grid, grid_steps, solve_dde_raw
+from .solver import STEPS_PER_DELAY, ConstantHistory, grid_steps, solve_dde_raw
 
 ALGORITHMS = ("lm", "tr")
 
@@ -177,7 +177,7 @@ def run_config(config: ExperimentConfig) -> dict:
     written as summary.json: the configuration, then one entry per algorithm
     that ran, keyed by its name.
     """
-    out = Path(config.out_dir or f"out_{config.name}")
+    out = Path(instance("config", config, ExperimentConfig).out_dir or f"out_{config.name}")
     history = resolve_history(config.history_spec, config.truth)
     solver_settings = {
         "t0": config.t0,
@@ -197,8 +197,7 @@ def run_config(config: ExperimentConfig) -> dict:
             config.steps_per_delay,
         )
 
-    grid = Grid(config.truth.constants, history, config.t0, config.t_end, config.steps_per_delay)
-    problem = ResidualProblem(dataset, grid)
+    problem = ResidualProblem.from_dataset(dataset, history, steps_per_delay=config.steps_per_delay)
 
     fits: dict[str, FitResult] = {}
     for algo in ALGORITHMS:

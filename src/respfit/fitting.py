@@ -42,7 +42,7 @@ import numpy as np
 from ._artifacts import write_csv
 from .data import Dataset
 from .errors import ConfigError, NonFiniteError, SingularNormalEquationsError
-from .model import Constants, instance, real, to_float
+from .model import Constants, instance, real, reals, to_float
 from .solver import STEPS_PER_DELAY, ConstantHistory, Grid, SamplePlan, solve_dde_raw
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -102,13 +102,14 @@ class ResidualProblem:
     def from_dataset(
         cls, dataset: Dataset, history: ConstantHistory, *, steps_per_delay: int = STEPS_PER_DELAY
     ) -> "ResidualProblem":
-        """The problem on the grid of Constants() over the measurements' span.
+        """The problem over the measurements' span, on the grid of the truth's constants.
 
-        Any other window or constants is a Grid of its own:
-        ResidualProblem(dataset, Grid(constants, history, t0, t_end, steps_per_delay)).
+        Constants() without a truth; any other window or constants is a Grid of its own.
         """
+        truth = instance("dataset", dataset, Dataset).truth
+        constants = Constants() if truth is None else truth.constants
         times = dataset.times
-        return cls(dataset, Grid(Constants(), history, times[0], times[-1], steps_per_delay))
+        return cls(dataset, Grid(constants, history, times[0], times[-1], steps_per_delay))
 
     def residuals(self, p) -> np.ndarray:
         """Stacked residual vector of length 2M at the point p = (alpha, beta), see _pair.
@@ -122,24 +123,34 @@ class ResidualProblem:
         return r
 
 
+def _problem(problem):
+    """problem, if it has the residuals method the solvers and fd_jacobian call; else TypeError."""
+    if not callable(getattr(problem, "residuals", None)):
+        raise TypeError(f"problem must have a residuals method, got {problem!r}")
+    return problem
+
+
 def fd_jacobian(problem, p, base_residual: np.ndarray | None = None):
     """Forward-difference Jacobian of problem.residuals at p, a point (_pair) of two real numbers.
 
-    Returns (J, n_evals) where n_evals counts residual evaluations performed
-    here: one per parameter, plus one more if base_residual was not supplied.
-    Step delta_k = sqrt(eps) * max(|p_k|, 1). Any other p raises ConfigError first.
+    Returns (J, n_evals), n_evals the residual evaluations performed here: one per parameter,
+    plus one if base_residual was not supplied. Step delta_k = sqrt(eps) * max(|p_k|, 1). A
+    problem without a residuals method raises TypeError (_problem), any other p ConfigError,
+    and so does a base_residual not of the residual's shape, before any difference is formed.
     """
+    _problem(problem)
     p = np.array([to_float("p", v) for v in _pair("p", p)])
-    n_evals = 0
-    if base_residual is None:
-        base_residual = problem.residuals(p)
-        n_evals += 1
-    J = np.empty((len(base_residual), len(p)))
+    n_evals = int(base_residual is None)  # the base point, unless supplied
+    base = reals("base_residual", problem.residuals(p) if n_evals else base_residual)
+    J = np.empty((base.size, len(p)))
     for k in range(len(p)):
         delta = _SQRT_EPS * max(abs(p[k]), 1.0)
         pk = p.copy()
         pk[k] += delta
-        J[:, k] = (problem.residuals(pk) - base_residual) / delta
+        r = problem.residuals(pk)
+        if r.shape != base.shape:
+            raise ConfigError(f"base_residual: shape {base.shape} is not the residual's {r.shape}")
+        J[:, k] = (r - base) / delta
         n_evals += 1
     return J, n_evals
 
@@ -206,9 +217,7 @@ class _Search:
     """
 
     def __init__(self, problem, p0, algorithm: str, **start):
-        if not callable(getattr(problem, "residuals", None)):
-            raise TypeError(f"problem must have a residuals method, got {problem!r}")
-        self.problem = problem
+        self.problem = _problem(problem)
         self.algorithm = algorithm
         self.p = start_point(p0)
         self.r = problem.residuals(self.p)
@@ -427,6 +436,6 @@ def write_trace_csv(result: FitResult, path) -> None:
     TR:  iter,fcount,residual,step_norm,first_order_opt,trust_radius
     step_norm is empty on the iteration-0 row.
     """
-    columns = _TRACE_COLUMNS[result.algorithm]
+    columns = _TRACE_COLUMNS[instance("result", result, FitResult).algorithm]
     row_of = operator.attrgetter(*(attr for _, attr in columns))
     write_csv(path, [name for name, _ in columns], map(row_of, result.trace))

@@ -1,5 +1,6 @@
 """Shared pytest wiring: reproducible Hypothesis runs, the backends, the acceptance verdicts."""
 
+import importlib
 import tempfile
 
 import pytest
@@ -10,9 +11,8 @@ try:
 except ImportError:  # the tests that need Hypothesis skip, or fail to import, on their own
     settings = None
 else:
-    # no example database on disk, and the same examples on every run that
-    # collects the same modules: Hypothesis also draws the constants it reads
-    # from every loaded module, so collecting other modules draws other examples
+    # no example database on disk, and the same examples on every run: see
+    # pytest_collection_finish for the constants Hypothesis also draws from
     settings.register_profile("respfit", derandomize=True, database=None)
     settings.load_profile("respfit")
 
@@ -31,6 +31,24 @@ def pytest_configure(config):
         home = tempfile.TemporaryDirectory(prefix="respfit-hypothesis-")
         set_hypothesis_home_dir(home.name)
         config.add_cleanup(home.cleanup)
+
+
+# The modules of the checkout that a full run has loaded before its first
+# property test and a run of fewer test modules may not: respfit.cli through the
+# CLI tests, perfbench's through perfbench/test_perfbench.py, and perfbench.speed
+# once the benchmark's tests have run
+SUITE_MODULES = (
+    "respfit.cli", "perfbench.run", "perfbench.speed", "perfbench.tracing", "perfbench.workloads"
+)
+
+
+def pytest_collection_finish(session):
+    # Hypothesis also draws the constants it mines from every loaded module of
+    # the checkout, so every run loads these, and a Hypothesis module draws the
+    # same examples alone as in the full suite. They load here, not above: the
+    # root conftest.py registers its fresh stepper before respfit is imported
+    for name in SUITE_MODULES:
+        importlib.import_module(name)
 
 
 def pytest_runtest_setup(item):

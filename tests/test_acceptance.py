@@ -22,7 +22,6 @@ from conftest import ACCEPTANCE_LINES
 from respfit import (
     ConstantHistory,
     Constants,
-    Grid,
     ModelParams,
     NonFiniteError,
     State,
@@ -458,7 +457,7 @@ def _random_design(rng: np.random.Generator):
     t_end = t0 + float(rng.choice([0.5, 1.0, 2.0, 5.0, 20.0]))
     history = resolve_history(spec[rng.integers(3)], truth)
     dataset = generate_dataset(truth, history, t0, t_end, n_points, sigma, seed, spd)
-    return ResidualProblem(dataset, Grid(constants, history, t0, t_end, spd)), p0
+    return ResidualProblem.from_dataset(dataset, history, steps_per_delay=spd), p0
 
 
 def _rejecting_blow_ups(problem: ResidualProblem):

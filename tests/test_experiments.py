@@ -14,7 +14,7 @@ from respfit import (
     SingularNormalEquationsError,
     equilibrium_solve,
 )
-from respfit.data import MAX_POINTS, load_dataset
+from respfit.data import MAX_POINTS, load_dataset, save_dataset
 from respfit.experiments import (
     PRESETS,
     ExperimentConfig,
@@ -24,6 +24,7 @@ from respfit.experiments import (
     run_example,
     run_summary,
 )
+from respfit.fitting import fd_jacobian, write_trace_csv
 from respfit.solver import MAX_STEPS
 
 
@@ -259,6 +260,24 @@ def test_config_validation_names_the_field():
     # a truth of another type is refused as ModelParams refuses its constants
     with pytest.raises(TypeError, match="^truth must be a ModelParams"):
         replace(base, truth=(0.5, 0.8))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda path: save_dataset(None, path), "dataset must be a Dataset"),
+        (lambda path: write_trace_csv(None, path), "result must be a FitResult"),
+        (lambda path: fd_jacobian(None, (0.5, 0.8)), "problem must have a residuals method"),
+        (lambda path: run_config(None), "config must be a ExperimentConfig"),
+    ],
+    ids=["save_dataset", "write_trace_csv", "fd_jacobian", "run_config"],
+)
+def test_entry_points_name_an_object_of_another_type(tmp_path, monkeypatch, call, name):
+    # each raised a bare AttributeError
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(TypeError, match=f"^{name}, got None$"):
+        call(tmp_path / "written.csv")
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_holds_algorithms_as_a_tuple_in_the_given_order():

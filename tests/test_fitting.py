@@ -181,6 +181,21 @@ def test_fd_jacobian_names_the_p_it_was_given(noisy_problem):
         fd_jacobian(noisy_problem, (0.5, 0.8, 0.1), base_residual=base)
 
 
+@pytest.mark.parametrize(
+    "base_residual",
+    [[1.0, 2.0], np.zeros((102, 1)), 5.0, "x"],
+    ids=["short list", "column", "scalar", "str"],
+)
+def test_fd_jacobian_refuses_a_base_residual_of_another_shape(noisy_problem, base_residual):
+    # NumPy's broadcast ValueError, a TypeError from len and a UFuncTypeError
+    with pytest.raises(ConfigError, match="^base_residual: "):
+        fd_jacobian(noisy_problem, (0.5, 0.8), base_residual=base_residual)
+    # a list of the residual's length is a 1-d real array
+    base = noisy_problem.residuals((0.5, 0.8))
+    J, _ = fd_jacobian(noisy_problem, (0.5, 0.8), base_residual=base.tolist())
+    assert np.array_equal(J, fd_jacobian(noisy_problem, (0.5, 0.8))[0])
+
+
 def _fresh_residuals(problem, p):
     """Residuals of problem at p from a trajectory sampled without a stored plan."""
     traj = solve_dde_raw(p[0], p[1], problem.grid)
@@ -244,6 +259,9 @@ def test_problem_refuses_a_dataset_or_grid_of_another_type():
     for args, name in (((ds, None), "grid"), ((ds, "grid"), "grid"), ((None, grid), "dataset")):
         with pytest.raises(TypeError, match=f"^{name} must be a "):
             ResidualProblem(*args)
+    # from_dataset raised AttributeError, reading the times of None
+    with pytest.raises(TypeError, match="^dataset must be a Dataset, got None$"):
+        ResidualProblem.from_dataset(None, HIST)
 
 
 @pytest.mark.parametrize("solver", [solve_lm, solve_trust_region])
@@ -253,6 +271,21 @@ def test_solvers_refuse_a_problem_without_residuals(solver):
     for problem in (None, TRUTH):
         with pytest.raises(TypeError, match="^problem must have a residuals method"):
             solver(problem, (0.3, 0.5))
+
+
+def test_from_dataset_poses_the_fit_on_the_truths_constants():
+    # from_dataset built the grid of Constants(): the cost at the truth was
+    # 79.78, and LM and TR stopped at (0.5650, 0.9035) as if converged
+    truth = ModelParams(0.5, 0.8, Constants(tau=2.0))
+    ds = generate_dataset(truth, HIST, 0.0, 10.0, 51, 0.0, 1)
+    problem = ResidualProblem.from_dataset(ds, HIST)
+    assert problem.grid == Grid(truth.constants, HIST, 0.0, 10.0, 50)
+    assert not problem.residuals((0.5, 0.8)).any()
+    for solve in (solve_lm, solve_trust_region):
+        assert solve(problem, (0.3, 0.5)).best_fit == pytest.approx((0.5, 0.8), rel=0, abs=1e-12)
+    # a dataset without a truth is posed on Constants()
+    bare = Dataset(ds.times, ds.x_obs, ds.y_obs, 0.0)
+    assert ResidualProblem.from_dataset(bare, HIST).grid.constants == Constants()
 
 
 def test_non_finite_step_count_is_a_grid_error():
@@ -593,8 +626,7 @@ def _path_fits():
                 cfg.truth, hist, cfg.t0, cfg.t_end, cfg.n_points, cfg.sigma, seed,
                 cfg.steps_per_delay,
             )
-            grid = Grid(cfg.truth.constants, hist, cfg.t0, cfg.t_end, cfg.steps_per_delay)
-            problem = ResidualProblem(ds, grid)
+            problem = ResidualProblem.from_dataset(ds, hist, steps_per_delay=cfg.steps_per_delay)
             for p0 in (cfg.p0, (5.0, 0.05), (-0.2, 3.0)):
                 for solve in (solve_lm, solve_trust_region):
                     yield solve(problem, p0)

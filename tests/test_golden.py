@@ -102,13 +102,19 @@ def test_every_run_replays_from_its_own_files(golden_runs):
                 summary = json.loads((run / "summary.json").read_text())
                 solver = meta["solver"]
                 assert dataset.truth.constants.tau == solver["tau"]
+                history = history_from_description(meta["history"])
                 grid = Grid(
                     dataset.truth.constants,
-                    history_from_description(meta["history"]),
+                    history,
                     solver["t0"],
                     solver["t_end"],
                     solver["steps_per_delay"],
                 )
+                # the one rule that poses a dataset's fit finds the same grid
+                posed = ResidualProblem.from_dataset(
+                    dataset, history, steps_per_delay=solver["steps_per_delay"]
+                )
+                assert posed.grid == grid, (kernel, run)
                 problem = ResidualProblem(dataset, grid)
                 for algo, solve in (("lm", solve_lm), ("tr", solve_trust_region)):
                     fit = solve(problem, summary["p0"])

@@ -88,11 +88,13 @@ def _pipeline(truth, t0, t_end, spd, n_points, sigma, p0):
     """A dataset over linspace(t0, t_end), its residuals and an LM fit, or the named error."""
     try:
         ds = generate_dataset(truth, HIST, t0, t_end, n_points, sigma, 1, spd)
-        problem = ResidualProblem(ds, Grid(truth.constants, HIST, t0, t_end, spd))
+        problem = ResidualProblem.from_dataset(ds, HIST, steps_per_delay=spd)
         r = problem.residuals(p0)
         fit = solve_lm(problem, p0)
     except RespfitError as exc:
         return type(exc).__name__
+    # the measurements' span is the window, and the truth holds its constants
+    assert problem.grid == Grid(truth.constants, HIST, t0, t_end, spd)
     if sigma == 0.0:
         # the samples are a solve on the whole window to the grid's last node
         whole = solve_dde(truth, HIST, t0, problem.grid.t_end, spd)
