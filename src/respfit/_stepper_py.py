@@ -90,12 +90,7 @@ def integrate(
     Y = [yk]
     DX = []
     DY = []
-    # The history's ventilation; exp() overflows to inf as in C (see _exp).
-    try:
-        e = exp(nr * (vent_offset - yk))
-    except OverflowError:
-        e = inf
-    v0 = vent_gain * e * xk
+    v0 = vent_gain * _exp(nr * (vent_offset - yk)) * xk
 
     # First delay interval: every delayed state is the history's, so every
     # stage reads av1, bv1, alpha and beta times its ventilation. Later, av1

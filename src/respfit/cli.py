@@ -60,7 +60,8 @@ def _cmd_run_example(args) -> int:
 
 
 def _cmd_run_config(args) -> int:
-    config = parse_config_file(args.config)
+    with naming("config", OSError):
+        config = parse_config_file(args.config)
     with naming("out_dir", OSError):
         record = run_config(config)
     _print_record(record)

@@ -39,7 +39,8 @@ def instance(name: str, value, kind: type):
     Raises TypeError, its message opening with name, for any other object.
     """
     if not isinstance(value, kind):
-        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, got {value!r}")
     return value
 
 
@@ -47,10 +48,9 @@ def to_float(name: str, value) -> float:
     """value as a Python float, or an infinity past the float range: the type half of real.
 
     Raises ConfigError, its message opening with name, unless value is a
-    Python or NumPy real number but not a bool; a float, np.float64 among
-    them, passes on a plain isinstance test before the slower abstract Real.
+    Python or NumPy real number but not a bool.
     """
-    if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, Real)):
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{name}: must be a real number, got {value!r}")
     try:
         return float(value)

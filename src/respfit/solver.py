@@ -58,9 +58,15 @@ def time_slack(*times: float) -> float:
 
 @dataclass(frozen=True)
 class ConstantHistory:
-    """History that holds one fixed state on the whole initial interval [t0 - tau, t0]."""
+    """History that holds one fixed state on the whole initial interval [t0 - tau, t0].
+
+    Raises TypeError unless state is a State.
+    """
 
     state: State
+
+    def __post_init__(self):
+        instance("state", self.state, State)
 
     def describe(self) -> dict:
         return {"kind": "constant", "x": self.state.x, "y": self.state.y}
@@ -264,10 +270,11 @@ def solve_dde_raw(alpha: float, beta: float, grid: Grid) -> Trajectory:
     The fitting layer explores the unconstrained (alpha, beta) plane, so this
     entry point accepts any real gains that model.to_float takes, and raises
     its ConfigError for any other; blow-ups, and gains past the float range,
-    surface as NonFiniteError. Use solve_dde for validated ModelParams.
+    surface as NonFiniteError. Raises TypeError unless grid is a Grid. Use
+    solve_dde for validated ModelParams.
     """
     alpha, beta = to_float("alpha", alpha), to_float("beta", beta)
-    h, c, state = grid.step, grid.constants, grid.history.state
+    h, c, state = instance("grid", grid, Grid).step, grid.constants, grid.history.state
     # the history's state is node 0, and the delayed state over the first
     # delay interval
     status, *arrays = backend.active.integrate(

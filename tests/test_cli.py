@@ -129,6 +129,16 @@ def test_missing_config_file_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_path_that_is_a_directory_is_io_failure(tmp_path, capsys):
+    # the message named no key: "i/o failure: [Errno 21] Is a directory: ..."
+    assert main(["run-config", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("i/o failure: config: ")
+    assert str(tmp_path) in err
+    assert err.count("\n") == 1
+
+
 def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     # a name line holding b"\xff\xfe" ended in a UnicodeDecodeError traceback
     cfg = tmp_path / "exp.cfg"

@@ -1,12 +1,13 @@
-"""Property test: write_csv writes the bytes of the per-cell writer it replaced.
+"""Property test: write_csv writes the bytes of its verbatim per-cell reference.
 
-write_csv formats a row of plain numbers with one "%.17g" template and every
-other row cell by cell. The reference below is the per-cell writer as it was
-before, kept verbatim. Rows are drawn from the cells a writer can meet:
-Python and NumPy floats (with ±0.0, ±inf, nan and subnormals), Python and
-NumPy ints, bools, None, Decimals and short strings, in rows of the header's
-length and of other lengths. Both writers must write the same bytes, and
-raise the same error, if any, after the same rows.
+write_csv writes every cell of every row by one rule, with no row template
+beside it. The reference below is that rule as the per-cell writer first
+held it, kept verbatim, so any change to how a cell is written shows here,
+a "%.17g" template among them. Rows are drawn from the cells a writer can
+meet: Python and NumPy floats (with ±0.0, ±inf, nan and subnormals), Python
+and NumPy ints, bools, None, Decimals and short strings, in rows of the
+header's length and of other lengths. Both writers must write the same
+bytes, and raise the same error, if any, after the same rows.
 """
 
 from __future__ import annotations

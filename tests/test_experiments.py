@@ -268,7 +268,7 @@ def test_config_validation_names_the_field():
         (lambda path: save_dataset(None, path), "dataset must be a Dataset"),
         (lambda path: write_trace_csv(None, path), "result must be a FitResult"),
         (lambda path: fd_jacobian(None, (0.5, 0.8)), "problem must have a residuals method"),
-        (lambda path: run_config(None), "config must be a ExperimentConfig"),
+        (lambda path: run_config(None), "config must be an ExperimentConfig"),
     ],
     ids=["save_dataset", "write_trace_csv", "fd_jacobian", "run_config"],
 )

@@ -304,17 +304,22 @@ def test_raw_entry_point_accepts_negative_gains_short_horizon():
 
 
 def test_grid_and_solve_refuse_objects_of_another_type():
-    # each raised AttributeError, Grid's history only at its first solve
+    # each raised AttributeError, Grid's history only at its first solve, and
+    # a history's state only where a solve or describe() read it
     calls = {
         "constants": lambda: Grid(1.0, HIST, 0.0, 5.0, 50),
         "history": lambda: Grid(Constants(), None, 0.0, 5.0, 50),
         "params": lambda: solve_dde((0.5, 0.8), HIST, 0.0, 5.0),
+        "state": lambda: ConstantHistory((35.0, 35.0)),
+        "grid": lambda: solve_dde_raw(0.5, 0.8, None),
     }
     for name, call in calls.items():
         with pytest.raises(TypeError, match=f"^{name} must be a "):
             call()
     with pytest.raises(TypeError, match="^history must be a ConstantHistory"):
         solve_dde(ModelParams(0.5, 0.8), State(35.0, 35.0), 0.0, 5.0)
+    with pytest.raises(TypeError, match="^state must be a State, got None$"):
+        ConstantHistory(None)
 
 
 def test_trajectory_arrays_are_read_only():
